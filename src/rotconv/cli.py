@@ -12,7 +12,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .evolution import InitialSpec, SimConfig, run
-from .grid import Grid, inverse_transform
+from .grid import Grid, inverse_transform_batch
 from .invariants import gronwall_envelopes
 from .meanstate import mean_profile
 from .velocity import (
@@ -20,6 +20,7 @@ from .velocity import (
     empirical_lp_ratio,
     hypothesis_check,
     lattice_sup,
+    velocity_symbols,
 )
 
 
@@ -43,7 +44,6 @@ def load_config(path) -> SimConfig:
         dealias=raw.get("dealias", True),
         initial=initial,
         diagnostics_every=raw.get("diagnostics_every", 1),
-        seed=raw.get("seed", 0),
         safety=raw.get("safety", 0.5),
         mode_cap=raw.get("mode_cap"),
     )
@@ -59,7 +59,6 @@ def config_echo(config: SimConfig) -> dict:
 
 def cmd_run(args) -> int:
     from .io import write_profile_csv, write_series_csv, write_snapshot
-    from .velocity import solve_velocity
 
     config = load_config(args.config)
     out = Path(args.out)
@@ -67,9 +66,9 @@ def cmd_run(args) -> int:
     traj = run(config, store_states=True)
     env = gronwall_envelopes(traj.reports)
     write_series_csv(out / "series.csv", traj.reports, env)
+    mw = velocity_symbols(config.grid)[2]
     for state in (traj.states[0], traj.final_state):
-        theta_p = inverse_transform(state.theta)
-        w_p = inverse_transform(solve_velocity(state.theta).w)
+        theta_p, w_p = inverse_transform_batch(state.theta, [(), (mw,)])
         write_profile_csv(out / f"profile_{state.t:.6f}.csv",
                           mean_profile(theta_p, w_p))
         write_snapshot(out / f"theta_{state.t:.6f}.rcs", "theta_prime", theta_p)

@@ -22,8 +22,14 @@ from .grid import (
     PhysicalField,
     SpectralField,
     _lattice,
+    dealias as dealias_op,
+    derivative_symbol,
     forward_transform,
+    horizontal_laplacian_symbol,
+    inverse_transform,
+    inverse_transform_batch,
     lp_norm,
+    project_zero_horizontal_mean,
 )
 from .meanstate import mean_gradient
 from .velocity import velocity_symbols
@@ -63,7 +69,6 @@ class SimConfig:
     dealias: bool = True
     initial: InitialSpec = field(default_factory=InitialSpec)
     diagnostics_every: int = 1
-    seed: int = 0
     safety: float = 0.5
     mode_cap: int | None = None  # Galerkin truncation |k_i| <= mode_cap
 
@@ -86,10 +91,10 @@ class SimState:
 
 @lru_cache(maxsize=32)
 def _workspace(grid: Grid, dealias: bool, mode_cap: int | None):
-    kx, ky, kz, kh2, nyquist, two_thirds = _lattice(grid.nx, grid.ny, grid.nz)
+    kx, ky, kz, _, _, two_thirds = _lattice(grid.nx, grid.ny, grid.nz)
     mu, mv, mw, _, _ = velocity_symbols(grid)
-    ikx = np.where(kx == -(grid.nx // 2), 0.0, 1j * kx.astype(np.float64))
-    iky = np.where(ky == -(grid.ny // 2), 0.0, 1j * ky.astype(np.float64))
+    ikx = derivative_symbol(grid, 0)
+    iky = derivative_symbol(grid, 1)
     mask = np.broadcast_to(True, grid.shape)
     if dealias:
         mask = mask & two_thirds
@@ -99,7 +104,7 @@ def _workspace(grid: Grid, dealias: bool, mode_cap: int | None):
             & (np.abs(ky) <= mode_cap)
             & (np.abs(kz) <= mode_cap)
         )
-    lap_h = np.broadcast_to(-kh2, grid.shape)
+    lap_h = horizontal_laplacian_symbol(grid)
     return mu, mv, mw, ikx, iky, mask, lap_h
 
 
@@ -192,32 +197,22 @@ def cfl_dt(state: SimState, safety: float, config: SimConfig) -> float:
     """Advective CFL time step with an explicit-diffusion cap for rk4."""
     if not (0.0 < safety <= 1.0):
         raise ValueError("safety must lie in (0, 1]")
-    from .grid import inverse_transform
-    from .velocity import solve_velocity
-
     grid = config.grid
     default_cap = 0.1
     caps = [default_cap]
     if config.integrator == "rk4" and config.epsilon > 0:
         kh2_max = (grid.nx // 2) ** 2 + (grid.ny // 2) ** 2
         caps.append(2.8 / (config.epsilon**2 * kh2_max))
-    d = solve_velocity(state.theta)
-    umax = lp_norm(inverse_transform(d.u), np.inf)
-    vmax = lp_norm(inverse_transform(d.v), np.inf)
-    dx = TWO_PI / grid.nx
-    dy = TWO_PI / grid.ny
-    if umax > 0:
-        caps.append(dx / umax)
-    if vmax > 0:
-        caps.append(dy / vmax)
+    mu, mv = velocity_symbols(grid)[:2]
+    u, v = inverse_transform_batch(state.theta, [(mu,), (mv,)])
+    for speed, n in ((lp_norm(u, np.inf), grid.nx), (lp_norm(v, np.inf), grid.ny)):
+        if speed > 0:
+            caps.append((TWO_PI / n) / speed)
     return safety * min(caps)
 
 
 def build_initial(grid: Grid, spec: InitialSpec, dealias_field: bool = True) -> SpectralField:
     """Construct the initial spectral state with zero horizontal mean."""
-    from .grid import dealias as dealias_op
-    from .grid import inverse_transform
-
     if spec.kind == "analytic-single-mode":
         X, Y, Z = grid.meshgrid()
         k1, k2, k3 = spec.mode
@@ -232,9 +227,7 @@ def build_initial(grid: Grid, spec: InitialSpec, dealias_field: bool = True) -> 
         F = SpectralField(grid, np.where(band, F.coeffs, 0.0))
     else:
         raise ValueError(f"unknown initial kind {spec.kind!r}")
-    c = F.coeffs.copy()
-    c[0, 0, :] = 0.0
-    F = SpectralField(grid, c)
+    F = project_zero_horizontal_mean(F)
     if dealias_field:
         F = dealias_op(F)
     if spec.kind == "random-band-limited":
@@ -256,18 +249,29 @@ class Trajectory:
     final_state: SimState
 
 
-def run(
-    config: SimConfig,
-    store_states: bool = False,
-    compute_reports: bool = True,
-) -> Trajectory:
-    """Integrate to t_end, sampling diagnostics every `diagnostics_every` steps."""
-    from .invariants import compute_report
-
+def initial_state(config: SimConfig) -> SpectralField:
+    """The configured initial state, restricted to the modes kept by `mode_cap`."""
     theta0 = build_initial(config.grid, config.initial, config.dealias)
     if config.mode_cap is not None:
         ws = _workspace(config.grid, config.dealias, config.mode_cap)
         theta0 = SpectralField(config.grid, np.where(ws[5], theta0.coeffs, 0.0))
+    return theta0
+
+
+def run(
+    config: SimConfig,
+    store_states: bool = False,
+    compute_reports: bool = True,
+    theta0: SpectralField | None = None,
+) -> Trajectory:
+    """Integrate from `theta0` (default: `initial_state(config)`) to t_end,
+    sampling diagnostics every `diagnostics_every` steps."""
+    from .invariants import compute_report
+
+    if theta0 is None:
+        theta0 = initial_state(config)
+    if not theta0.has_zero_horizontal_mean():
+        raise ValueError("initial state must have zero horizontal mean")
     state = SimState(0.0, theta0)
 
     if config.dt == "auto":

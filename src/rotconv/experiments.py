@@ -10,47 +10,49 @@ import numpy as np
 from .grid import (
     DOMAIN_VOLUME,
     Grid,
+    PhysicalField,
     SpectralField,
     _lattice,
-    inverse_transform,
+    forward_transform,
+    inverse_transform_batch,
+    project_zero_horizontal_mean,
     spectral_l2,
 )
-from .evolution import SimConfig, SimState, Trajectory, build_initial, run
+from .evolution import (
+    SimConfig,
+    SimState,
+    Trajectory,
+    build_initial,
+    cfl_dt,
+    initial_state,
+    run,
+)
 from .invariants import dual_norm
 from .meanstate import heat_flux, mean_gradient, profile_l2
-from .velocity import solve_velocity, velocity_symbols
+# solve_velocity is unused here but bench/test_bench.py rebinds it through this module
+from .velocity import solve_velocity, velocity_symbols  # noqa: F401
+
+
+def _h2h_symbols(grid: Grid) -> list[np.ndarray]:
+    """|symbols| mapping the temperature difference to lap_h of (u, v, w)."""
+    kh2 = np.broadcast_to(_lattice(grid.nx, grid.ny, grid.nz)[3], grid.shape)
+    return [kh2 * np.abs(m) for m in velocity_symbols(grid)[:3]]
 
 
 def _h2h_velocity_error(diff: SpectralField) -> float:
     """||lap_h(u_e - u)||_2 + ||lap_h(v_e - v)||_2 + ||lap_h(w_e - w)||_2,
     computed spectrally from the temperature difference."""
-    grid = diff.grid
-    kh2 = np.broadcast_to(_lattice(grid.nx, grid.ny, grid.nz)[3], grid.shape)
-    mu, mv, mw, _, _ = velocity_symbols(grid)
     c2 = np.abs(diff.coeffs) ** 2
-    eu = np.sqrt(DOMAIN_VOLUME * np.sum((kh2 * np.abs(mu)) ** 2 * c2))
-    ev = np.sqrt(DOMAIN_VOLUME * np.sum((kh2 * np.abs(mv)) ** 2 * c2))
-    ew = np.sqrt(DOMAIN_VOLUME * np.sum((kh2 * np.abs(mw)) ** 2 * c2))
-    return float(eu + ev + ew)
+    return float(sum(
+        np.sqrt(DOMAIN_VOLUME * np.sum(m**2 * c2)) for m in _h2h_symbols(diff.grid)
+    ))
 
 
 def h2h_bound_constant(grid: Grid) -> float:
     """Sup over the grid lattice of the symbols mapping the temperature
     difference to the three Laplacian-velocity components, summed; by Parseval
     the H2h velocity error is bounded by this constant times the L2 error."""
-    kh2 = np.broadcast_to(_lattice(grid.nx, grid.ny, grid.nz)[3], grid.shape)
-    mu, mv, mw, _, _ = velocity_symbols(grid)
-    return float(
-        np.max(kh2 * np.abs(mu))
-        + np.max(kh2 * np.abs(mv))
-        + np.max(kh2 * np.abs(mw))
-    )
-
-
-def _mean_gradient_profile(state: SimState) -> np.ndarray:
-    theta_p = inverse_transform(state.theta)
-    w_p = inverse_transform(solve_velocity(state.theta).w)
-    return mean_gradient(heat_flux(theta_p, w_p))
+    return float(sum(np.max(m) for m in _h2h_symbols(grid)))
 
 
 def _rms_h_sup(values: np.ndarray) -> float:
@@ -67,20 +69,19 @@ def mean_h1_error_and_bound(
     Every step of the bound is an exact inequality on grid samples, so the
     measured error can exceed the bound only by rounding.
     """
-    dtz_e = _mean_gradient_profile(state_eps)
-    dtz_r = _mean_gradient_profile(state_ref)
-    err = profile_l2(dtz_e - dtz_r)
+    grid = state_eps.theta.grid
+    mw = velocity_symbols(grid)[2]
+    theta_eps_p, w_eps_p = inverse_transform_batch(state_eps.theta, [(), (mw,)])
+    theta_ref_p, w_ref_p = inverse_transform_batch(state_ref.theta, [(), (mw,)])
+    err = profile_l2(
+        mean_gradient(heat_flux(theta_eps_p, w_eps_p))
+        - mean_gradient(heat_flux(theta_ref_p, w_ref_p))
+    )
 
-    diff = SpectralField(
-        state_eps.theta.grid, state_eps.theta.coeffs - state_ref.theta.coeffs
-    )
+    diff = SpectralField(grid, state_eps.theta.coeffs - state_ref.theta.coeffs)
     theta_l2 = spectral_l2(diff)
-    w_diff = inverse_transform(solve_velocity(diff).w)
-    theta_ref_p = inverse_transform(state_ref.theta)
-    w_eps_p = inverse_transform(solve_velocity(state_eps.theta).w)
-    w_diff_l2 = float(
-        np.sqrt(np.sum(w_diff.values**2) * diff.grid.cell_volume)
-    )
+    (w_diff,) = inverse_transform_batch(diff, [(mw,)])
+    w_diff_l2 = float(np.sqrt(np.sum(w_diff.values**2) * grid.cell_volume))
     # |mean_h(D w_e)| <= rms_h(D) rms_h(w_e) level-wise; sum over z and pull
     # out the sup_z factor
     bound = (
@@ -122,6 +123,66 @@ def _fit_slope(params, errors):
     return slope, 0.0
 
 
+def _member_runs(configs, theta0s):
+    """Run each member from its initial state, one at a time, all on one time
+    step: the configured dt or, under "auto", the members' smallest CFL step
+    at t = 0."""
+    dt = configs[0].dt
+    if dt == "auto":
+        dt = min(cfl_dt(SimState(0.0, theta0), cfg.safety, cfg)
+                 for cfg, theta0 in zip(configs, theta0s))
+    for cfg, theta0 in zip(configs, theta0s):
+        yield run(replace(cfg, dt=dt), store_states=True, compute_reports=False,
+                  theta0=theta0)
+
+
+def _compare(parameters, ref: Trajectory, members) -> SweepResult:
+    """Errors of each member run against the reference, sample by sample,
+    with the worst excess over the a priori error bounds.  Samples with an
+    identically zero difference have zero error and zero bounds; they enter
+    the per-time series only."""
+    grid = ref.config.grid
+    vel_const = h2h_bound_constant(grid)
+    err_l2, err_h1, err_vel = [], [], []
+    per_time_l2 = []
+    vel_excess = -np.inf
+    mean_excess = -np.inf
+    for traj in members:
+        e_l2 = e_h1 = e_v = 0.0
+        series = []
+        for s_m, s_ref in zip(traj.states, ref.states):
+            diff = SpectralField(grid, s_m.theta.coeffs - s_ref.theta.coeffs)
+            d_l2 = spectral_l2(diff)
+            series.append(d_l2)
+            if d_l2 == 0.0:
+                continue
+            e_l2 = max(e_l2, d_l2)
+            d_v = _h2h_velocity_error(diff)
+            e_v = max(e_v, d_v)
+            vel_excess = max(vel_excess, d_v - vel_const * d_l2)
+            d_h1, h1_bound = mean_h1_error_and_bound(s_m, s_ref)
+            e_h1 = max(e_h1, d_h1)
+            mean_excess = max(mean_excess, d_h1 - h1_bound)
+        err_l2.append(e_l2)
+        err_h1.append(e_h1)
+        err_vel.append(e_v)
+        per_time_l2.append(series)
+
+    slope, ci = _fit_slope(parameters, err_l2)
+    return SweepResult(
+        parameters=parameters,
+        err_l2=err_l2,
+        err_mean_h1=err_h1,
+        err_vel_h2=err_vel,
+        slope=slope,
+        slope_ci=ci,
+        times=ref.times,
+        per_time_l2=per_time_l2,
+        max_vel_excess=vel_excess,
+        max_mean_excess=mean_excess,
+    )
+
+
 def sweep_epsilon(
     base: SimConfig,
     eps_list,
@@ -136,82 +197,21 @@ def sweep_epsilon(
     if init_perturbation not in ("matched", "eps-scaled"):
         raise ValueError(f"unknown perturbation mode {init_perturbation!r}")
 
-    ref_cfg = replace(base, epsilon=0.0)
-    ref = run(ref_cfg, store_states=True, compute_reports=False)
-
-    direction = None
+    theta0 = initial_state(base)
+    theta0s = [theta0] * (1 + len(eps_list))
     if init_perturbation == "eps-scaled":
         pert_spec = replace(
             base.initial, kind="random-band-limited", seed=base.initial.seed + 104729
         )
         direction = build_initial(base.grid, pert_spec, base.dealias)
-        dn = spectral_l2(direction)
-        direction = SpectralField(base.grid, direction.coeffs / dn)
+        direction = direction.coeffs / spectral_l2(direction)
+        theta0s[1:] = [SpectralField(base.grid, theta0.coeffs + eps * direction)
+                       for eps in eps_list]
 
-    vel_const = h2h_bound_constant(base.grid)
-    err_l2, err_h1, err_vel = [], [], []
-    per_time_l2 = []
-    vel_excess = -np.inf
-    mean_excess = -np.inf
-    for eps in eps_list:
-        cfg = replace(base, epsilon=eps)
-        traj = run(cfg, store_states=True, compute_reports=False)
-        if init_perturbation == "eps-scaled":
-            theta0 = SpectralField(
-                base.grid,
-                traj.states[0].theta.coeffs + eps * direction.coeffs,
-            )
-            # rerun from the perturbed initial state
-            traj = _rerun_from(cfg, theta0, ref.dt, len(ref.times) - 1,
-                               base.diagnostics_every)
-        e_l2 = e_h1 = e_v = 0.0
-        series = []
-        for s_eps, s_ref in zip(traj.states, ref.states):
-            diff = SpectralField(
-                base.grid, s_eps.theta.coeffs - s_ref.theta.coeffs
-            )
-            d_l2 = spectral_l2(diff)
-            series.append(d_l2)
-            e_l2 = max(e_l2, d_l2)
-            d_v = _h2h_velocity_error(diff)
-            e_v = max(e_v, d_v)
-            vel_excess = max(vel_excess, d_v - vel_const * d_l2)
-            d_h1, h1_bound = mean_h1_error_and_bound(s_eps, s_ref)
-            e_h1 = max(e_h1, d_h1)
-            mean_excess = max(mean_excess, d_h1 - h1_bound)
-        err_l2.append(e_l2)
-        err_h1.append(e_h1)
-        err_vel.append(e_v)
-        per_time_l2.append(series)
-
-    slope, ci = _fit_slope(eps_list, err_l2)
-    return SweepResult(
-        parameters=eps_list,
-        err_l2=err_l2,
-        err_mean_h1=err_h1,
-        err_vel_h2=err_vel,
-        slope=slope,
-        slope_ci=ci,
-        times=ref.times,
-        per_time_l2=per_time_l2,
-        max_vel_excess=vel_excess,
-        max_mean_excess=mean_excess,
-    )
-
-
-def _rerun_from(cfg: SimConfig, theta0: SpectralField, dt: float,
-                n_steps: int, cadence: int) -> Trajectory:
-    from .evolution import SimState, step
-
-    state = SimState(0.0, theta0)
-    times = [0.0]
-    states = [state]
-    for i in range(1, n_steps + 1):
-        state = step(state, dt, cfg)
-        if i % cadence == 0 or i == n_steps:
-            times.append(state.t)
-            states.append(state)
-    return Trajectory(cfg, dt, times, [], states, state)
+    configs = [replace(base, epsilon=eps) for eps in [0.0] + eps_list]
+    runs = _member_runs(configs, theta0s)
+    ref = next(runs)
+    return _compare(eps_list, ref, runs)
 
 
 def sweep_resolution(base: SimConfig, mode_counts) -> SweepResult:
@@ -219,40 +219,9 @@ def sweep_resolution(base: SimConfig, mode_counts) -> SweepResult:
     mode_counts = list(mode_counts)
     if sorted(mode_counts) != mode_counts:
         raise ValueError("mode counts must be increasing")
-    runs = {}
-    for m in mode_counts:
-        cfg = replace(base, mode_cap=int(m))
-        runs[m] = run(cfg, store_states=True, compute_reports=False)
-    ref = runs[mode_counts[-1]]
-
-    err_l2, err_h1, err_vel = [], [], []
-    per_time_l2 = []
-    for m in mode_counts:
-        traj = runs[m]
-        e_l2 = e_h1 = e_v = 0.0
-        series = []
-        for s_m, s_ref in zip(traj.states, ref.states):
-            diff = SpectralField(base.grid, s_m.theta.coeffs - s_ref.theta.coeffs)
-            d_l2 = spectral_l2(diff)
-            series.append(d_l2)
-            e_l2 = max(e_l2, d_l2)
-            e_v = max(e_v, _h2h_velocity_error(diff))
-            e_h1 = max(e_h1, mean_h1_error_and_bound(s_m, s_ref)[0])
-        err_l2.append(e_l2)
-        err_h1.append(e_h1)
-        err_vel.append(e_v)
-        per_time_l2.append(series)
-    slope, ci = _fit_slope(mode_counts, [max(e, 1e-300) for e in err_l2])
-    return SweepResult(
-        parameters=[float(m) for m in mode_counts],
-        err_l2=err_l2,
-        err_mean_h1=err_h1,
-        err_vel_h2=err_vel,
-        slope=slope,
-        slope_ci=ci,
-        times=ref.times,
-        per_time_l2=per_time_l2,
-    )
+    configs = [replace(base, mode_cap=int(m)) for m in mode_counts]
+    runs = list(_member_runs(configs, [initial_state(c) for c in configs]))
+    return _compare([float(m) for m in mode_counts], runs[-1], runs)
 
 
 @dataclass
@@ -276,19 +245,19 @@ def twin_run(
     Fits the exponential separation rate and, when `check_linearity`, verifies
     that halving the perturbation roughly halves the response.
     """
-    k1, k2 = delta_mode[0], delta_mode[1]
-    if k1 == 0 and k2 == 0:
+    if delta_mode[0] == 0 and delta_mode[1] == 0:
         raise ValueError("perturbation must have zero horizontal mean")
 
-    ref = run(base, store_states=True, compute_reports=False)
     pert = _perturbation_field(base.grid, delta_mode, delta_amp)
+    theta0 = initial_state(base)
+    amps = (1.0, 0.5) if check_linearity else (1.0,)
+    theta0s = [theta0] + [
+        SpectralField(base.grid, theta0.coeffs + a * pert.coeffs) for a in amps
+    ]
+    runs = _member_runs([base] * len(theta0s), theta0s)
+    ref = next(runs)
 
-    def perturbed_sup(amp_scale: float):
-        theta0 = SpectralField(
-            base.grid,
-            ref.states[0].theta.coeffs + amp_scale * pert.coeffs,
-        )
-        traj = _rerun_from(base, theta0, ref.dt, _n_steps(ref), base.diagnostics_every)
+    def separation(traj: Trajectory):
         errs, duals = [], []
         for s_p, s_r in zip(traj.states, ref.states):
             diff = SpectralField(base.grid, s_p.theta.coeffs - s_r.theta.coeffs)
@@ -296,7 +265,8 @@ def twin_run(
             duals.append(dual_norm(diff))
         return errs, duals
 
-    errs, duals = perturbed_sup(1.0)
+    # map keeps no finished member alive while the next one runs
+    (errs, duals), *half = map(separation, runs)
     t = np.asarray(ref.times)
     y = np.log(np.maximum(np.asarray(errs), 1e-300))
     rate = float(np.polyfit(t, y, 1)[0]) if t.size > 1 else 0.0
@@ -304,8 +274,7 @@ def twin_run(
     response_ratio = None
     in_regime = True
     if check_linearity:
-        errs_half, _ = perturbed_sup(0.5)
-        response_ratio = max(errs_half) / max(max(errs), 1e-300)
+        response_ratio = max(half[0][0]) / max(max(errs), 1e-300)
         in_regime = 0.3 <= response_ratio <= 0.7
     return TwinRunReport(
         times=list(ref.times),
@@ -317,20 +286,11 @@ def twin_run(
     )
 
 
-def _n_steps(traj: Trajectory) -> int:
-    return int(round(traj.final_state.t / traj.dt)) if traj.dt > 0 else 0
-
-
 def _perturbation_field(grid: Grid, mode, amplitude: float) -> SpectralField:
     """Single-mode real perturbation with unit-L2-per-amplitude normalization."""
     X, Y, Z = grid.meshgrid()
     k1, k2, k3 = mode
     values = np.cos(k1 * X + k2 * Y + k3 * Z)
-    from .grid import PhysicalField, forward_transform
-
-    F = forward_transform(PhysicalField(grid, values))
-    c = F.coeffs.copy()
-    c[0, 0, :] = 0.0
-    F = SpectralField(grid, c)
+    F = project_zero_horizontal_mean(forward_transform(PhysicalField(grid, values)))
     n = spectral_l2(F)
     return SpectralField(grid, F.coeffs * (amplitude / n))

@@ -132,11 +132,30 @@ def forward_transform(f: PhysicalField) -> SpectralField:
 
 def inverse_transform(F: SpectralField, tol: float = 1e-12) -> PhysicalField:
     """Reconstruct the real field; rejects coefficients breaking reality."""
+    return inverse_transform_batch(F, [()], tol)[0]
+
+
+def inverse_transform_batch(
+    F: SpectralField, chains, tol: float = 1e-12
+) -> list[PhysicalField]:
+    """Real fields of symbol chains applied to F, from one batched inverse DFT.
+
+    Entry i is the field of s_m * (... * (s_1 * F)) for chains[i] = (s_1, ..., s_m);
+    the empty chain gives F itself.  Conjugate symmetry is checked once, on F,
+    so every symbol must satisfy sigma(-k) = conj(sigma(k)).
+    """
     scale = max(np.max(np.abs(F.coeffs)), 1.0)
     if F.symmetry_defect() > tol * scale:
         raise ValueError("spectral coefficients violate conjugate symmetry")
-    v = sfft.ifftn(F.coeffs * F.grid.size)
-    return PhysicalField(F.grid, v.real)
+    stack = np.empty((len(chains),) + F.grid.shape, dtype=np.complex128)
+    for out, chain in zip(stack, chains):
+        c = F.coeffs
+        for sym in chain:
+            c = sym * c
+        out[...] = c
+    stack *= F.grid.size
+    values = sfft.ifftn(stack, axes=(1, 2, 3)).real
+    return [PhysicalField(F.grid, v) for v in values]
 
 
 def apply_symbol(F: SpectralField, symbol, tol: float = 1e-12) -> SpectralField:
@@ -159,12 +178,9 @@ def apply_symbol(F: SpectralField, symbol, tol: float = 1e-12) -> SpectralField:
 
 
 def derivative_symbol(grid: Grid, axis: int) -> np.ndarray:
-    """Symbol of d/dx_axis with the Nyquist plane zeroed."""
-    lat = _lattice(grid.nx, grid.ny, grid.nz)
-    k = lat[axis].astype(np.float64)
-    n = grid.shape[axis]
-    k = np.where(lat[axis] == -(n // 2), 0.0, k)
-    return 1j * np.broadcast_to(k, grid.shape).copy()
+    """Symbol of d/dx_axis with the Nyquist plane zeroed, broadcastable to the grid."""
+    k = _lattice(grid.nx, grid.ny, grid.nz)[axis]
+    return np.where(k == -(grid.shape[axis] // 2), 0.0, 1j * k.astype(np.float64))
 
 
 def horizontal_laplacian_symbol(grid: Grid) -> np.ndarray:

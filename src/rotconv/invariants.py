@@ -6,19 +6,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .grid import (
     DOMAIN_VOLUME,
     TWO_PI,
     SpectralField,
     _lattice,
-    inverse_transform,
+    derivative_symbol,
+    inverse_transform_batch,
     lp_norm,
     spectral_l2,
 )
+from .evolution import SimState
 from .meanstate import heat_flux, mean_gradient, profile_l2
-from .velocity import solve_velocity
+from .velocity import velocity_symbols
 
 
 def dual_norm(theta: SpectralField) -> float:
@@ -39,41 +40,6 @@ def _slice_lp(values: np.ndarray, p: float) -> np.ndarray:
     return (np.sum(np.abs(values) ** p, axis=(0, 1)) * w2) ** (1.0 / p)
 
 
-def embedding_ratios(theta: SpectralField) -> dict[str, float]:
-    """Measured LHS/RHS of the named anisotropic embedding estimates."""
-    l2 = spectral_l2(theta)
-    if l2 == 0.0:
-        raise ValueError("embedding ratios are undefined for the zero field")
-    grid = theta.grid
-    d = solve_velocity(theta)
-    theta_p = inverse_transform(theta)
-    u_p = inverse_transform(d.u).values
-    v_p = inverse_transform(d.v).values
-    w_p = inverse_transform(d.w).values
-    kx = grid.wavenumbers()[0]
-    ikx = np.where(kx == -(grid.nx // 2), 0.0, 1j * kx.astype(np.float64))
-    dxu = sfft.ifftn(ikx * d.u.coeffs * grid.size).real
-    dxv = sfft.ifftn(ikx * d.v.coeffs * grid.size).real
-    dxw = sfft.ifftn(ikx * d.w.coeffs * grid.size).real
-
-    l3 = lp_norm(theta_p, 3.0)
-    l6 = lp_norm(theta_p, 6.0)
-    uv_mag = np.sqrt(u_p**2 + v_p**2)
-    dxuv_mag = np.sqrt(dxu**2 + dxv**2)
-    dV = grid.cell_volume
-    l6_uv = float((np.sum(uv_mag**6) * dV) ** (1.0 / 6.0))
-    l6_w = float((np.sum(np.abs(w_p) ** 6) * dV) ** (1.0 / 6.0))
-    return {
-        "ratio_417": float(np.max(_slice_lp(w_p, 3.0))) / l2,
-        "ratio_426": float(np.max(_slice_lp(w_p, 6.0))) / max(l3, 1e-300),
-        "ratio_429u": l6_uv / max(l6, 1e-300),
-        "ratio_429w": l6_w / max(l6, 1e-300),
-        "ratio_56": float(np.max(dxuv_mag)) / max(l6, 1e-300),
-        "ratio_58": (float(np.max(np.abs(dxw))) + float(np.max(np.abs(w_p))))
-        / max(l6, 1e-300),
-    }
-
-
 @dataclass(frozen=True)
 class InvariantReport:
     """Per-sample record of norms, budget terms and embedding ratios."""
@@ -91,36 +57,65 @@ class InvariantReport:
 
 
 def compute_report(state, epsilon: float) -> InvariantReport:
+    """Norms, budget terms and embedding ratios of one sampled state, from one
+    batched inverse transform of theta', u, v, w, d_x (u, v, w, theta') and
+    d_y theta'."""
     theta = state.theta
     grid = theta.grid
-    d = solve_velocity(theta)
-    theta_p = inverse_transform(theta)
-    w_p = inverse_transform(d.w)
-    flux = heat_flux(theta_p, w_p)
-    dtz = mean_gradient(flux)
-    mean_grad_l2 = profile_l2(dtz)
+    if not theta.has_zero_horizontal_mean():
+        raise ValueError("diagnostic solve requires zero horizontal mean")
+    mu, mv, mw, _, _ = velocity_symbols(grid)
+    dx = derivative_symbol(grid, 0)
+    dy = derivative_symbol(grid, 1)
+    theta_p, *fields = inverse_transform_batch(theta, [
+        (), (mu,), (mv,), (mw,), (mu, dx), (mv, dx), (mw, dx), (dx,), (dy,),
+    ])
+    u_p, v_p, w_p, dxu, dxv, dxw, gx, gy = (f.values for f in fields)
+    dtz = mean_gradient(heat_flux(theta_p, fields[2]))
 
-    kx, ky, kz, kh2, _, _ = _lattice(grid.nx, grid.ny, grid.nz)
+    kh2 = _lattice(grid.nx, grid.ny, grid.nz)[3]
     grad2 = DOMAIN_VOLUME * np.sum(kh2 * np.abs(theta.coeffs) ** 2)
-    ikx = np.where(kx == -(grid.nx // 2), 0.0, 1j * kx.astype(np.float64))
-    iky = np.where(ky == -(grid.ny // 2), 0.0, 1j * ky.astype(np.float64))
-    gx = sfft.ifftn(ikx * theta.coeffs * grid.size).real
-    gy = sfft.ifftn(iky * theta.coeffs * grid.size).real
     grad_mag = np.sqrt(gx**2 + gy**2)
-    grad_l3 = float((np.sum(grad_mag**3) * grid.cell_volume) ** (1.0 / 3.0))
+    dV = grid.cell_volume
+    grad_l3 = float((np.sum(grad_mag**3) * dV) ** (1.0 / 3.0))
 
+    l2 = spectral_l2(theta)
+    l3 = lp_norm(theta_p, 3.0)
+    l6 = lp_norm(theta_p, 6.0)
+    ratios = {}
+    if l2 > 0:
+        uv_mag = np.sqrt(u_p**2 + v_p**2)
+        dxuv_mag = np.sqrt(dxu**2 + dxv**2)
+        l6_uv = float((np.sum(uv_mag**6) * dV) ** (1.0 / 6.0))
+        l6_w = float((np.sum(np.abs(w_p) ** 6) * dV) ** (1.0 / 6.0))
+        ratios = {
+            "ratio_417": float(np.max(_slice_lp(w_p, 3.0))) / l2,
+            "ratio_426": float(np.max(_slice_lp(w_p, 6.0))) / max(l3, 1e-300),
+            "ratio_429u": l6_uv / max(l6, 1e-300),
+            "ratio_429w": l6_w / max(l6, 1e-300),
+            "ratio_56": float(np.max(dxuv_mag)) / max(l6, 1e-300),
+            "ratio_58": (float(np.max(np.abs(dxw))) + float(np.max(np.abs(w_p))))
+            / max(l6, 1e-300),
+        }
     return InvariantReport(
         t=state.t,
-        l2=spectral_l2(theta),
-        l3=lp_norm(theta_p, 3.0),
-        l6=lp_norm(theta_p, 6.0),
+        l2=l2,
+        l3=l3,
+        l6=l6,
         grad_l3=grad_l3,
         dual=dual_norm(theta),
-        mean_grad_l2=mean_grad_l2,
+        mean_grad_l2=profile_l2(dtz),
         diss_h=float(epsilon**2 * grad2),
         diss_z=float(4.0 * np.pi**2 * np.sum(dtz**2) * TWO_PI / dtz.size),
-        ratios=embedding_ratios(theta) if spectral_l2(theta) > 0 else {},
+        ratios=ratios,
     )
+
+
+def embedding_ratios(theta: SpectralField) -> dict[str, float]:
+    """Measured LHS/RHS of the named anisotropic embedding estimates."""
+    if spectral_l2(theta) == 0.0:
+        raise ValueError("embedding ratios are undefined for the zero field")
+    return compute_report(SimState(0.0, theta), 0.0).ratios
 
 
 def budget_residual_series(times: np.ndarray, l2_series: np.ndarray,

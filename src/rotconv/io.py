@@ -76,10 +76,8 @@ def write_series_csv(path, reports, envelopes) -> None:
         rows.append([
             r.t, r.l2, r.l3, r.l6, r.grad_l3, r.dual, r.mean_grad_l2,
             r.diss_h, r.diss_z,
-            float(residual[i]) if np.isfinite(residual[i]) else 0.0,
-            r.ratios.get("ratio_417", 0.0), r.ratios.get("ratio_426", 0.0),
-            r.ratios.get("ratio_429u", 0.0), r.ratios.get("ratio_429w", 0.0),
-            r.ratios.get("ratio_56", 0.0), r.ratios.get("ratio_58", 0.0),
+            float(residual[i]),
+            *(r.ratios.get(c, 0.0) for c in SERIES_COLUMNS if c.startswith("ratio_")),
             bool(envelopes.pass_l3[i]), bool(envelopes.pass_l6[i]),
             bool(envelopes.pass_grad[i]),
         ])

@@ -59,11 +59,9 @@ def reconstruct_mean(dtheta_dz: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 def mean_profile(theta: PhysicalField, w: PhysicalField) -> MeanProfile:
     """Full closure: flux, gradient and reconstructed mean temperature."""
-    nz = theta.grid.nz
-    z = np.arange(nz) * (TWO_PI / nz)
     flux = heat_flux(theta, w)
     dtz = mean_gradient(flux)
-    return MeanProfile(z, flux, dtz, reconstruct_mean(dtz))
+    return MeanProfile(theta.grid.axes()[2], flux, dtz, reconstruct_mean(dtz))
 
 
 def profile_l2(profile: np.ndarray) -> float:

@@ -27,8 +27,9 @@ from .grid import (
     _lattice,
     dealias,
     forward_transform,
-    inverse_transform,
+    inverse_transform_batch,
     lp_norm,
+    project_zero_horizontal_mean,
 )
 
 _TINY = 1e-300
@@ -144,27 +145,24 @@ def hypothesis_check(spec: MultiplierSpec) -> bool:
     return spec.a / spec.c + spec.b / spec.d <= 1
 
 
+def _multiplier(spec: MultiplierSpec, kh2, kz2):
+    """The family member at k1^2 + k2^2 = kh2 and k3^2 = kz2, zero where kh2 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = (1.0 + kz2) ** float(spec.a) * np.where(kh2 > 0, kh2, 1.0) ** float(spec.b)
+        den = kz2 ** float(spec.c) + kh2 ** float(spec.d)
+        return np.where(kh2 > 0, num / np.maximum(den, _TINY), 0.0)
+
+
 def multiplier_value(spec: MultiplierSpec, k) -> float:
     """Closed-form evaluation at one integer wavenumber triple."""
     k1, k2, k3 = k
-    kh2 = float(k1) ** 2 + float(k2) ** 2
-    if kh2 == 0.0:
-        return 0.0
-    num = (1.0 + float(k3) ** 2) ** float(spec.a) * kh2 ** float(spec.b)
-    den = (float(k3) ** 2) ** float(spec.c) + kh2 ** float(spec.d)
-    return num / den
+    return float(_multiplier(spec, float(k1) ** 2 + float(k2) ** 2, float(k3) ** 2))
 
 
 def multiplier_array(spec: MultiplierSpec, grid: Grid) -> np.ndarray:
     """The symbol evaluated on the whole grid lattice."""
-    kx, ky, kz, kh2, _, _ = _lattice(grid.nx, grid.ny, grid.nz)
-    kzf = kz.astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num = (1.0 + kzf**2) ** float(spec.a) * np.where(kh2 > 0, kh2, 1.0) ** float(
-            spec.b
-        )
-        den = (kzf**2) ** float(spec.c) + kh2 ** float(spec.d)
-        out = np.where(kh2 > 0, num / np.maximum(den, _TINY), 0.0)
+    _, _, kz, kh2, _, _ = _lattice(grid.nx, grid.ny, grid.nz)
+    out = _multiplier(spec, kh2, kz.astype(np.float64) ** 2)
     return np.broadcast_to(out, grid.shape)
 
 
@@ -172,18 +170,12 @@ def lattice_sup(spec: MultiplierSpec, K: int) -> float:
     """Brute-force max of the multiplier over all |k_i| <= K."""
     if K < 8:
         raise ValueError(f"K must be >= 8, got {K}")
-    k1 = np.arange(0, K + 1, dtype=np.float64).reshape(-1, 1)
-    k2 = np.arange(0, K + 1, dtype=np.float64).reshape(1, -1)
-    kh2 = k1**2 + k2**2
-    kh2 = np.where(kh2 > 0, kh2, np.nan)  # exclude the horizontal-mean sector
-    best = 0.0
+    k = np.arange(0, K + 1, dtype=np.float64)
+    kh2 = k.reshape(-1, 1) ** 2 + k.reshape(1, -1) ** 2
     # the multiplier depends only on |k1|, |k2|, k3^2: scan k3 >= 0
-    for k3 in range(0, K + 1):
-        num = (1.0 + float(k3) ** 2) ** float(spec.a) * kh2 ** float(spec.b)
-        den = (float(k3) ** 2) ** float(spec.c) + kh2 ** float(spec.d)
-        m = num / den
-        best = max(best, float(np.nanmax(m)))
-    return best
+    return max(
+        float(np.max(_multiplier(spec, kh2, float(k3) ** 2))) for k3 in range(K + 1)
+    )
 
 
 def empirical_lp_ratio(
@@ -208,14 +200,12 @@ def empirical_lp_ratio(
     for _ in range(trials):
         f = rng.standard_normal(grid.shape)
         F = dealias(forward_transform(PhysicalField(grid, f)))
-        c = F.coeffs.copy()
-        c[0, 0, :] = 0.0  # the family is zero on the horizontal-mean sector
-        F = SpectralField(grid, c)
-        denom = lp_norm(inverse_transform(F), p)
-        if denom == 0.0:
-            continue
-        num = lp_norm(inverse_transform(SpectralField(grid, sym * F.coeffs)), p)
-        best = max(best, num / denom)
+        # the family is zero on the horizontal-mean sector
+        F = project_zero_horizontal_mean(F)
+        f_p, mf_p = inverse_transform_batch(F, [(), (sym,)])
+        denom = lp_norm(f_p, p)
+        if denom > 0.0:
+            best = max(best, lp_norm(mf_p, p) / denom)
     return best
 
 

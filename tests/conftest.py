@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from rotconv.grid import Grid, PhysicalField, SpectralField, forward_transform
 
@@ -16,6 +17,20 @@ def random_band_limited(grid, seed, kmin=1, kmax=6, rng=None):
     c = np.where(band, F.coeffs, 0.0)
     c[0, 0, :] = 0.0
     return SpectralField(grid, c)
+
+
+@pytest.fixture
+def ifftn_calls(monkeypatch):
+    """A list that grows by one entry per scipy.fft.ifftn call."""
+    calls = []
+    original = scipy.fft.ifftn
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "ifftn", counting)
+    return calls
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ from rotconv.evolution import (
     SimState,
     build_initial,
     cfl_dt,
+    initial_state,
     run,
     step,
     tendency,
@@ -129,6 +130,19 @@ def test_cfl_advection_limited(grid32):
     dy = 2.0 * np.pi / grid32.ny
     assert dt_for(20.0) == pytest.approx(dy / 10.0, rel=1e-10)
     assert dt_for(40.0) == pytest.approx(dt_for(20.0) / 2.0, rel=1e-10)
+
+
+def test_run_from_given_initial_state(grid16):
+    init = InitialSpec(kind="random-band-limited", band=(1, 4), amplitude=0.5, seed=5)
+    config = SimConfig(grid=grid16, epsilon=0.1, dt=0.05, t_end=0.2, initial=init,
+                       mode_cap=3)
+    a = run(config, store_states=True)
+    b = run(config, store_states=True, theta0=initial_state(config))
+    assert a.times == b.times and a.reports == b.reports
+    assert np.array_equal(a.final_state.theta.coeffs, b.final_state.theta.coeffs)
+    _, _, Z = grid16.meshgrid()
+    with pytest.raises(ValueError):
+        run(config, theta0=forward_transform(PhysicalField(grid16, np.cos(Z))))
 
 
 def test_run_t_end_zero(grid16):

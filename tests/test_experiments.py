@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rotconv.evolution import InitialSpec, SimConfig
+from rotconv.evolution import InitialSpec, SimConfig, build_initial, cfl_dt, run
 from rotconv.experiments import (
     h2h_bound_constant,
     mean_h1_error_and_bound,
@@ -10,7 +12,7 @@ from rotconv.experiments import (
     twin_run,
 )
 from rotconv.evolution import SimState
-from rotconv.grid import DOMAIN_VOLUME
+from rotconv.grid import DOMAIN_VOLUME, SpectralField, spectral_l2
 
 from conftest import random_band_limited
 
@@ -70,6 +72,44 @@ def test_sweep_epsilon_error_bounds_hold(grid16):
     res = sweep_epsilon(random_config(grid16), [0.5, 0.25])
     assert res.max_vel_excess <= 1e-10
     assert res.max_mean_excess <= 1e-10
+    # the t = 0 samples of a matched sweep have identically zero difference;
+    # the worst excess is the margin of the other samples, below their bounds
+    assert res.max_vel_excess < 0.0
+    assert res.max_mean_excess < 0.0
+
+
+def test_sweep_members_share_the_reference_time_grid(grid16):
+    # rk4 caps dt by diffusion for eps > 0, so under dt = "auto" each member
+    # would pick its own step; the sweep must step all of them on the smallest
+    cfg = random_config(grid16, dt="auto", t_end=0.2, integrator="rk4",
+                        diagnostics_every=1)
+    state0 = SimState(0.0, build_initial(grid16, cfg.initial))
+    members = [replace(cfg, epsilon=e) for e in (0.0, 0.5)]
+    dt = min(cfl_dt(state0, cfg.safety, m) for m in members)
+    ref, member = (run(replace(m, dt=dt), store_states=True, compute_reports=False)
+                   for m in members)
+    expected = [
+        spectral_l2(SpectralField(grid16, a.theta.coeffs - b.theta.coeffs))
+        for a, b in zip(member.states, ref.states)
+    ]
+    res = sweep_epsilon(cfg, [0.5])
+    assert res.times == ref.times
+    assert res.per_time_l2 == [expected]
+
+
+def test_eps_scaled_sweep_samples_every_reference_time(grid16):
+    res = sweep_epsilon(random_config(grid16), [0.5, 0.25], "eps-scaled")
+    assert res.times[-1] == pytest.approx(0.5)
+    assert [len(s) for s in res.per_time_l2] == [len(res.times)] * 2
+    assert all(s[0] > 0.0 for s in res.per_time_l2)
+
+
+def test_mean_h1_bound_is_at_most_three_inverse_transforms(grid16, ifftn_calls):
+    a = SimState(0.0, random_band_limited(grid16, 21, kmax=4))
+    b = SimState(0.0, random_band_limited(grid16, 22, kmax=4))
+    ifftn_calls.clear()
+    mean_h1_error_and_bound(a, b)
+    assert len(ifftn_calls) <= 3
 
 
 def test_mean_h1_bound_on_random_states(grid16):

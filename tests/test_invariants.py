@@ -4,11 +4,18 @@ import pytest
 from rotconv.evolution import InitialSpec, SimConfig, SimState, run
 from rotconv.grid import (
     DOMAIN_VOLUME,
+    TWO_PI,
     PhysicalField,
     SpectralField,
+    apply_symbol,
+    derivative_symbol,
     forward_transform,
+    inverse_transform,
+    lp_norm,
     spectral_l2,
 )
+from rotconv.meanstate import heat_flux, mean_gradient, profile_l2
+from rotconv.velocity import solve_velocity
 from rotconv.invariants import (
     InvariantReport,
     budget_residual_series,
@@ -75,6 +82,67 @@ def test_report_finite_and_holder_sanity(grid32):
             assert np.isfinite(value) and value >= 0.0
         assert rep.l3 <= vol16 * rep.l6 * (1.0 + 1e-12)
         assert rep.l2 <= vol16 * rep.l3 * (1.0 + 1e-12)
+
+
+def _report_field_by_field(state, epsilon):
+    """compute_report spelled out one public call per field."""
+    theta = state.theta
+    grid = theta.grid
+    d = solve_velocity(theta)
+    dx = derivative_symbol(grid, 0)
+    dy = derivative_symbol(grid, 1)
+    theta_p = inverse_transform(theta)
+    u_p, v_p, w_p = (inverse_transform(f).values for f in (d.u, d.v, d.w))
+    dxu, dxv, dxw, gx, gy = (
+        inverse_transform(apply_symbol(f, sym)).values
+        for f, sym in ((d.u, dx), (d.v, dx), (d.w, dx), (theta, dx), (theta, dy))
+    )
+    dtz = mean_gradient(heat_flux(theta_p, inverse_transform(d.w)))
+    kx, ky, _ = grid.wavenumbers()
+    grad2 = DOMAIN_VOLUME * np.sum((kx**2 + ky**2).astype(float) * np.abs(theta.coeffs) ** 2)
+    dV = grid.cell_volume
+    l2 = spectral_l2(theta)
+    l3 = lp_norm(theta_p, 3.0)
+    l6 = lp_norm(theta_p, 6.0)
+
+    def slice_max(f, p):
+        w2 = TWO_PI**2 / (grid.nx * grid.ny)
+        return float(np.max((np.sum(np.abs(f) ** p, axis=(0, 1)) * w2) ** (1.0 / p)))
+
+    ratios = {
+        "ratio_417": slice_max(w_p, 3.0) / l2,
+        "ratio_426": slice_max(w_p, 6.0) / l3,
+        "ratio_429u": float((np.sum(np.sqrt(u_p**2 + v_p**2) ** 6) * dV) ** (1 / 6)) / l6,
+        "ratio_429w": float((np.sum(np.abs(w_p) ** 6) * dV) ** (1 / 6)) / l6,
+        "ratio_56": float(np.max(np.sqrt(dxu**2 + dxv**2))) / l6,
+        "ratio_58": (float(np.max(np.abs(dxw))) + float(np.max(np.abs(w_p)))) / l6,
+    }
+    return InvariantReport(
+        t=state.t, l2=l2, l3=l3, l6=l6,
+        grad_l3=float((np.sum(np.sqrt(gx**2 + gy**2) ** 3) * dV) ** (1.0 / 3.0)),
+        dual=dual_norm(theta), mean_grad_l2=profile_l2(dtz),
+        diss_h=float(epsilon**2 * grad2),
+        diss_z=float(4.0 * np.pi**2 * np.sum(dtz**2) * TWO_PI / dtz.size),
+        ratios=ratios,
+    )
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_report_equals_field_by_field_path(n):
+    from rotconv.grid import Grid
+
+    grid = Grid(n, n, n)
+    for seed in range(3):
+        state = SimState(0.25, random_band_limited(grid, seed))
+        assert compute_report(state, 0.1) == _report_field_by_field(state, 0.1)
+        assert embedding_ratios(state.theta) == _report_field_by_field(state, 0.1).ratios
+
+
+def test_report_is_one_inverse_transform(grid16, ifftn_calls):
+    state = SimState(0.0, random_band_limited(grid16, 4))
+    ifftn_calls.clear()
+    compute_report(state, 0.1)
+    assert len(ifftn_calls) == 1
 
 
 def test_budget_series_steady_run(grid32):

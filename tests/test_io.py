@@ -58,6 +58,17 @@ def test_series_csv_columns_and_determinism(tmp_path, grid16):
     assert len(p1.read_text().splitlines()) == len(traj.reports) + 1
 
 
+def test_series_csv_budget_residual_undefined_at_ends(tmp_path, grid16):
+    traj = small_run(grid16)
+    path = tmp_path / "series.csv"
+    write_series_csv(path, traj.reports, gronwall_envelopes(traj.reports))
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    col = SERIES_COLUMNS.index("budget_residual")
+    residual = [float(row[col]) for row in rows]
+    assert np.isnan(residual[0]) and np.isnan(residual[-1])
+    assert np.all(np.isfinite(residual[1:-1]))
+
+
 def test_profile_csv(tmp_path, grid16):
     from rotconv.grid import inverse_transform
     from rotconv.velocity import solve_velocity
