@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
-from .evolution import InitialSpec, SimConfig, run
+from .evolution import InitialSpec, SimConfig, SimState, initial_state, run
 from .grid import Grid, inverse_transform_batch
 from .invariants import gronwall_envelopes
 from .meanstate import mean_profile
@@ -26,8 +26,11 @@ from .velocity import (
 
 def load_config(path) -> SimConfig:
     raw = json.loads(Path(path).read_text())
-    grid = Grid(raw["grid"]["nx"], raw["grid"]["ny"], raw["grid"]["nz"])
     init_raw = raw.get("initial", {})
+    for section, keys, cls in (("top-level", raw, SimConfig), ("initial", init_raw, InitialSpec)):
+        if unknown := sorted(set(keys) - {f.name for f in fields(cls)}):
+            raise ValueError(f"unknown {section} config key(s): {', '.join(unknown)}")
+    grid = Grid(raw["grid"]["nx"], raw["grid"]["ny"], raw["grid"]["nz"])
     initial = InitialSpec(
         kind=init_raw.get("kind", "random-band-limited"),
         mode=tuple(init_raw.get("mode", (1, 0, 0))),
@@ -63,11 +66,12 @@ def cmd_run(args) -> int:
     config = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    traj = run(config, store_states=True)
+    theta0 = initial_state(config)
+    traj = run(config, theta0=theta0)
     env = gronwall_envelopes(traj.reports)
     write_series_csv(out / "series.csv", traj.reports, env)
     mw = velocity_symbols(config.grid)[2]
-    for state in (traj.states[0], traj.final_state):
+    for state in (SimState(0.0, theta0), traj.final_state):
         theta_p, w_p = inverse_transform_batch(state.theta, [(), (mw,)])
         write_profile_csv(out / f"profile_{state.t:.6f}.csv",
                           mean_profile(theta_p, w_p))

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 from .grid import (
     TWO_PI,
@@ -30,6 +29,8 @@ from .grid import (
     inverse_transform_batch,
     lp_norm,
     project_zero_horizontal_mean,
+    to_physical,
+    to_spectral,
 )
 from .meanstate import mean_gradient
 from .velocity import velocity_symbols
@@ -91,41 +92,31 @@ class SimState:
 
 @lru_cache(maxsize=32)
 def _workspace(grid: Grid, dealias: bool, mode_cap: int | None):
-    kx, ky, kz, _, _, two_thirds = _lattice(grid.nx, grid.ny, grid.nz)
+    kx, ky, kz, _, _, two_thirds, _ = _lattice(grid.nx, grid.ny, grid.nz)
     mu, mv, mw, _, _ = velocity_symbols(grid)
     ikx = derivative_symbol(grid, 0)
     iky = derivative_symbol(grid, 1)
-    mask = np.broadcast_to(True, grid.shape)
+    mask = np.broadcast_to(True, grid.spectral_shape)
     if dealias:
         mask = mask & two_thirds
     if mode_cap is not None:
-        mask = mask & (
-            (np.abs(kx) <= mode_cap)
-            & (np.abs(ky) <= mode_cap)
-            & (np.abs(kz) <= mode_cap)
-        )
+        mask = mask & (np.maximum(np.maximum(np.abs(kx), np.abs(ky)), kz) <= mode_cap)
     lap_h = horizontal_laplacian_symbol(grid)
     return mu, mv, mw, ikx, iky, mask, lap_h
 
 
-def _advective_rhs(c: np.ndarray, grid: Grid, ws) -> np.ndarray:
+def _advective_rhs(c: np.ndarray, ws) -> np.ndarray:
     """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz."""
     mu, mv, mw, ikx, iky, mask, _ = ws
-    stack = np.empty((4,) + grid.shape, dtype=np.complex128)
+    stack = np.empty((6,) + c.shape, dtype=np.complex128)
     stack[0] = c
-    stack[1] = mu * c
-    stack[2] = mv * c
-    stack[3] = mw * c
-    theta_p, u_p, v_p, w_p = sfft.ifftn(stack * grid.size, axes=(1, 2, 3)).real
-    gstack = np.empty((2,) + grid.shape, dtype=np.complex128)
-    gstack[0] = ikx * c
-    gstack[1] = iky * c
-    tx_p, ty_p = sfft.ifftn(gstack * grid.size, axes=(1, 2, 3)).real
+    for out, sym in zip(stack[1:], (mu, mv, mw, ikx, iky)):
+        np.multiply(sym, c, out=out)
+    theta_p, u_p, v_p, w_p, tx_p, ty_p = to_physical(stack)
     flux = np.mean(theta_p * w_p, axis=(0, 1))
     dtz = mean_gradient(flux)
     nl = u_p * tx_p + v_p * ty_p + w_p * dtz[np.newaxis, np.newaxis, :]
-    out = -sfft.fftn(nl) / grid.size
-    out = np.where(mask, out, 0.0)
+    out = np.where(mask, -to_spectral(nl), 0.0)
     out[0, 0, :] = 0.0
     return out
 
@@ -135,18 +126,18 @@ def tendency(theta: SpectralField, epsilon: float, dealias: bool = True) -> Spec
     if not theta.has_zero_horizontal_mean(tol=1e-10):
         raise ValueError("tendency requires a zero-horizontal-mean field")
     ws = _workspace(theta.grid, dealias, None)
-    out = _advective_rhs(theta.coeffs, theta.grid, ws)
+    out = _advective_rhs(theta.coeffs, ws)
     if epsilon != 0.0:
         out = out + epsilon**2 * ws[6] * theta.coeffs
         out[0, 0, :] = 0.0
     return SpectralField(theta.grid, out)
 
 
-def _rk4_step(c: np.ndarray, dt: float, eps: float, grid: Grid, ws):
+def _rk4_step(c: np.ndarray, dt: float, eps: float, ws):
     lap_h = ws[6]
 
     def rhs(x):
-        out = _advective_rhs(x, grid, ws)
+        out = _advective_rhs(x, ws)
         if eps != 0.0:
             out = out + eps**2 * lap_h * x
         return out
@@ -158,18 +149,18 @@ def _rk4_step(c: np.ndarray, dt: float, eps: float, grid: Grid, ws):
     return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _ifrk4_step(c: np.ndarray, dt: float, eps: float, grid: Grid, ws):
+def _ifrk4_step(c: np.ndarray, dt: float, eps: float, ws):
     # integrating factor for the diffusive term; RK4 on the advective remainder
     lap_h = ws[6]
     e_half = np.exp(0.5 * dt * eps**2 * lap_h)
     e_full = e_half * e_half
-    n1 = _advective_rhs(c, grid, ws)
+    n1 = _advective_rhs(c, ws)
     u2 = e_half * (c + 0.5 * dt * n1)
-    n2 = _advective_rhs(u2, grid, ws)
+    n2 = _advective_rhs(u2, ws)
     u3 = e_half * c + 0.5 * dt * n2
-    n3 = _advective_rhs(u3, grid, ws)
+    n3 = _advective_rhs(u3, ws)
     u4 = e_full * c + dt * e_half * n3
-    n4 = _advective_rhs(u4, grid, ws)
+    n4 = _advective_rhs(u4, ws)
     return e_full * c + (dt / 6.0) * (
         e_full * n1 + 2.0 * e_half * (n2 + n3) + n4
     )
@@ -182,9 +173,9 @@ def step(state: SimState, dt: float, config: SimConfig) -> SimState:
     ws = _workspace(config.grid, config.dealias, config.mode_cap)
     c = state.theta.coeffs
     if config.integrator == "rk4":
-        out = _rk4_step(c, dt, config.epsilon, config.grid, ws)
+        out = _rk4_step(c, dt, config.epsilon, ws)
     else:
-        out = _ifrk4_step(c, dt, config.epsilon, config.grid, ws)
+        out = _ifrk4_step(c, dt, config.epsilon, ws)
     out[0, 0, :] = 0.0
     if not np.all(np.isfinite(out)):
         raise BlowUpError(

@@ -4,17 +4,18 @@ Galerkin resolution sweep, and the continuous-dependence twin run."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .grid import (
-    DOMAIN_VOLUME,
     Grid,
     PhysicalField,
     SpectralField,
     _lattice,
     forward_transform,
     inverse_transform_batch,
+    parseval_sum,
     project_zero_horizontal_mean,
     spectral_l2,
 )
@@ -35,7 +36,7 @@ from .velocity import solve_velocity, velocity_symbols  # noqa: F401
 
 def _h2h_symbols(grid: Grid) -> list[np.ndarray]:
     """|symbols| mapping the temperature difference to lap_h of (u, v, w)."""
-    kh2 = np.broadcast_to(_lattice(grid.nx, grid.ny, grid.nz)[3], grid.shape)
+    kh2 = _lattice(grid.nx, grid.ny, grid.nz)[3]
     return [kh2 * np.abs(m) for m in velocity_symbols(grid)[:3]]
 
 
@@ -44,7 +45,7 @@ def _h2h_velocity_error(diff: SpectralField) -> float:
     computed spectrally from the temperature difference."""
     c2 = np.abs(diff.coeffs) ** 2
     return float(sum(
-        np.sqrt(DOMAIN_VOLUME * np.sum(m**2 * c2)) for m in _h2h_symbols(diff.grid)
+        np.sqrt(parseval_sum(diff.grid, m**2 * c2)) for m in _h2h_symbols(diff.grid)
     ))
 
 
@@ -143,12 +144,10 @@ def _compare(parameters, ref: Trajectory, members) -> SweepResult:
     the per-time series only."""
     grid = ref.config.grid
     vel_const = h2h_bound_constant(grid)
-    err_l2, err_h1, err_vel = [], [], []
-    per_time_l2 = []
-    vel_excess = -np.inf
-    mean_excess = -np.inf
-    for traj in members:
+
+    def errors(traj: Trajectory):
         e_l2 = e_h1 = e_v = 0.0
+        vel_excess = mean_excess = -np.inf
         series = []
         for s_m, s_ref in zip(traj.states, ref.states):
             diff = SpectralField(grid, s_m.theta.coeffs - s_ref.theta.coeffs)
@@ -163,11 +162,13 @@ def _compare(parameters, ref: Trajectory, members) -> SweepResult:
             d_h1, h1_bound = mean_h1_error_and_bound(s_m, s_ref)
             e_h1 = max(e_h1, d_h1)
             mean_excess = max(mean_excess, d_h1 - h1_bound)
-        err_l2.append(e_l2)
-        err_h1.append(e_h1)
-        err_vel.append(e_v)
-        per_time_l2.append(series)
+        return e_l2, e_h1, e_v, series, vel_excess, mean_excess
 
+    # map keeps no finished member alive while the next one runs
+    rows = list(map(errors, members))
+    err_l2, err_h1, err_vel, per_time_l2, vel_excess, mean_excess = (
+        [row[i] for row in rows] for i in range(6)
+    )
     slope, ci = _fit_slope(parameters, err_l2)
     return SweepResult(
         parameters=parameters,
@@ -178,8 +179,8 @@ def _compare(parameters, ref: Trajectory, members) -> SweepResult:
         slope_ci=ci,
         times=ref.times,
         per_time_l2=per_time_l2,
-        max_vel_excess=vel_excess,
-        max_mean_excess=mean_excess,
+        max_vel_excess=max(vel_excess, default=-np.inf),
+        max_mean_excess=max(mean_excess, default=-np.inf),
     )
 
 
@@ -219,9 +220,12 @@ def sweep_resolution(base: SimConfig, mode_counts) -> SweepResult:
     mode_counts = list(mode_counts)
     if sorted(mode_counts) != mode_counts:
         raise ValueError("mode counts must be increasing")
-    configs = [replace(base, mode_cap=int(m)) for m in mode_counts]
-    runs = list(_member_runs(configs, [initial_state(c) for c in configs]))
-    return _compare([float(m) for m in mode_counts], runs[-1], runs)
+    # the finest truncation runs first, as the reference, and is compared with
+    # itself last, so no finished member is held while the next one runs
+    configs = [replace(base, mode_cap=int(m)) for m in mode_counts[-1:] + mode_counts[:-1]]
+    runs = _member_runs(configs, [initial_state(c) for c in configs])
+    ref = next(runs)
+    return _compare([float(m) for m in mode_counts], ref, chain(runs, [ref]))
 
 
 @dataclass

@@ -1,14 +1,20 @@
 """Real periodic scalar fields on [0, 2pi]^3 and their spectral representation.
 
-Fields live on a uniform collocation grid; spectral coefficients are stored
-on the full complex FFT lattice with the convention coeff(0,0,0) = domain
-mean, so multiplier formulas act coefficient-exactly on integer wavenumbers.
+Fields live on a uniform collocation grid.  Spectral coefficients are the
+half spectrum (nx, ny, nz//2+1) of `scipy.fft.rfftn` with norm="forward":
+kx, ky in FFT order, kz = 0..nz/2, coeff(0,0,0) = domain mean, so multiplier
+formulas act coefficient-exactly on integer wavenumbers.  This module owns the
+format: the lattice, the batched transforms and the Parseval weight (2 for a
+stored mode and its implied partner at -k, 1 on the self-conjugate planes
+kz = 0 and kz = nz/2).  Reality is checked once, in `SpectralField`:
+those two planes must be Hermitian, which `irfftn` would otherwise enforce
+silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import fft as sfft
@@ -35,6 +41,11 @@ class Grid:
         return (self.nx, self.ny, self.nz)
 
     @property
+    def spectral_shape(self) -> tuple[int, int, int]:
+        """Shape of the stored half spectrum."""
+        return (self.nx, self.ny, self.nz // 2 + 1)
+
+    @property
     def size(self) -> int:
         return self.nx * self.ny * self.nz
 
@@ -52,7 +63,7 @@ class Grid:
         return np.meshgrid(x, y, z, indexing="ij")
 
     def wavenumbers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Integer wavenumbers in FFT order, broadcastable to the grid shape."""
+        """Integer wavenumbers of the half lattice, broadcastable to `spectral_shape`."""
         return _lattice(self.nx, self.ny, self.nz)[:3]
 
 
@@ -60,14 +71,15 @@ class Grid:
 def _lattice(nx: int, ny: int, nz: int):
     kx = np.rint(sfft.fftfreq(nx) * nx).astype(np.int64).reshape(nx, 1, 1)
     ky = np.rint(sfft.fftfreq(ny) * ny).astype(np.int64).reshape(1, ny, 1)
-    kz = np.rint(sfft.fftfreq(nz) * nz).astype(np.int64).reshape(1, 1, nz)
+    kz = np.arange(nz // 2 + 1, dtype=np.int64).reshape(1, 1, -1)
     kh2 = (kx**2 + ky**2).astype(np.float64)
-    # Nyquist planes: the unpaired mode k = -n/2 of the real transform.
-    nyquist = (kx == -(nx // 2)) | (ky == -(ny // 2)) | (kz == -(nz // 2))
+    # Nyquist planes: the unpaired mode |k| = n/2 of the real transform.
+    nyquist = (np.abs(kx) == nx // 2) | (np.abs(ky) == ny // 2) | (kz == nz // 2)
     dealias = (
-        (np.abs(kx) <= nx // 3) & (np.abs(ky) <= ny // 3) & (np.abs(kz) <= nz // 3)
+        (np.abs(kx) <= nx // 3) & (np.abs(ky) <= ny // 3) & (kz <= nz // 3)
     )
-    return kx, ky, kz, kh2, nyquist, dealias
+    weight = np.where((kz == 0) | (kz == nz // 2), 1.0, 2.0)
+    return kx, ky, kz, kh2, nyquist, dealias, weight
 
 
 @dataclass(frozen=True)
@@ -90,117 +102,97 @@ class PhysicalField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex Fourier coefficients, FFT-ordered, coeff(0) = field mean."""
+    """Half-spectrum Fourier coefficients of a real field, coeff(0) = field mean."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.grid.shape:
-            raise ValueError(f"coeffs shape {c.shape} != grid shape {self.grid.shape}")
+        if c.shape != self.grid.spectral_shape:
+            raise ValueError(f"coeffs shape {c.shape} != spectral shape {self.grid.spectral_shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("spectral field contains non-finite entries")
+        planes = c[:, :, [0, -1]]
+        defect = planes - np.conj(np.roll(planes[::-1, ::-1], 1, axis=(0, 1)))
+        if np.max(np.abs(defect)) > 1e-12 * max(np.max(np.abs(planes)), 1.0):
+            raise ValueError("spectral coefficients break reality: the kz = 0 and kz = nz/2"
+                             " planes need coeff(-kx, -ky) = conj(coeff(kx, ky))")
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-
-    def symmetry_defect(self) -> float:
-        """Max deviation from coeff(-k) = conj(coeff(k))."""
-        return _symmetry_defect(self.coeffs)
 
     def has_zero_horizontal_mean(self, tol: float = 1e-12) -> bool:
         scale = max(np.max(np.abs(self.coeffs)), 1.0)
         return float(np.max(np.abs(self.coeffs[0, 0, :]))) <= tol * scale
 
 
-def _reflect(c: np.ndarray) -> np.ndarray:
-    """c indexed at -k (FFT ordering)."""
-    out = c[::-1, ::-1, ::-1]
-    return np.roll(out, shift=(1, 1, 1), axis=(0, 1, 2))
+def to_spectral(values: np.ndarray) -> np.ndarray:
+    """Half spectra of a batch of real fields on the last three axes."""
+    return sfft.rfftn(values, axes=(-3, -2, -1), norm="forward")
 
 
-def _symmetry_defect(c: np.ndarray) -> float:
-    return float(np.max(np.abs(c - np.conj(_reflect(c)))))
+def to_physical(coeffs: np.ndarray) -> np.ndarray:
+    """Real fields of a batch of half spectra (even nz, so irfftn's 2*(nz//2) is nz)."""
+    return sfft.irfftn(coeffs, axes=(-3, -2, -1), norm="forward")
 
 
 def forward_transform(f: PhysicalField) -> SpectralField:
     """DFT normalized so that coeff(0,0,0) is the domain average of f."""
-    c = sfft.fftn(f.values) / f.grid.size
-    return SpectralField(f.grid, c)
+    return SpectralField(f.grid, to_spectral(f.values))
 
 
-def inverse_transform(F: SpectralField, tol: float = 1e-12) -> PhysicalField:
-    """Reconstruct the real field; rejects coefficients breaking reality."""
-    return inverse_transform_batch(F, [()], tol)[0]
+def inverse_transform(F: SpectralField) -> PhysicalField:
+    """Reconstruct the real field."""
+    return inverse_transform_batch(F, [()])[0]
 
 
-def inverse_transform_batch(
-    F: SpectralField, chains, tol: float = 1e-12
-) -> list[PhysicalField]:
+def inverse_transform_batch(F: SpectralField, chains) -> list[PhysicalField]:
     """Real fields of symbol chains applied to F, from one batched inverse DFT.
 
     Entry i is the field of s_m * (... * (s_1 * F)) for chains[i] = (s_1, ..., s_m);
-    the empty chain gives F itself.  Conjugate symmetry is checked once, on F,
-    so every symbol must satisfy sigma(-k) = conj(sigma(k)).
+    the empty chain gives F itself.  The products are not checked, so every
+    symbol must satisfy sigma(-k) = conj(sigma(k)) on the kz = 0 and kz = nz/2 planes.
     """
-    scale = max(np.max(np.abs(F.coeffs)), 1.0)
-    if F.symmetry_defect() > tol * scale:
-        raise ValueError("spectral coefficients violate conjugate symmetry")
-    stack = np.empty((len(chains),) + F.grid.shape, dtype=np.complex128)
-    for out, chain in zip(stack, chains):
-        c = F.coeffs
-        for sym in chain:
-            c = sym * c
-        out[...] = c
-    stack *= F.grid.size
-    values = sfft.ifftn(stack, axes=(1, 2, 3)).real
-    return [PhysicalField(F.grid, v) for v in values]
+    stack = np.stack([reduce(np.multiply, chain, F.coeffs) for chain in chains])
+    return [PhysicalField(F.grid, v) for v in to_physical(stack)]
 
 
-def apply_symbol(F: SpectralField, symbol, tol: float = 1e-12) -> SpectralField:
+def apply_symbol(F: SpectralField, symbol) -> SpectralField:
     """Multiply coefficients by a diagonal symbol sigma(k).
 
-    `symbol` is either an ndarray broadcastable to the coefficient lattice or
-    a callable of the integer wavenumber arrays (kx, ky, kz).  The symbol must
-    satisfy sigma(-k) = conj(sigma(k)) so real fields stay real.
+    `symbol` is either an ndarray broadcastable to the half lattice or a
+    callable of the integer wavenumber arrays (kx, ky, kz).  A product that
+    breaks reality on the kz = 0 or kz = nz/2 plane is rejected.
     """
     if callable(symbol):
         kx, ky, kz = F.grid.wavenumbers()
-        sig = np.asarray(symbol(kx, ky, kz), dtype=np.complex128)
-    else:
-        sig = np.asarray(symbol, dtype=np.complex128)
-    sig = np.broadcast_to(sig, F.grid.shape)
-    sscale = max(np.max(np.abs(sig)), 1.0)
-    if _symmetry_defect(sig) > tol * sscale:
-        raise ValueError("symbol breaks reality: sigma(-k) != conj(sigma(k))")
-    return SpectralField(F.grid, sig * F.coeffs)
+        symbol = symbol(kx, ky, kz)
+    return SpectralField(F.grid, np.asarray(symbol, dtype=np.complex128) * F.coeffs)
 
 
 def derivative_symbol(grid: Grid, axis: int) -> np.ndarray:
-    """Symbol of d/dx_axis with the Nyquist plane zeroed, broadcastable to the grid."""
+    """Symbol of d/dx_axis with the Nyquist plane zeroed, broadcastable to the half lattice."""
     k = _lattice(grid.nx, grid.ny, grid.nz)[axis]
-    return np.where(k == -(grid.shape[axis] // 2), 0.0, 1j * k.astype(np.float64))
+    return np.where(np.abs(k) == grid.shape[axis] // 2, 0.0, 1j * k.astype(np.float64))
 
 
 def horizontal_laplacian_symbol(grid: Grid) -> np.ndarray:
     kh2 = _lattice(grid.nx, grid.ny, grid.nz)[3]
-    return np.broadcast_to(-kh2, grid.shape)
+    return np.broadcast_to(-kh2, grid.spectral_shape)
 
 
 def horizontal_power_symbol(grid: Grid, s: float) -> np.ndarray:
     """Symbol of A^s = (-horizontal Laplacian)^s, zero on the horizontal-mean sector."""
     kh2 = _lattice(grid.nx, grid.ny, grid.nz)[3]
-    kh2b = np.broadcast_to(kh2, grid.shape)
     with np.errstate(divide="ignore"):
-        out = np.where(kh2b > 0, kh2b ** float(s), 0.0)
-    return out
+        return np.broadcast_to(np.where(kh2 > 0, kh2 ** float(s), 0.0), grid.spectral_shape)
 
 
 def vertical_bessel_symbol(grid: Grid, s: float) -> np.ndarray:
     """Symbol of (I - d^2/dz^2)^s."""
     kz = _lattice(grid.nx, grid.ny, grid.nz)[2].astype(np.float64)
-    return np.broadcast_to((1.0 + kz**2) ** float(s), grid.shape)
+    return np.broadcast_to((1.0 + kz**2) ** float(s), grid.spectral_shape)
 
 
 def dealias(F: SpectralField) -> SpectralField:
@@ -217,13 +209,12 @@ def pad_to_grid(F: SpectralField, target: Grid) -> SpectralField:
     """
     if (target.nx < F.grid.nx or target.ny < F.grid.ny or target.nz < F.grid.nz):
         raise ValueError("target grid must be at least as fine in every axis")
-    kx, ky, kz, _, nyquist, _ = _lattice(F.grid.nx, F.grid.ny, F.grid.nz)
-    src = np.where(np.broadcast_to(nyquist, F.grid.shape), 0.0, F.coeffs)
-    out = np.zeros(target.shape, dtype=np.complex128)
+    kx, ky, kz, _, nyquist, _, _ = _lattice(F.grid.nx, F.grid.ny, F.grid.nz)
+    src = np.where(nyquist, 0.0, F.coeffs)
+    out = np.zeros(target.spectral_shape, dtype=np.complex128)
     ix = np.mod(kx.ravel(), target.nx)
     iy = np.mod(ky.ravel(), target.ny)
-    iz = np.mod(kz.ravel(), target.nz)
-    out[np.ix_(ix, iy, iz)] = src
+    out[np.ix_(ix, iy, kz.ravel())] = src
     return SpectralField(target, out)
 
 
@@ -244,9 +235,17 @@ def lp_norm(f: PhysicalField, p: float) -> float:
     )
 
 
+def parseval_sum(grid: Grid, density: np.ndarray) -> float:
+    """(2pi)^3 times the full-lattice sum of a mode density even in k, given on
+    the half lattice: the squared L^2 norm for |c|^2, the L^2 inner product of
+    two real fields for Re(conj(a) b)."""
+    weight = _lattice(grid.nx, grid.ny, grid.nz)[6]
+    return float(DOMAIN_VOLUME * np.sum(weight * density))
+
+
 def spectral_l2(F: SpectralField) -> float:
-    """L^2 norm via Parseval: sqrt(8 pi^3 * sum |coeff|^2)."""
-    return float(np.sqrt(DOMAIN_VOLUME * np.sum(np.abs(F.coeffs) ** 2)))
+    """L^2 norm via Parseval."""
+    return float(np.sqrt(parseval_sum(F.grid, np.abs(F.coeffs) ** 2)))
 
 
 def aniso_norm(F: SpectralField, a: float, b: float, p: float) -> float:

@@ -8,13 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    DOMAIN_VOLUME,
     TWO_PI,
     SpectralField,
-    _lattice,
     derivative_symbol,
+    horizontal_laplacian_symbol,
+    horizontal_power_symbol,
     inverse_transform_batch,
     lp_norm,
+    parseval_sum,
     spectral_l2,
 )
 from .evolution import SimState
@@ -26,11 +27,8 @@ def dual_norm(theta: SpectralField) -> float:
     """Weak norm || A^{-1/2} theta' ||_2, computed mode-wise."""
     if not theta.has_zero_horizontal_mean(tol=1e-10):
         raise ValueError("dual norm requires zero horizontal mean")
-    kh2 = _lattice(theta.grid.nx, theta.grid.ny, theta.grid.nz)[3]
-    kh2b = np.broadcast_to(kh2, theta.grid.shape)
-    sel = kh2b > 0
-    s = np.sum(np.abs(theta.coeffs[sel]) ** 2 / kh2b[sel])
-    return float(np.sqrt(DOMAIN_VOLUME * s))
+    inv_kh2 = horizontal_power_symbol(theta.grid, -1.0)
+    return float(np.sqrt(parseval_sum(theta.grid, inv_kh2 * np.abs(theta.coeffs) ** 2)))
 
 
 def _slice_lp(values: np.ndarray, p: float) -> np.ndarray:
@@ -73,8 +71,7 @@ def compute_report(state, epsilon: float) -> InvariantReport:
     u_p, v_p, w_p, dxu, dxv, dxw, gx, gy = (f.values for f in fields)
     dtz = mean_gradient(heat_flux(theta_p, fields[2]))
 
-    kh2 = _lattice(grid.nx, grid.ny, grid.nz)[3]
-    grad2 = DOMAIN_VOLUME * np.sum(kh2 * np.abs(theta.coeffs) ** 2)
+    grad2 = parseval_sum(grid, -horizontal_laplacian_symbol(grid) * np.abs(theta.coeffs) ** 2)
     grad_mag = np.sqrt(gx**2 + gy**2)
     dV = grid.cell_volume
     grad_l3 = float((np.sum(grad_mag**3) * dV) ** (1.0 / 3.0))
@@ -143,9 +140,11 @@ def integrated_budget_residual(times, l2_series, diss_total) -> float:
     from scipy.integrate import simpson
 
     times = np.asarray(times, dtype=np.float64)
-    e = 0.5 * np.asarray(l2_series, dtype=np.float64) ** 2
+    l2_0, l2_T = float(l2_series[0]), float(l2_series[-1])
+    # E(T) - E(0) as a difference of squares: no rounded squares cancel
+    change = 0.5 * (l2_T - l2_0) * (l2_T + l2_0)
     integral = simpson(np.asarray(diss_total, dtype=np.float64), x=times)
-    return float(abs(e[-1] - e[0] + integral))
+    return float(abs(change + integral))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,11 @@ def read_snapshot(path) -> tuple[str, PhysicalField]:
         nx, ny, nz = struct.unpack("<3I", fh.read(12))
         (nlen,) = struct.unpack("<I", fh.read(4))
         name = fh.read(nlen).decode("utf-8")
-        data = np.frombuffer(fh.read(8 * nx * ny * nz), dtype="<f8")
+        payload = fh.read()
+    if len(payload) != 8 * nx * ny * nz:
+        raise ValueError(f"snapshot payload is {len(payload)} bytes, expected "
+                         f"{8 * nx * ny * nz} for a {nx} x {ny} x {nz} grid")
+    data = np.frombuffer(payload, dtype="<f8")
     grid = Grid(nx, ny, nz)
     return name, PhysicalField(grid, data.reshape(grid.shape))
 

@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import (
-    DOMAIN_VOLUME,
     Grid,
     PhysicalField,
     SpectralField,
@@ -29,6 +28,7 @@ from .grid import (
     forward_transform,
     inverse_transform_batch,
     lp_norm,
+    parseval_sum,
     project_zero_horizontal_mean,
 )
 
@@ -53,12 +53,12 @@ def velocity_symbols(grid: Grid):
     Nyquist planes are zeroed: those modes have no conjugate partner under the
     real transform, so odd symbols are ill-defined there.
     """
-    kx, ky, kz, kh2, nyquist, _ = _lattice(grid.nx, grid.ny, grid.nz)
+    kx, ky, kz, kh2, nyquist, _, _ = _lattice(grid.nx, grid.ny, grid.nz)
     kxf = kx.astype(np.float64)
     kyf = ky.astype(np.float64)
     kzf = kz.astype(np.float64)
     denom = kzf**2 + kh2**3
-    keep = np.broadcast_to((kh2 > 0) & ~nyquist, grid.shape)
+    keep = np.broadcast_to((kh2 > 0) & ~nyquist, grid.spectral_shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = np.where(keep, -kyf * kzf / np.maximum(denom, _TINY), 0.0)
         mv = np.where(keep, kxf * kzf / np.maximum(denom, _TINY), 0.0)
@@ -99,18 +99,15 @@ def residual_check(
     for f in (d.u, d.v, d.w, d.psi, d.omega):
         if f.grid != theta.grid:
             raise ValueError("grid mismatch between theta and diagnostics")
-    kx, ky, kz, kh2, nyquist, _ = _lattice(
-        theta.grid.nx, theta.grid.ny, theta.grid.nz
-    )
-    keep = np.broadcast_to((kh2 > 0) & ~nyquist, theta.grid.shape)
-    kzf = kz.astype(np.float64)
-    res1 = 1j * kzf * d.psi.coeffs - theta.coeffs + kh2 * d.w.coeffs
-    res2 = -1j * kzf * d.w.coeffs + kh2 * d.omega.coeffs
-    norm = np.sqrt(DOMAIN_VOLUME * np.sum(np.abs(theta.coeffs[keep]) ** 2))
-    denom = max(norm, 1e-30)
-    r1 = np.sqrt(DOMAIN_VOLUME * np.sum(np.abs(res1[keep]) ** 2)) / denom
-    r2 = np.sqrt(DOMAIN_VOLUME * np.sum(np.abs(res2[keep]) ** 2)) / denom
-    return float(r1), float(r2)
+    grid = theta.grid
+    _, _, kz, kh2, nyquist, _, _ = _lattice(grid.nx, grid.ny, grid.nz)
+    keep = (kh2 > 0) & ~nyquist
+    res1 = 1j * kz * d.psi.coeffs - theta.coeffs + kh2 * d.w.coeffs
+    res2 = -1j * kz * d.w.coeffs + kh2 * d.omega.coeffs
+    n_theta, r1, r2 = (np.sqrt(parseval_sum(grid, np.where(keep, np.abs(c) ** 2, 0.0)))
+                       for c in (theta.coeffs, res1, res2))
+    denom = max(n_theta, 1e-30)
+    return float(r1 / denom), float(r2 / denom)
 
 
 def spectral_divergence(d: VelocityDiagnostics) -> float:
@@ -160,10 +157,10 @@ def multiplier_value(spec: MultiplierSpec, k) -> float:
 
 
 def multiplier_array(spec: MultiplierSpec, grid: Grid) -> np.ndarray:
-    """The symbol evaluated on the whole grid lattice."""
-    _, _, kz, kh2, _, _ = _lattice(grid.nx, grid.ny, grid.nz)
+    """The symbol evaluated on the half lattice."""
+    _, _, kz, kh2, _, _, _ = _lattice(grid.nx, grid.ny, grid.nz)
     out = _multiplier(spec, kh2, kz.astype(np.float64) ** 2)
-    return np.broadcast_to(out, grid.shape)
+    return np.broadcast_to(out, grid.spectral_shape)
 
 
 def lattice_sup(spec: MultiplierSpec, K: int) -> float:

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import settings
 
 from rotconv.grid import Grid, PhysicalField, SpectralField, forward_transform
+
+# property tests replay the same examples on every run and have no deadline,
+# so a slow shared machine cannot fail them
+settings.register_profile(
+    "rotconv", derandomize=True, deadline=None, max_examples=50, database=None
+)
+settings.load_profile("rotconv")
 
 
 def random_band_limited(grid, seed, kmin=1, kmax=6, rng=None):
@@ -20,16 +28,17 @@ def random_band_limited(grid, seed, kmin=1, kmax=6, rng=None):
 
 
 @pytest.fixture
-def ifftn_calls(monkeypatch):
-    """A list that grows by one entry per scipy.fft.ifftn call."""
+def irfftn_calls(monkeypatch):
+    """A list that grows by one entry per scipy.fft.irfftn call, the one n-D
+    inverse transform of rotconv.grid."""
     calls = []
-    original = scipy.fft.ifftn
+    original = scipy.fft.irfftn
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "ifftn", counting)
+    monkeypatch.setattr(scipy.fft, "irfftn", counting)
     return calls
 
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from rotconv.cli import main
+import rotconv.cli
+from rotconv.cli import load_config, main
 
 
 @pytest.fixture
@@ -34,6 +35,29 @@ def test_run_command(tmp_path, config_path, capsys):
     assert (out / "theta_0.000000.rcs").exists()
     assert (out / "theta_0.200000.rcs").exists()
     assert "run complete" in capsys.readouterr().out
+
+
+def test_run_command_keeps_no_sampled_states(tmp_path, config_path, monkeypatch):
+    trajectories = []
+    original = rotconv.cli.run
+
+    def recording(*args, **kwargs):
+        trajectories.append(original(*args, **kwargs))
+        return trajectories[-1]
+
+    monkeypatch.setattr(rotconv.cli, "run", recording)
+    main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert len(trajectories) == 1 and trajectories[0].states == []
+
+
+@pytest.mark.parametrize("section, key", [(None, "epsion"), ("initial", "sed")])
+def test_load_config_rejects_unknown_keys(tmp_path, config_path, section, key):
+    cfg = json.loads(config_path.read_text())
+    (cfg[section] if section else cfg)[key] = 0.5
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=key):
+        load_config(path)
 
 
 def test_run_command_deterministic(tmp_path, config_path):

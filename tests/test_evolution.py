@@ -55,7 +55,7 @@ def test_tendency_sinx_cosz_closed_form(grid32):
 
 
 def test_tendency_zero_field(grid16):
-    theta = SpectralField(grid16, np.zeros(grid16.shape, dtype=complex))
+    theta = SpectralField(grid16, np.zeros(grid16.spectral_shape, dtype=complex))
     assert spectral_l2(tendency(theta, 0.3)) == 0.0
 
 
@@ -113,7 +113,7 @@ def test_blow_up_reported(grid16):
 
 
 def test_cfl_zero_state_default_cap(grid16):
-    theta = SpectralField(grid16, np.zeros(grid16.shape, dtype=complex))
+    theta = SpectralField(grid16, np.zeros(grid16.spectral_shape, dtype=complex))
     config = SimConfig(grid=grid16, epsilon=0.0)
     assert cfl_dt(SimState(0.0, theta), 0.5, config) == pytest.approx(0.05)
 
@@ -157,7 +157,7 @@ def test_run_steady_state(grid32):
                                 integrator="rk4")
     traj = run(config, store_states=True)
     diff = traj.final_state.theta.coeffs - traj.states[0].theta.coeffs
-    assert np.sqrt(np.sum(np.abs(diff) ** 2)) * np.sqrt(8 * np.pi**3) <= 1e-10
+    assert spectral_l2(SpectralField(grid32, diff)) <= 1e-10
 
 
 def test_run_deterministic(grid16):

@@ -1,8 +1,10 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import rotconv.experiments
 from rotconv.evolution import InitialSpec, SimConfig, build_initial, cfl_dt, run
 from rotconv.experiments import (
     h2h_bound_constant,
@@ -97,6 +99,24 @@ def test_sweep_members_share_the_reference_time_grid(grid16):
     assert res.per_time_l2 == [expected]
 
 
+@pytest.mark.parametrize("sweep, values", [(sweep_epsilon, [0.5, 0.25, 0.125]),
+                                           (sweep_resolution, [2, 3, 4, 5])])
+def test_sweep_keeps_one_member_trajectory_alive(grid16, monkeypatch, sweep, values):
+    # while a member runs, only the reference trajectory may still be held
+    finished = []
+    alive_at_start = []
+
+    def tracking(*args, **kwargs):
+        alive_at_start.append(sum(ref() is not None for ref in finished))
+        traj = run(*args, **kwargs)
+        finished.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(rotconv.experiments, "run", tracking)
+    sweep(random_config(grid16, t_end=0.1), values)
+    assert alive_at_start == [0, 1, 1, 1]
+
+
 def test_eps_scaled_sweep_samples_every_reference_time(grid16):
     res = sweep_epsilon(random_config(grid16), [0.5, 0.25], "eps-scaled")
     assert res.times[-1] == pytest.approx(0.5)
@@ -104,12 +124,12 @@ def test_eps_scaled_sweep_samples_every_reference_time(grid16):
     assert all(s[0] > 0.0 for s in res.per_time_l2)
 
 
-def test_mean_h1_bound_is_at_most_three_inverse_transforms(grid16, ifftn_calls):
+def test_mean_h1_bound_is_at_most_three_inverse_transforms(grid16, irfftn_calls):
     a = SimState(0.0, random_band_limited(grid16, 21, kmax=4))
     b = SimState(0.0, random_band_limited(grid16, 22, kmax=4))
-    ifftn_calls.clear()
+    irfftn_calls.clear()
     mean_h1_error_and_bound(a, b)
-    assert len(ifftn_calls) <= 3
+    assert len(irfftn_calls) <= 3
 
 
 def test_mean_h1_bound_on_random_states(grid16):

@@ -61,17 +61,28 @@ def test_round_trip_many_seeds():
 
 
 def test_inverse_of_constant(grid16):
-    c = np.zeros(grid16.shape, dtype=complex)
+    c = np.zeros(grid16.spectral_shape, dtype=complex)
     c[0, 0, 0] = 3.25
     f = inverse_transform(SpectralField(grid16, c))
     assert np.max(np.abs(f.values - 3.25)) < 1e-13
 
 
 def test_inverse_rejects_asymmetric_coeffs(grid16):
-    c = np.zeros(grid16.shape, dtype=complex)
-    c[1, 0, 0] = 1.0  # no conjugate partner at (-1, 0, 0)
-    with pytest.raises(ValueError):
-        inverse_transform(SpectralField(grid16, c))
+    # only the self-conjugate planes kz = 0 and kz = nz/2 store both a mode and
+    # its partner; off them the partner is implied and any value is real
+    for kz in (0, grid16.nz // 2):
+        c = np.zeros(grid16.spectral_shape, dtype=complex)
+        c[1, 2, kz] = 1.0  # no conjugate partner at (-1, -2, kz)
+        with pytest.raises(ValueError, match="break reality"):
+            SpectralField(grid16, c)
+        c[-1, -2, kz] = 1.0
+        pair = inverse_transform(SpectralField(grid16, c))
+        X, Y, Z = grid16.meshgrid()
+        exact = 2.0 * np.cos(X + 2 * Y + kz * Z)
+        assert np.max(np.abs(pair.values - exact)) < 1e-13
+    c = np.zeros(grid16.spectral_shape, dtype=complex)
+    c[1, 2, 3] = 1.0j
+    SpectralField(grid16, c)
 
 
 def test_nonfinite_input_rejected(grid16):
@@ -132,17 +143,24 @@ def test_apply_symbol_linearity(grid16):
 
 def test_apply_symbol_rejects_reality_breaking(grid16):
     F = random_band_limited(grid16, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="break reality"):
         apply_symbol(F, lambda kx, ky, kz: 1j * np.ones(np.broadcast(kx, ky, kz).shape))
+    # i sign(kx) is odd and imaginary, so sigma(-k) = conj(sigma(k)) holds
+    hilbert = apply_symbol(F, lambda kx, ky, kz: 1j * np.sign(kx) + 0.0 * kz)
+    assert hilbert.coeffs.shape == grid16.spectral_shape
 
 
 def test_dealias_cutoff(grid32):
-    c = np.zeros(grid32.shape, dtype=complex)
-    c[grid32.nx // 2 - 1, 0, 0] = 1.0  # |k1| = 15 > 32/3
-    c[1, 1, 1] = 2.0
+    c = np.zeros(grid32.spectral_shape, dtype=complex)
+    c[grid32.nx // 2 - 1, 0, 1] = 1.0  # |k1| = 15 > 32/3
+    c[1, 1, 11] = 1.0  # k3 = 11 > 32/3
+    c[1, 1, 10] = 2.0
+    c[-10, 10, 1] = 3.0
     out = dealias(SpectralField(grid32, c))
-    assert out.coeffs[grid32.nx // 2 - 1, 0, 0] == 0.0
-    assert out.coeffs[1, 1, 1] == 2.0
+    assert out.coeffs[grid32.nx // 2 - 1, 0, 1] == 0.0
+    assert out.coeffs[1, 1, 11] == 0.0
+    assert out.coeffs[1, 1, 10] == 2.0
+    assert out.coeffs[-10, 10, 1] == 3.0
 
 
 def test_dealias_idempotent_and_contractive(grid32):

@@ -12,6 +12,7 @@ from rotconv.grid import (
     forward_transform,
     inverse_transform,
     lp_norm,
+    parseval_sum,
     spectral_l2,
 )
 from rotconv.meanstate import heat_flux, mean_gradient, profile_l2
@@ -38,7 +39,7 @@ def test_dual_norm_single_modes(grid32):
 
 
 def test_dual_norm_zero_and_rejection(grid16):
-    zero = SpectralField(grid16, np.zeros(grid16.shape, dtype=complex))
+    zero = SpectralField(grid16, np.zeros(grid16.spectral_shape, dtype=complex))
     assert dual_norm(zero) == 0.0
     _, _, Z = grid16.meshgrid()
     with pytest.raises(ValueError):
@@ -69,7 +70,7 @@ def test_embedding_ratios_scale_invariant(grid16):
 
 def test_embedding_ratios_reject_zero(grid16):
     with pytest.raises(ValueError):
-        embedding_ratios(SpectralField(grid16, np.zeros(grid16.shape, dtype=complex)))
+        embedding_ratios(SpectralField(grid16, np.zeros(grid16.spectral_shape, dtype=complex)))
 
 
 def test_report_finite_and_holder_sanity(grid32):
@@ -99,7 +100,7 @@ def _report_field_by_field(state, epsilon):
     )
     dtz = mean_gradient(heat_flux(theta_p, inverse_transform(d.w)))
     kx, ky, _ = grid.wavenumbers()
-    grad2 = DOMAIN_VOLUME * np.sum((kx**2 + ky**2).astype(float) * np.abs(theta.coeffs) ** 2)
+    grad2 = parseval_sum(grid, (kx**2 + ky**2).astype(float) * np.abs(theta.coeffs) ** 2)
     dV = grid.cell_volume
     l2 = spectral_l2(theta)
     l3 = lp_norm(theta_p, 3.0)
@@ -138,11 +139,11 @@ def test_report_equals_field_by_field_path(n):
         assert embedding_ratios(state.theta) == _report_field_by_field(state, 0.1).ratios
 
 
-def test_report_is_one_inverse_transform(grid16, ifftn_calls):
+def test_report_is_one_inverse_transform(grid16, irfftn_calls):
     state = SimState(0.0, random_band_limited(grid16, 4))
-    ifftn_calls.clear()
+    irfftn_calls.clear()
     compute_report(state, 0.1)
-    assert len(ifftn_calls) == 1
+    assert len(irfftn_calls) == 1
 
 
 def test_budget_series_steady_run(grid32):

@@ -45,6 +45,19 @@ def test_snapshot_rejects_bad_magic(tmp_path):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [lambda b: b[:-8], lambda b: b[:-3], lambda b: b + b"\x00"],
+    ids=["missing-value", "partial-value", "trailing-byte"],
+)
+def test_snapshot_rejects_wrong_payload_length(tmp_path, grid16, edit):
+    path = tmp_path / "state.rcs"
+    write_snapshot(path, "theta_prime", PhysicalField(grid16, np.ones(grid16.shape)))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match="payload"):
+        read_snapshot(path)
+
+
 def test_series_csv_columns_and_determinism(tmp_path, grid16):
     traj = small_run(grid16)
     env = gronwall_envelopes(traj.reports)

@@ -68,7 +68,7 @@ def test_residual_check_random_fields(grid32):
 
 
 def test_residual_zero_field(grid16):
-    theta = SpectralField(grid16, np.zeros(grid16.shape, dtype=complex))
+    theta = SpectralField(grid16, np.zeros(grid16.spectral_shape, dtype=complex))
     r1, r2 = residual_check(theta, solve_velocity(theta))
     assert r1 == 0.0 and r2 == 0.0
 
@@ -79,8 +79,7 @@ def test_residual_grows_linearly_with_perturbation(grid16):
 
     def perturbed(delta):
         c = d.w.coeffs.copy()
-        c[2, 1, 3] += delta
-        c[-2, -1, -3] += delta  # keep conjugate symmetry
+        c[2, 1, 3] += delta  # off the kz = 0 and kz = nz/2 planes: partner implied
         from rotconv.velocity import VelocityDiagnostics
 
         return VelocityDiagnostics(d.u, d.v, SpectralField(grid16, c), d.psi, d.omega)
@@ -100,28 +99,43 @@ def test_spectral_divergence(grid32):
 def test_stream_function_relations(grid16):
     theta = random_band_limited(grid16, 8)
     d = solve_velocity(theta)
-    kx, ky, _ = grid16.wavenumbers()
+    kx, ky, kz = grid16.wavenumbers()
+    assert kz.ravel().tolist() == list(range(grid16.nz // 2 + 1))
     kh2 = (kx**2 + ky**2).astype(float)
     scale = max(np.max(np.abs(d.psi.coeffs)), 1e-30)
+    assert d.psi.coeffs.shape == grid16.spectral_shape
     assert np.max(np.abs(d.u.coeffs + 1j * ky * d.psi.coeffs)) <= 1e-14 * scale + 1e-20
     assert np.max(np.abs(d.v.coeffs - 1j * kx * d.psi.coeffs)) <= 1e-14 * scale + 1e-20
     assert np.max(np.abs(d.omega.coeffs + kh2 * d.psi.coeffs)) <= 1e-14 * scale + 1e-20
 
 
 def test_outputs_stay_real(grid16):
+    # every output passes the reality check of SpectralField, and the real
+    # field irfftn builds from it carries all of its coefficients back
     theta = random_band_limited(grid16, 12)
     d = solve_velocity(theta)
     for f in (d.u, d.v, d.w, d.psi, d.omega):
-        scale = max(np.max(np.abs(f.coeffs)), 1.0)
-        assert f.symmetry_defect() <= 1e-12 * scale
+        scale = max(np.max(np.abs(f.coeffs)), 1e-30)
+        back = forward_transform(inverse_transform(f)).coeffs
+        assert np.max(np.abs(back - f.coeffs)) <= 1e-13 * scale
 
 
 def test_symbol_parity(grid16):
-    mu, mv, mw, _, _ = velocity_symbols(grid16)
-    # u symbol is odd under k2 -> -k2 and under k3 -> -k3 on retained modes
+    mu, mv, mw, mpsi, momega = velocity_symbols(grid16)
+    # on the half lattice index k is k3 = k; u is odd under k2 -> -k2, v under
+    # k1 -> -k1, w is even in both, and every symbol is zero at k3 = 0 but w
     for (i, j, k) in [(1, 2, 3), (2, 1, 1), (3, 2, 2)]:
-        assert mu[i, j, k] == -mu[i, -j, k] == -mu[i, j, -k]
-        assert mw[i, j, k] == mw[-i, -j, -k]
+        assert mu[i, j, k] == -mu[i, -j, k] == -(j * k) / (k**2 + (i**2 + j**2) ** 3)
+        assert mv[i, j, k] == -mv[-i, j, k]
+        assert mw[i, j, k] == mw[-i, -j, k]
+    for m in (mu, mv, mpsi, momega):
+        assert np.all(m[:, :, 0] == 0.0)
+    # the self-conjugate planes need sigma(-k1, -k2) = conj(sigma(k1, k2))
+    for m in (mu, mv, mw, mpsi, momega):
+        for k in (0, grid16.nz // 2):
+            plane = m[:, :, k]
+            partner = np.roll(plane[::-1, ::-1], 1, axis=(0, 1))
+            assert np.array_equal(plane, np.conj(partner))
 
 
 def test_multiplier_value_hand_checks():
