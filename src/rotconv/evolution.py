@@ -10,6 +10,7 @@ horizontal diffusion term exactly per mode.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -82,6 +83,18 @@ class SimConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.diagnostics_every < 1:
             raise ValueError("diagnostics_every must be a positive integer")
+        if self.dt != "auto" and not (
+            isinstance(self.dt, numbers.Real) and not isinstance(self.dt, bool)
+            and 0 < self.dt < math.inf
+        ):
+            raise ValueError(f'dt must be "auto" or a positive finite number, got {self.dt!r}')
+        cap_max = max(self.grid.shape) // 2
+        if self.mode_cap is not None and not (
+            isinstance(self.mode_cap, numbers.Integral) and not isinstance(self.mode_cap, bool)
+            and 1 <= self.mode_cap <= cap_max
+        ):
+            raise ValueError(f"mode_cap must be an integer in 1..{cap_max} (max(n_i)/2)"
+                             f" or None, got {self.mode_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -101,23 +114,32 @@ def _workspace(grid: Grid, dealias: bool, mode_cap: int | None):
         mask = mask & two_thirds
     if mode_cap is not None:
         mask = mask & (np.maximum(np.maximum(np.abs(kx), np.abs(ky)), kz) <= mode_cap)
-    lap_h = horizontal_laplacian_symbol(grid)
-    return mu, mv, mw, ikx, iky, mask, lap_h
+    # -kh2 is constant in kz: keep its (nx, ny, 1) base, which broadcasts
+    lap_h = horizontal_laplacian_symbol(grid)[:, :, :1]
+    # the modes every tendency zeroes: outside the mask, and the mean sector
+    drop = ~mask
+    drop[0, 0, :] = True
+    return mu, mv, mw, ikx, iky, mask, lap_h, drop
 
 
 def _advective_rhs(c: np.ndarray, ws) -> np.ndarray:
     """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz."""
-    mu, mv, mw, ikx, iky, mask, _ = ws
+    mu, mv, mw, ikx, iky, _, _, drop = ws
     stack = np.empty((6,) + c.shape, dtype=np.complex128)
     stack[0] = c
     for out, sym in zip(stack[1:], (mu, mv, mw, ikx, iky)):
         np.multiply(sym, c, out=out)
     theta_p, u_p, v_p, w_p, tx_p, ty_p = to_physical(stack)
-    flux = np.mean(theta_p * w_p, axis=(0, 1))
+    # the products overwrite their first factors: flux from theta' w, then
+    # nl = u d_x theta' + v d_y theta' + w dtheta_bar/dz in u's buffer
+    flux = np.mean(np.multiply(theta_p, w_p, out=theta_p), axis=(0, 1))
     dtz = mean_gradient(flux)
-    nl = u_p * tx_p + v_p * ty_p + w_p * dtz[np.newaxis, np.newaxis, :]
-    out = np.where(mask, -to_spectral(nl), 0.0)
-    out[0, 0, :] = 0.0
+    nl = np.multiply(u_p, tx_p, out=u_p)
+    nl += np.multiply(v_p, ty_p, out=v_p)
+    nl += np.multiply(w_p, dtz, out=w_p)
+    out = to_spectral(nl)
+    np.negative(out, out=out)
+    np.copyto(out, 0.0, where=drop)
     return out
 
 
@@ -151,7 +173,7 @@ def _rk4_step(c: np.ndarray, dt: float, eps: float, ws):
 
 def _ifrk4_step(c: np.ndarray, dt: float, eps: float, ws):
     # integrating factor for the diffusive term; RK4 on the advective remainder
-    lap_h = ws[6]
+    lap_h = ws[6]  # (nx, ny, 1): one exp per horizontal mode
     e_half = np.exp(0.5 * dt * eps**2 * lap_h)
     e_full = e_half * e_half
     n1 = _advective_rhs(c, ws)

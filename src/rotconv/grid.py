@@ -7,12 +7,19 @@ formulas act coefficient-exactly on integer wavenumbers.  This module owns the
 format: the lattice, the batched transforms and the Parseval weight (2 for a
 stored mode and its implied partner at -k, 1 on the self-conjugate planes
 kz = 0 and kz = nz/2).  Reality is checked once, in `SpectralField`:
-those two planes must be Hermitian, which `irfftn` would otherwise enforce
-silently.
+those two planes must be Hermitian, which the inverse transform would
+otherwise enforce silently.
+
+The batched transforms of fields with at least `THREADED_MIN_POINTS` points
+run on every CPU the process may use (`WORKERS`); pocketfft splits independent
+1-D transforms across its threads, so results are bitwise independent of the
+thread count.  `to_physical` consumes its input: it transforms the caller's
+stack in place.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -21,6 +28,14 @@ from scipy import fft as sfft
 
 TWO_PI = 2.0 * np.pi
 DOMAIN_VOLUME = TWO_PI**3
+# FFT threads: the CPUs this process may run on (`taskset` caps them), for
+# fields of at least THREADED_MIN_POINTS points.  On smaller fields a second
+# thread costs more than it saves: on a 2-vCPU machine an IF-RK4 step took
+# 1.26x as long with two threads at 24^3 and 1.11x at 40^3, but 0.89x at 48^3
+# and 0.77x at 64^3.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+THREADED_MIN_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -84,20 +99,33 @@ def _lattice(nx: int, ny: int, nz: int):
 
 @dataclass(frozen=True)
 class PhysicalField:
-    """Real scalar samples at the collocation points of `grid`."""
+    """Real scalar samples at the collocation points of `grid`.
+
+    The values are copied, so the caller's array stays its own and the field
+    is immutable.
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        self._freeze(np.array(self.values, dtype=np.float64))
+
+    def _freeze(self, v: np.ndarray):
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("physical field contains non-finite entries")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _wrap(cls, grid: Grid, values: np.ndarray) -> "PhysicalField":
+        """The field of a fresh array that no one else holds, without the copy."""
+        f = cls.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        f._freeze(values)
+        return f
 
 
 @dataclass(frozen=True)
@@ -127,14 +155,28 @@ class SpectralField:
         return float(np.max(np.abs(self.coeffs[0, 0, :]))) <= tol * scale
 
 
+def _workers(nx: int, ny: int, nz: int) -> int:
+    return WORKERS if nx * ny * nz >= THREADED_MIN_POINTS else 1
+
+
 def to_spectral(values: np.ndarray) -> np.ndarray:
     """Half spectra of a batch of real fields on the last three axes."""
-    return sfft.rfftn(values, axes=(-3, -2, -1), norm="forward")
+    return sfft.rfftn(values, axes=(-3, -2, -1), norm="forward",
+                      workers=_workers(*values.shape[-3:]))
 
 
 def to_physical(coeffs: np.ndarray) -> np.ndarray:
-    """Real fields of a batch of half spectra (even nz, so irfftn's 2*(nz//2) is nz)."""
-    return sfft.irfftn(coeffs, axes=(-3, -2, -1), norm="forward")
+    """Real fields of a batch of half spectra; overwrites `coeffs`.
+
+    The same 1-D passes as `irfftn` (complex inverse over x and y, then the
+    real inverse over z; nz is even, so it is twice the last index), but the
+    complex pass runs in place on the caller's array, not on a private copy.
+    """
+    nx, ny, nz = coeffs.shape[-3], coeffs.shape[-2], 2 * (coeffs.shape[-1] - 1)
+    workers = _workers(nx, ny, nz)
+    mixed = sfft.ifftn(coeffs, axes=(-3, -2), norm="forward", overwrite_x=True,
+                       workers=workers)
+    return sfft.irfft(mixed, n=nz, axis=-1, norm="forward", workers=workers)
 
 
 def forward_transform(f: PhysicalField) -> SpectralField:
@@ -155,7 +197,7 @@ def inverse_transform_batch(F: SpectralField, chains) -> list[PhysicalField]:
     symbol must satisfy sigma(-k) = conj(sigma(k)) on the kz = 0 and kz = nz/2 planes.
     """
     stack = np.stack([reduce(np.multiply, chain, F.coeffs) for chain in chains])
-    return [PhysicalField(F.grid, v) for v in to_physical(stack)]
+    return [PhysicalField._wrap(F.grid, v) for v in to_physical(stack)]
 
 
 def apply_symbol(F: SpectralField, symbol) -> SpectralField:

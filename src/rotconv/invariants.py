@@ -123,11 +123,12 @@ def budget_residual_series(times: np.ndarray, l2_series: np.ndarray,
     from `integrated_budget_residual`.
     """
     times = np.asarray(times, dtype=np.float64)
-    e = 0.5 * np.asarray(l2_series, dtype=np.float64) ** 2
-    res = np.full_like(e, np.nan)
-    if e.size >= 3:
-        dedt = (e[2:] - e[:-2]) / (times[2:] - times[:-2])
-        res[1:-1] = dedt + diss_total[1:-1]
+    l2 = np.asarray(l2_series, dtype=np.float64)
+    res = np.full_like(l2, np.nan)
+    if l2.size >= 3:
+        # E(t+dt) - E(t-dt) as a difference of squares: no rounded squares cancel
+        de = 0.5 * (l2[2:] - l2[:-2]) * (l2[2:] + l2[:-2])
+        res[1:-1] = de / (times[2:] - times[:-2]) + diss_total[1:-1]
     return res
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import settings
+
+import rotconv.grid
 
 from rotconv.grid import Grid, PhysicalField, SpectralField, forward_transform
 
@@ -28,17 +29,17 @@ def random_band_limited(grid, seed, kmin=1, kmax=6, rng=None):
 
 
 @pytest.fixture
-def irfftn_calls(monkeypatch):
-    """A list that grows by one entry per scipy.fft.irfftn call, the one n-D
-    inverse transform of rotconv.grid."""
+def to_physical_calls(monkeypatch):
+    """A list that grows by one entry per call of rotconv.grid.to_physical,
+    the one batched inverse transform."""
     calls = []
-    original = scipy.fft.irfftn
+    original = rotconv.grid.to_physical
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "irfftn", counting)
+    monkeypatch.setattr(rotconv.grid, "to_physical", counting)
     return calls
 
 

@@ -120,3 +120,12 @@ def test_twin_command(tmp_path, config_path):
     payload = json.loads((out / "twin.json").read_text())
     assert payload["in_linear_regime"] is True
     assert (out / "twin.csv").read_text().splitlines()[0] == "t,err_l2,err_dual"
+
+
+def test_load_config_rejects_non_auto_dt_string(tmp_path, config_path):
+    cfg = json.loads(config_path.read_text())
+    cfg["dt"] = "fast"
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match="dt must be"):
+        load_config(path)

@@ -14,6 +14,7 @@ from rotconv.evolution import (
     tendency,
 )
 from rotconv.grid import (
+    Grid,
     PhysicalField,
     SpectralField,
     forward_transform,
@@ -36,6 +37,24 @@ def test_config_validation(grid16):
         SimConfig(grid=grid16, integrator="euler")
     with pytest.raises(ValueError):
         SimConfig(grid=grid16, diagnostics_every=0)
+
+
+@pytest.mark.parametrize("dt", ["fast", 0.0, -0.05, float("nan"), float("inf"), True, None])
+def test_config_rejects_bad_dt(grid16, dt):
+    with pytest.raises(ValueError, match="dt must be"):
+        SimConfig(grid=grid16, dt=dt)
+
+
+@pytest.mark.parametrize("mode_cap", [0, -1, 9, 2.5, True])
+def test_config_rejects_mode_cap_outside_grid(grid16, mode_cap):
+    with pytest.raises(ValueError, match="mode_cap must be"):
+        SimConfig(grid=grid16, mode_cap=mode_cap)
+
+
+def test_config_accepts_dt_and_mode_cap_limits():
+    grid = Grid(8, 16, 8)
+    SimConfig(grid=grid, dt=1, mode_cap=1)
+    SimConfig(grid=grid, dt=np.float64(0.05), mode_cap=8)
 
 
 def test_tendency_single_horizontal_mode_is_steady(grid32):

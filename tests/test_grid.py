@@ -14,6 +14,7 @@ from rotconv.grid import (
     horizontal_laplacian_symbol,
     horizontal_power_symbol,
     inverse_transform,
+    inverse_transform_batch,
     lp_norm,
     pad_to_grid,
     spectral_l2,
@@ -90,6 +91,22 @@ def test_nonfinite_input_rejected(grid16):
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         PhysicalField(grid16, bad)
+
+
+def test_physical_field_keeps_its_own_copy(grid16):
+    values = np.ones(grid16.shape)
+    f = PhysicalField(grid16, values)
+    values[0, 0, 0] = 5.0
+    assert f.values[0, 0, 0] == 1.0
+    assert not f.values.flags.writeable
+
+
+def test_transformed_fields_are_read_only(grid16):
+    F = random_band_limited(grid16, 1)
+    for f in inverse_transform_batch(F, [(), (derivative_symbol(grid16, 0),)]):
+        assert not f.values.flags.writeable
+        with pytest.raises(ValueError):
+            f.values[0, 0, 0] = 1.0
 
 
 def test_parseval(grid32):

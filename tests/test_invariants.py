@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -139,11 +141,11 @@ def test_report_equals_field_by_field_path(n):
         assert embedding_ratios(state.theta) == _report_field_by_field(state, 0.1).ratios
 
 
-def test_report_is_one_inverse_transform(grid16, irfftn_calls):
+def test_report_is_one_inverse_transform(grid16, to_physical_calls):
     state = SimState(0.0, random_band_limited(grid16, 4))
-    irfftn_calls.clear()
+    to_physical_calls.clear()
     compute_report(state, 0.1)
-    assert len(irfftn_calls) == 1
+    assert len(to_physical_calls) == 1
 
 
 def test_budget_series_steady_run(grid32):
@@ -157,6 +159,21 @@ def test_budget_series_steady_run(grid32):
     res = budget_residual_series(t, l2, diss)
     assert np.nanmax(np.abs(res)) < 1e-12
     assert integrated_budget_residual(t, l2, diss) < 1e-12
+
+
+def test_budget_series_is_exact_to_round_off():
+    # l2 changes in its ninth digit: differencing the rounded squares
+    # E = l2^2/2 would lose about 1e-7 of each energy change
+    times = np.array([0.0, 0.1, 0.2, 0.30000000000000004, 0.4])
+    l2 = 7.95 + np.array([0.0, 3e-9, 5e-9, 6e-9, 6.5e-9])
+    diss = np.array([1e-8, 2e-8, 1.5e-8, 1e-8, 5e-9])
+    res = budget_residual_series(times, l2, diss)
+    assert np.isnan(res[0]) and np.isnan(res[-1])
+    for i in range(1, 4):
+        a, b = Fraction(l2[i + 1]), Fraction(l2[i - 1])
+        dt = Fraction(times[i + 1]) - Fraction(times[i - 1])
+        exact = (a * a - b * b) / 2 / dt + Fraction(diss[i])
+        assert abs(Fraction(res[i]) - exact) <= 1e-14 * abs(exact)
 
 
 def test_envelopes_steady_run_pass(grid32):

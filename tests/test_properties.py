@@ -3,13 +3,20 @@
 Each example is a seeded real random field on N = 16, dealiased by the 2/3
 rule and with its horizontal-mean sector removed.  Parseval is also checked
 on the raw field, whose kz = nz/2 plane is not empty, so a wrong Parseval
-weight on either self-conjugate plane fails a test.
+weight on either self-conjugate plane fails a test.  The batched
+transforms are checked bit for bit against `scipy.fft.irfftn` and `rfftn` on
+random half spectra of unequal sizes, with one FFT thread and with one per CPU.
 """
 
+import os
+from unittest import mock
+
 import numpy as np
+import scipy.fft
 from hypothesis import given, strategies as st
 
-from rotconv.evolution import SimState, tendency
+import rotconv.grid
+from rotconv.evolution import SimConfig, SimState, step, tendency
 from rotconv.grid import (
     Grid,
     PhysicalField,
@@ -20,6 +27,8 @@ from rotconv.grid import (
     parseval_sum,
     project_zero_horizontal_mean,
     spectral_l2,
+    to_physical,
+    to_spectral,
 )
 from rotconv.invariants import compute_report
 
@@ -67,3 +76,31 @@ def test_transform_round_trip(seed, amplitude):
     assert np.max(np.abs(back - theta.coeffs)) <= 1e-13 * np.max(np.abs(theta.coeffs))
     again = inverse_transform(forward_transform(values)).values
     assert np.max(np.abs(again - values.values)) <= 1e-13 * np.max(np.abs(values.values))
+
+
+@given(seed=seeds, amplitude=amplitudes, eps=st.sampled_from([0.0, 0.2]),
+       integrator=st.sampled_from(["rk4", "if-rk4"]))
+def test_step_keeps_mean_sector_zero(seed, amplitude, eps, integrator):
+    theta = truncated_field(seed, amplitude)
+    config = SimConfig(grid=GRID, epsilon=eps, dt=0.01, integrator=integrator)
+    moved = step(SimState(0.0, theta), 0.01, config)
+    assert np.all(moved.theta.coeffs[0, 0, :] == 0.0)
+
+
+even_sizes = st.integers(min_value=2, max_value=10).map(lambda h: 2 * h)
+
+
+@given(nx=even_sizes, ny=even_sizes, nz=even_sizes, batch=st.integers(1, 9), seed=seeds,
+       workers=st.sampled_from(sorted({1, os.cpu_count() or 1})))
+def test_batched_transforms_are_scipy_transforms(nx, ny, nz, batch, seed, workers):
+    rng = np.random.default_rng(seed)
+    shape = (batch, nx, ny, nz // 2 + 1)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    expected = scipy.fft.irfftn(coeffs, axes=(-3, -2, -1), norm="forward")
+    # threads on every size, so that small examples exercise them too
+    with mock.patch.multiple(rotconv.grid, WORKERS=workers, THREADED_MIN_POINTS=0):
+        values = to_physical(coeffs.copy())
+        spectra = to_spectral(values)
+    assert values.shape == (batch, nx, ny, nz)
+    assert np.array_equal(values, expected)
+    assert np.array_equal(spectra, scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward"))
