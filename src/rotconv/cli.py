@@ -30,26 +30,10 @@ def load_config(path) -> SimConfig:
     for section, keys, cls in (("top-level", raw, SimConfig), ("initial", init_raw, InitialSpec)):
         if unknown := sorted(set(keys) - {f.name for f in fields(cls)}):
             raise ValueError(f"unknown {section} config key(s): {', '.join(unknown)}")
+    initial = InitialSpec(**{k: tuple(v) if k in ("mode", "band") else v
+                             for k, v in init_raw.items()})
     grid = Grid(raw["grid"]["nx"], raw["grid"]["ny"], raw["grid"]["nz"])
-    initial = InitialSpec(
-        kind=init_raw.get("kind", "random-band-limited"),
-        mode=tuple(init_raw.get("mode", (1, 0, 0))),
-        amplitude=init_raw.get("amplitude", 0.1),
-        band=tuple(init_raw.get("band", (1, 6))),
-        seed=init_raw.get("seed", 0),
-    )
-    return SimConfig(
-        grid=grid,
-        epsilon=raw.get("epsilon", 0.0),
-        dt=raw.get("dt", "auto"),
-        t_end=raw.get("t_end", 1.0),
-        integrator=raw.get("integrator", "if-rk4"),
-        dealias=raw.get("dealias", True),
-        initial=initial,
-        diagnostics_every=raw.get("diagnostics_every", 1),
-        safety=raw.get("safety", 0.5),
-        mode_cap=raw.get("mode_cap"),
-    )
+    return SimConfig(**{**raw, "grid": grid, "initial": initial})
 
 
 def config_echo(config: SimConfig) -> dict:

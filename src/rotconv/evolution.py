@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,31 +105,40 @@ class SimState:
     theta: SpectralField
 
 
+class _Workspace(NamedTuple):
+    """The symbols and masks of one tendency, cached per grid and truncation."""
+
+    mu: np.ndarray
+    mv: np.ndarray
+    mw: np.ndarray
+    ikx: np.ndarray
+    iky: np.ndarray
+    mask: np.ndarray  # the modes kept by the 2/3 rule and `mode_cap`
+    lap_h: np.ndarray  # -kh2 on its (nx, ny, 1) base: constant in kz, it broadcasts
+    drop: np.ndarray  # the modes every tendency zeroes: outside the mask, and the mean sector
+
+
 @lru_cache(maxsize=32)
-def _workspace(grid: Grid, dealias: bool, mode_cap: int | None):
-    kx, ky, kz, _, _, two_thirds, _ = _lattice(grid.nx, grid.ny, grid.nz)
+def _workspace(grid: Grid, dealias: bool, mode_cap: int | None) -> _Workspace:
+    lat = _lattice(grid.nx, grid.ny, grid.nz)
     mu, mv, mw, _, _ = velocity_symbols(grid)
-    ikx = derivative_symbol(grid, 0)
-    iky = derivative_symbol(grid, 1)
     mask = np.broadcast_to(True, grid.spectral_shape)
     if dealias:
-        mask = mask & two_thirds
+        mask = mask & lat.dealias
     if mode_cap is not None:
-        mask = mask & (np.maximum(np.maximum(np.abs(kx), np.abs(ky)), kz) <= mode_cap)
-    # -kh2 is constant in kz: keep its (nx, ny, 1) base, which broadcasts
-    lap_h = horizontal_laplacian_symbol(grid)[:, :, :1]
-    # the modes every tendency zeroes: outside the mask, and the mean sector
+        kmax = np.maximum(np.maximum(np.abs(lat.kx), np.abs(lat.ky)), lat.kz)
+        mask = mask & (kmax <= mode_cap)
     drop = ~mask
     drop[0, 0, :] = True
-    return mu, mv, mw, ikx, iky, mask, lap_h, drop
+    return _Workspace(mu, mv, mw, derivative_symbol(grid, 0), derivative_symbol(grid, 1),
+                      mask, horizontal_laplacian_symbol(grid)[:, :, :1], drop)
 
 
-def _advective_rhs(c: np.ndarray, ws) -> np.ndarray:
+def _advective_rhs(c: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz."""
-    mu, mv, mw, ikx, iky, _, _, drop = ws
     stack = np.empty((6,) + c.shape, dtype=np.complex128)
     stack[0] = c
-    for out, sym in zip(stack[1:], (mu, mv, mw, ikx, iky)):
+    for out, sym in zip(stack[1:], (ws.mu, ws.mv, ws.mw, ws.ikx, ws.iky)):
         np.multiply(sym, c, out=out)
     theta_p, u_p, v_p, w_p, tx_p, ty_p = to_physical(stack)
     # the products overwrite their first factors: flux from theta' w, then
@@ -139,7 +150,7 @@ def _advective_rhs(c: np.ndarray, ws) -> np.ndarray:
     nl += np.multiply(w_p, dtz, out=w_p)
     out = to_spectral(nl)
     np.negative(out, out=out)
-    np.copyto(out, 0.0, where=drop)
+    np.copyto(out, 0.0, where=ws.drop)
     return out
 
 
@@ -150,18 +161,16 @@ def tendency(theta: SpectralField, epsilon: float, dealias: bool = True) -> Spec
     ws = _workspace(theta.grid, dealias, None)
     out = _advective_rhs(theta.coeffs, ws)
     if epsilon != 0.0:
-        out = out + epsilon**2 * ws[6] * theta.coeffs
+        out = out + epsilon**2 * ws.lap_h * theta.coeffs
         out[0, 0, :] = 0.0
     return SpectralField(theta.grid, out)
 
 
-def _rk4_step(c: np.ndarray, dt: float, eps: float, ws):
-    lap_h = ws[6]
-
+def _rk4_step(c: np.ndarray, dt: float, eps: float, ws: _Workspace):
     def rhs(x):
         out = _advective_rhs(x, ws)
         if eps != 0.0:
-            out = out + eps**2 * lap_h * x
+            out = out + eps**2 * ws.lap_h * x
         return out
 
     k1 = rhs(c)
@@ -171,10 +180,9 @@ def _rk4_step(c: np.ndarray, dt: float, eps: float, ws):
     return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _ifrk4_step(c: np.ndarray, dt: float, eps: float, ws):
+def _ifrk4_step(c: np.ndarray, dt: float, eps: float, ws: _Workspace):
     # integrating factor for the diffusive term; RK4 on the advective remainder
-    lap_h = ws[6]  # (nx, ny, 1): one exp per horizontal mode
-    e_half = np.exp(0.5 * dt * eps**2 * lap_h)
+    e_half = np.exp(0.5 * dt * eps**2 * ws.lap_h)  # one exp per horizontal mode
     e_full = e_half * e_half
     n1 = _advective_rhs(c, ws)
     u2 = e_half * (c + 0.5 * dt * n1)
@@ -189,7 +197,7 @@ def _ifrk4_step(c: np.ndarray, dt: float, eps: float, ws):
 
 
 def step(state: SimState, dt: float, config: SimConfig) -> SimState:
-    """Advance one time step; aborts with a blow-up report on NaN/Inf."""
+    """Advance one time step; a new state that is not a finite real field is a blow-up."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     ws = _workspace(config.grid, config.dealias, config.mode_cap)
@@ -199,11 +207,11 @@ def step(state: SimState, dt: float, config: SimConfig) -> SimState:
     else:
         out = _ifrk4_step(c, dt, config.epsilon, ws)
     out[0, 0, :] = 0.0
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError(
-            f"solution blew up at t = {state.t + dt:.6g}", state
-        )
-    return SimState(state.t + dt, SpectralField(config.grid, out))
+    try:
+        theta = SpectralField._wrap(config.grid, out)
+    except ValueError as err:
+        raise BlowUpError(f"solution blew up at t = {state.t + dt:.6g}: {err}", state) from None
+    return SimState(state.t + dt, theta)
 
 
 def cfl_dt(state: SimState, safety: float, config: SimConfig) -> float:
@@ -252,13 +260,10 @@ def build_initial(grid: Grid, spec: InitialSpec, dealias_field: bool = True) -> 
 
 @dataclass
 class Trajectory:
-    """Result of one run: sampled states and diagnostics at fixed cadence."""
+    """Result of one run: the diagnostics of each sampled state and the final state."""
 
-    config: SimConfig
-    dt: float
     times: list[float]
     reports: list  # InvariantReport, see invariants module
-    states: list[SimState]
     final_state: SimState
 
 
@@ -267,20 +272,17 @@ def initial_state(config: SimConfig) -> SpectralField:
     theta0 = build_initial(config.grid, config.initial, config.dealias)
     if config.mode_cap is not None:
         ws = _workspace(config.grid, config.dealias, config.mode_cap)
-        theta0 = SpectralField(config.grid, np.where(ws[5], theta0.coeffs, 0.0))
+        theta0 = SpectralField(config.grid, np.where(ws.mask, theta0.coeffs, 0.0))
     return theta0
 
 
-def run(
-    config: SimConfig,
-    store_states: bool = False,
-    compute_reports: bool = True,
-    theta0: SpectralField | None = None,
-) -> Trajectory:
-    """Integrate from `theta0` (default: `initial_state(config)`) to t_end,
-    sampling diagnostics every `diagnostics_every` steps."""
-    from .invariants import compute_report
+def samples(config: SimConfig, theta0: SpectralField | None = None) -> Iterator[SimState]:
+    """Integrate from `theta0` (default: `initial_state(config)`) to t_end and
+    yield the t = 0 state, every `diagnostics_every`-th state and the last one.
 
+    The time step is `config.dt`, or under "auto" the CFL step of `theta0`,
+    shortened so that a whole number of steps ends at t_end.
+    """
     if theta0 is None:
         theta0 = initial_state(config)
     if not theta0.has_zero_horizontal_mean():
@@ -295,16 +297,19 @@ def run(
     if n_steps > 0:
         dt = config.t_end / n_steps
 
-    times = [0.0]
-    reports = [compute_report(state, config.epsilon)] if compute_reports else []
-    states = [state] if store_states else []
-
+    yield state
     for i in range(1, n_steps + 1):
         state = step(state, dt, config)
         if i % config.diagnostics_every == 0 or i == n_steps:
-            times.append(state.t)
-            if compute_reports:
-                reports.append(compute_report(state, config.epsilon))
-            if store_states:
-                states.append(state)
-    return Trajectory(config, dt, times, reports, states, state)
+            yield state
+
+
+def run(config: SimConfig, theta0: SpectralField | None = None) -> Trajectory:
+    """The invariant report of every state `samples(config, theta0)` yields."""
+    from .invariants import compute_report
+
+    times, reports = [], []
+    for state in samples(config, theta0):
+        times.append(state.t)
+        reports.append(compute_report(state, config.epsilon))
+    return Trajectory(times, reports, state)

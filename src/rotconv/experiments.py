@@ -4,7 +4,6 @@ Galerkin resolution sweep, and the continuous-dependence twin run."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -22,11 +21,10 @@ from .grid import (
 from .evolution import (
     SimConfig,
     SimState,
-    Trajectory,
     build_initial,
     cfl_dt,
     initial_state,
-    run,
+    samples,
 )
 from .invariants import dual_norm
 from .meanstate import heat_flux, mean_gradient, profile_l2
@@ -36,7 +34,7 @@ from .velocity import solve_velocity, velocity_symbols  # noqa: F401
 
 def _h2h_symbols(grid: Grid) -> list[np.ndarray]:
     """|symbols| mapping the temperature difference to lap_h of (u, v, w)."""
-    kh2 = _lattice(grid.nx, grid.ny, grid.nz)[3]
+    kh2 = _lattice(grid.nx, grid.ny, grid.nz).kh2
     return [kh2 * np.abs(m) for m in velocity_symbols(grid)[:3]]
 
 
@@ -124,63 +122,57 @@ def _fit_slope(params, errors):
     return slope, 0.0
 
 
-def _member_runs(configs, theta0s):
-    """Run each member from its initial state, one at a time, all on one time
-    step: the configured dt or, under "auto", the members' smallest CFL step
-    at t = 0."""
+def _stream(configs, theta0s, measure):
+    """Run the first member as the reference and store its samples, then run
+    every other member sample by sample against them, all on one time step:
+    the configured dt or, under "auto", the members' smallest CFL step at t = 0.
+
+    Returns the reference samples and, per member, measure(member sample,
+    reference sample) at every sample.  Each member sample is dropped once it
+    is measured and stepped, so no member trajectory is ever stored.
+    """
     dt = configs[0].dt
     if dt == "auto":
         dt = min(cfl_dt(SimState(0.0, theta0), cfg.safety, cfg)
                  for cfg, theta0 in zip(configs, theta0s))
-    for cfg, theta0 in zip(configs, theta0s):
-        yield run(replace(cfg, dt=dt), store_states=True, compute_reports=False,
-                  theta0=theta0)
+    ref = list(samples(replace(configs[0], dt=dt), theta0s[0]))
+    members = (samples(replace(cfg, dt=dt), theta0)
+               for cfg, theta0 in zip(configs[1:], theta0s[1:]))
+    return ref, [[measure(s_m, s_ref) for s_m, s_ref in zip(member, ref)]
+                 for member in members]
 
 
-def _compare(parameters, ref: Trajectory, members) -> SweepResult:
-    """Errors of each member run against the reference, sample by sample,
-    with the worst excess over the a priori error bounds.  Samples with an
-    identically zero difference have zero error and zero bounds; they enter
-    the per-time series only."""
-    grid = ref.config.grid
-    vel_const = h2h_bound_constant(grid)
+def _sweep_errors(s_m: SimState, s_ref: SimState):
+    """(L2 error, H2h velocity error, mean-profile Hdot1 error, its bound) of
+    one member sample; an identically zero difference has zero errors and
+    zero bounds."""
+    diff = SpectralField(s_ref.theta.grid, s_m.theta.coeffs - s_ref.theta.coeffs)
+    d_l2 = spectral_l2(diff)
+    if d_l2 == 0.0:
+        return 0.0, 0.0, 0.0, 0.0
+    return (d_l2, _h2h_velocity_error(diff), *mean_h1_error_and_bound(s_m, s_ref))
 
-    def errors(traj: Trajectory):
-        e_l2 = e_h1 = e_v = 0.0
-        vel_excess = mean_excess = -np.inf
-        series = []
-        for s_m, s_ref in zip(traj.states, ref.states):
-            diff = SpectralField(grid, s_m.theta.coeffs - s_ref.theta.coeffs)
-            d_l2 = spectral_l2(diff)
-            series.append(d_l2)
-            if d_l2 == 0.0:
-                continue
-            e_l2 = max(e_l2, d_l2)
-            d_v = _h2h_velocity_error(diff)
-            e_v = max(e_v, d_v)
-            vel_excess = max(vel_excess, d_v - vel_const * d_l2)
-            d_h1, h1_bound = mean_h1_error_and_bound(s_m, s_ref)
-            e_h1 = max(e_h1, d_h1)
-            mean_excess = max(mean_excess, d_h1 - h1_bound)
-        return e_l2, e_h1, e_v, series, vel_excess, mean_excess
 
-    # map keeps no finished member alive while the next one runs
-    rows = list(map(errors, members))
-    err_l2, err_h1, err_vel, per_time_l2, vel_excess, mean_excess = (
-        [row[i] for row in rows] for i in range(6)
-    )
+def _compare(parameters, ref: list[SimState], rows) -> SweepResult:
+    """Sweep result from each member's `_sweep_errors` rows.  Samples with an
+    identically zero difference enter the errors and the per-time series only,
+    not the worst excess over the a priori error bounds."""
+    vel_const = h2h_bound_constant(ref[0].theta.grid)
+    cols = [list(zip(*row)) for row in rows]
+    nonzero = [sample for row in rows for sample in row if sample[0] > 0.0]
+    err_l2 = [max(l2) for l2, _, _, _ in cols]
     slope, ci = _fit_slope(parameters, err_l2)
     return SweepResult(
         parameters=parameters,
         err_l2=err_l2,
-        err_mean_h1=err_h1,
-        err_vel_h2=err_vel,
+        err_mean_h1=[max(h1) for _, _, h1, _ in cols],
+        err_vel_h2=[max(vel) for _, vel, _, _ in cols],
         slope=slope,
         slope_ci=ci,
-        times=ref.times,
-        per_time_l2=per_time_l2,
-        max_vel_excess=max(vel_excess, default=-np.inf),
-        max_mean_excess=max(mean_excess, default=-np.inf),
+        times=[s.t for s in ref],
+        per_time_l2=[list(l2) for l2, _, _, _ in cols],
+        max_vel_excess=max((v - vel_const * l2 for l2, v, _, _ in nonzero), default=-np.inf),
+        max_mean_excess=max((h1 - bound for _, _, h1, bound in nonzero), default=-np.inf),
     )
 
 
@@ -210,9 +202,7 @@ def sweep_epsilon(
                        for eps in eps_list]
 
     configs = [replace(base, epsilon=eps) for eps in [0.0] + eps_list]
-    runs = _member_runs(configs, theta0s)
-    ref = next(runs)
-    return _compare(eps_list, ref, runs)
+    return _compare(eps_list, *_stream(configs, theta0s, _sweep_errors))
 
 
 def sweep_resolution(base: SimConfig, mode_counts) -> SweepResult:
@@ -220,12 +210,12 @@ def sweep_resolution(base: SimConfig, mode_counts) -> SweepResult:
     mode_counts = list(mode_counts)
     if sorted(mode_counts) != mode_counts:
         raise ValueError("mode counts must be increasing")
-    # the finest truncation runs first, as the reference, and is compared with
-    # itself last, so no finished member is held while the next one runs
+    # the finest truncation is the reference: it runs first, and its stored
+    # samples stand in for its own member row, the last one
     configs = [replace(base, mode_cap=int(m)) for m in mode_counts[-1:] + mode_counts[:-1]]
-    runs = _member_runs(configs, [initial_state(c) for c in configs])
-    ref = next(runs)
-    return _compare([float(m) for m in mode_counts], ref, chain(runs, [ref]))
+    ref, rows = _stream(configs, [initial_state(c) for c in configs], _sweep_errors)
+    rows.append([_sweep_errors(s, s) for s in ref])
+    return _compare([float(m) for m in mode_counts], ref, rows)
 
 
 @dataclass
@@ -258,36 +248,32 @@ def twin_run(
     theta0s = [theta0] + [
         SpectralField(base.grid, theta0.coeffs + a * pert.coeffs) for a in amps
     ]
-    runs = _member_runs([base] * len(theta0s), theta0s)
-    ref = next(runs)
-
-    def separation(traj: Trajectory):
-        errs, duals = [], []
-        for s_p, s_r in zip(traj.states, ref.states):
-            diff = SpectralField(base.grid, s_p.theta.coeffs - s_r.theta.coeffs)
-            errs.append(spectral_l2(diff))
-            duals.append(dual_norm(diff))
-        return errs, duals
-
-    # map keeps no finished member alive while the next one runs
-    (errs, duals), *half = map(separation, runs)
-    t = np.asarray(ref.times)
+    ref, rows = _stream([base] * len(theta0s), theta0s, _separation)
+    errs, duals = (list(col) for col in zip(*rows[0]))
+    times = [s.t for s in ref]
+    t = np.asarray(times)
     y = np.log(np.maximum(np.asarray(errs), 1e-300))
     rate = float(np.polyfit(t, y, 1)[0]) if t.size > 1 else 0.0
 
     response_ratio = None
     in_regime = True
     if check_linearity:
-        response_ratio = max(half[0][0]) / max(max(errs), 1e-300)
+        response_ratio = max(l2 for l2, _ in rows[1]) / max(max(errs), 1e-300)
         in_regime = 0.3 <= response_ratio <= 0.7
     return TwinRunReport(
-        times=list(ref.times),
+        times=times,
         err_l2=errs,
         err_dual=duals,
         fitted_rate=rate,
         response_ratio=response_ratio,
         in_linear_regime=in_regime,
     )
+
+
+def _separation(s_p: SimState, s_r: SimState) -> tuple[float, float]:
+    """L2 and dual norm of the difference of two states."""
+    diff = SpectralField(s_r.theta.grid, s_p.theta.coeffs - s_r.theta.coeffs)
+    return spectral_l2(diff), dual_norm(diff)
 
 
 def _perturbation_field(grid: Grid, mode, amplitude: float) -> SpectralField:

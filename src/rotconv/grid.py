@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 from scipy import fft as sfft
@@ -79,11 +80,24 @@ class Grid:
 
     def wavenumbers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Integer wavenumbers of the half lattice, broadcastable to `spectral_shape`."""
-        return _lattice(self.nx, self.ny, self.nz)[:3]
+        lat = _lattice(self.nx, self.ny, self.nz)
+        return lat.kx, lat.ky, lat.kz
+
+
+class _Lattice(NamedTuple):
+    """The half lattice, each array broadcastable to `spectral_shape`."""
+
+    kx: np.ndarray  # integer wavenumbers, kx and ky in FFT order, kz = 0..nz/2
+    ky: np.ndarray
+    kz: np.ndarray
+    kh2: np.ndarray  # kx^2 + ky^2 as floats
+    nyquist: np.ndarray  # any |k_i| = n_i/2
+    dealias: np.ndarray  # kept by the 2/3 rule
+    weight: np.ndarray  # Parseval weight
 
 
 @lru_cache(maxsize=32)
-def _lattice(nx: int, ny: int, nz: int):
+def _lattice(nx: int, ny: int, nz: int) -> _Lattice:
     kx = np.rint(sfft.fftfreq(nx) * nx).astype(np.int64).reshape(nx, 1, 1)
     ky = np.rint(sfft.fftfreq(ny) * ny).astype(np.int64).reshape(1, ny, 1)
     kz = np.arange(nz // 2 + 1, dtype=np.int64).reshape(1, 1, -1)
@@ -94,11 +108,23 @@ def _lattice(nx: int, ny: int, nz: int):
         (np.abs(kx) <= nx // 3) & (np.abs(ky) <= ny // 3) & (kz <= nz // 3)
     )
     weight = np.where((kz == 0) | (kz == nz // 2), 1.0, 2.0)
-    return kx, ky, kz, kh2, nyquist, dealias, weight
+    return _Lattice(kx, ky, kz, kh2, nyquist, dealias, weight)
+
+
+class _Frozen:
+    """A field whose array `_freeze` checks, makes read-only and stores."""
+
+    @classmethod
+    def _wrap(cls, grid: Grid, array: np.ndarray):
+        """The field of a fresh array that no one else holds, without the copy."""
+        f = cls.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        f._freeze(array)
+        return f
 
 
 @dataclass(frozen=True)
-class PhysicalField:
+class PhysicalField(_Frozen):
     """Real scalar samples at the collocation points of `grid`.
 
     The values are copied, so the caller's array stays its own and the field
@@ -119,24 +145,18 @@ class PhysicalField:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def _wrap(cls, grid: Grid, values: np.ndarray) -> "PhysicalField":
-        """The field of a fresh array that no one else holds, without the copy."""
-        f = cls.__new__(cls)
-        object.__setattr__(f, "grid", grid)
-        f._freeze(values)
-        return f
-
 
 @dataclass(frozen=True)
-class SpectralField:
+class SpectralField(_Frozen):
     """Half-spectrum Fourier coefficients of a real field, coeff(0) = field mean."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
+        self._freeze(np.array(self.coeffs, dtype=np.complex128, order="C"))
+
+    def _freeze(self, c: np.ndarray):
         if c.shape != self.grid.spectral_shape:
             raise ValueError(f"coeffs shape {c.shape} != spectral shape {self.grid.spectral_shape}")
         if not np.all(np.isfinite(c)):
@@ -146,7 +166,6 @@ class SpectralField:
         if np.max(np.abs(defect)) > 1e-12 * max(np.max(np.abs(planes)), 1.0):
             raise ValueError("spectral coefficients break reality: the kz = 0 and kz = nz/2"
                              " planes need coeff(-kx, -ky) = conj(coeff(kx, ky))")
-        c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -215,31 +234,31 @@ def apply_symbol(F: SpectralField, symbol) -> SpectralField:
 
 def derivative_symbol(grid: Grid, axis: int) -> np.ndarray:
     """Symbol of d/dx_axis with the Nyquist plane zeroed, broadcastable to the half lattice."""
-    k = _lattice(grid.nx, grid.ny, grid.nz)[axis]
+    k = grid.wavenumbers()[axis]
     return np.where(np.abs(k) == grid.shape[axis] // 2, 0.0, 1j * k.astype(np.float64))
 
 
 def horizontal_laplacian_symbol(grid: Grid) -> np.ndarray:
-    kh2 = _lattice(grid.nx, grid.ny, grid.nz)[3]
+    kh2 = _lattice(grid.nx, grid.ny, grid.nz).kh2
     return np.broadcast_to(-kh2, grid.spectral_shape)
 
 
 def horizontal_power_symbol(grid: Grid, s: float) -> np.ndarray:
     """Symbol of A^s = (-horizontal Laplacian)^s, zero on the horizontal-mean sector."""
-    kh2 = _lattice(grid.nx, grid.ny, grid.nz)[3]
+    kh2 = _lattice(grid.nx, grid.ny, grid.nz).kh2
     with np.errstate(divide="ignore"):
         return np.broadcast_to(np.where(kh2 > 0, kh2 ** float(s), 0.0), grid.spectral_shape)
 
 
 def vertical_bessel_symbol(grid: Grid, s: float) -> np.ndarray:
     """Symbol of (I - d^2/dz^2)^s."""
-    kz = _lattice(grid.nx, grid.ny, grid.nz)[2].astype(np.float64)
+    kz = _lattice(grid.nx, grid.ny, grid.nz).kz.astype(np.float64)
     return np.broadcast_to((1.0 + kz**2) ** float(s), grid.spectral_shape)
 
 
 def dealias(F: SpectralField) -> SpectralField:
     """2/3-rule truncation: zero every mode with any |k_i| > n_i/3."""
-    mask = _lattice(F.grid.nx, F.grid.ny, F.grid.nz)[5]
+    mask = _lattice(F.grid.nx, F.grid.ny, F.grid.nz).dealias
     return SpectralField(F.grid, np.where(mask, F.coeffs, 0.0))
 
 
@@ -251,12 +270,12 @@ def pad_to_grid(F: SpectralField, target: Grid) -> SpectralField:
     """
     if (target.nx < F.grid.nx or target.ny < F.grid.ny or target.nz < F.grid.nz):
         raise ValueError("target grid must be at least as fine in every axis")
-    kx, ky, kz, _, nyquist, _, _ = _lattice(F.grid.nx, F.grid.ny, F.grid.nz)
-    src = np.where(nyquist, 0.0, F.coeffs)
+    lat = _lattice(F.grid.nx, F.grid.ny, F.grid.nz)
+    src = np.where(lat.nyquist, 0.0, F.coeffs)
     out = np.zeros(target.spectral_shape, dtype=np.complex128)
-    ix = np.mod(kx.ravel(), target.nx)
-    iy = np.mod(ky.ravel(), target.ny)
-    out[np.ix_(ix, iy, kz.ravel())] = src
+    ix = np.mod(lat.kx.ravel(), target.nx)
+    iy = np.mod(lat.ky.ravel(), target.ny)
+    out[np.ix_(ix, iy, lat.kz.ravel())] = src
     return SpectralField(target, out)
 
 
@@ -281,7 +300,7 @@ def parseval_sum(grid: Grid, density: np.ndarray) -> float:
     """(2pi)^3 times the full-lattice sum of a mode density even in k, given on
     the half lattice: the squared L^2 norm for |c|^2, the L^2 inner product of
     two real fields for Re(conj(a) b)."""
-    weight = _lattice(grid.nx, grid.ny, grid.nz)[6]
+    weight = _lattice(grid.nx, grid.ny, grid.nz).weight
     return float(DOMAIN_VOLUME * np.sum(weight * density))
 
 

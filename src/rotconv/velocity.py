@@ -53,12 +53,11 @@ def velocity_symbols(grid: Grid):
     Nyquist planes are zeroed: those modes have no conjugate partner under the
     real transform, so odd symbols are ill-defined there.
     """
-    kx, ky, kz, kh2, nyquist, _, _ = _lattice(grid.nx, grid.ny, grid.nz)
-    kxf = kx.astype(np.float64)
-    kyf = ky.astype(np.float64)
-    kzf = kz.astype(np.float64)
+    lat = _lattice(grid.nx, grid.ny, grid.nz)
+    kxf, kyf, kzf = (k.astype(np.float64) for k in (lat.kx, lat.ky, lat.kz))
+    kh2 = lat.kh2
     denom = kzf**2 + kh2**3
-    keep = np.broadcast_to((kh2 > 0) & ~nyquist, grid.spectral_shape)
+    keep = np.broadcast_to((kh2 > 0) & ~lat.nyquist, grid.spectral_shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         mu = np.where(keep, -kyf * kzf / np.maximum(denom, _TINY), 0.0)
         mv = np.where(keep, kxf * kzf / np.maximum(denom, _TINY), 0.0)
@@ -100,10 +99,10 @@ def residual_check(
         if f.grid != theta.grid:
             raise ValueError("grid mismatch between theta and diagnostics")
     grid = theta.grid
-    _, _, kz, kh2, nyquist, _, _ = _lattice(grid.nx, grid.ny, grid.nz)
-    keep = (kh2 > 0) & ~nyquist
-    res1 = 1j * kz * d.psi.coeffs - theta.coeffs + kh2 * d.w.coeffs
-    res2 = -1j * kz * d.w.coeffs + kh2 * d.omega.coeffs
+    lat = _lattice(grid.nx, grid.ny, grid.nz)
+    keep = (lat.kh2 > 0) & ~lat.nyquist
+    res1 = 1j * lat.kz * d.psi.coeffs - theta.coeffs + lat.kh2 * d.w.coeffs
+    res2 = -1j * lat.kz * d.w.coeffs + lat.kh2 * d.omega.coeffs
     n_theta, r1, r2 = (np.sqrt(parseval_sum(grid, np.where(keep, np.abs(c) ** 2, 0.0)))
                        for c in (theta.coeffs, res1, res2))
     denom = max(n_theta, 1e-30)
@@ -158,8 +157,8 @@ def multiplier_value(spec: MultiplierSpec, k) -> float:
 
 def multiplier_array(spec: MultiplierSpec, grid: Grid) -> np.ndarray:
     """The symbol evaluated on the half lattice."""
-    _, _, kz, kh2, _, _, _ = _lattice(grid.nx, grid.ny, grid.nz)
-    out = _multiplier(spec, kh2, kz.astype(np.float64) ** 2)
+    lat = _lattice(grid.nx, grid.ny, grid.nz)
+    out = _multiplier(spec, lat.kh2, lat.kz.astype(np.float64) ** 2)
     return np.broadcast_to(out, grid.spectral_shape)
 
 

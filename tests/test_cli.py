@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-import rotconv.cli
 from rotconv.cli import load_config, main
+from rotconv.evolution import SimConfig
+from rotconv.grid import Grid
 
 
 @pytest.fixture
@@ -37,17 +38,19 @@ def test_run_command(tmp_path, config_path, capsys):
     assert "run complete" in capsys.readouterr().out
 
 
-def test_run_command_keeps_no_sampled_states(tmp_path, config_path, monkeypatch):
-    trajectories = []
-    original = rotconv.cli.run
+def test_load_config_defaults_are_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "grid_only.json"
+    path.write_text(json.dumps({"grid": {"nx": 16, "ny": 16, "nz": 16}}))
+    assert load_config(path) == SimConfig(grid=Grid(16, 16, 16))
 
-    def recording(*args, **kwargs):
-        trajectories.append(original(*args, **kwargs))
-        return trajectories[-1]
 
-    monkeypatch.setattr(rotconv.cli, "run", recording)
-    main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
-    assert len(trajectories) == 1 and trajectories[0].states == []
+def test_load_config_converts_mode_and_band_to_tuples(tmp_path):
+    path = tmp_path / "single_mode.json"
+    path.write_text(json.dumps({"grid": {"nx": 16, "ny": 16, "nz": 16},
+                                "initial": {"kind": "analytic-single-mode",
+                                            "mode": [1, 2, 3], "band": [2, 5]}}))
+    initial = load_config(path).initial
+    assert initial.mode == (1, 2, 3) and initial.band == (2, 5)
 
 
 @pytest.mark.parametrize("section, key", [(None, "epsion"), ("initial", "sed")])

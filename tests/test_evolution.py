@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rotconv.evolution
 from rotconv.evolution import (
     BlowUpError,
     InitialSpec,
@@ -10,6 +11,7 @@ from rotconv.evolution import (
     cfl_dt,
     initial_state,
     run,
+    samples,
     step,
     tendency,
 )
@@ -155,13 +157,53 @@ def test_run_from_given_initial_state(grid16):
     init = InitialSpec(kind="random-band-limited", band=(1, 4), amplitude=0.5, seed=5)
     config = SimConfig(grid=grid16, epsilon=0.1, dt=0.05, t_end=0.2, initial=init,
                        mode_cap=3)
-    a = run(config, store_states=True)
-    b = run(config, store_states=True, theta0=initial_state(config))
+    a = run(config)
+    b = run(config, theta0=initial_state(config))
     assert a.times == b.times and a.reports == b.reports
     assert np.array_equal(a.final_state.theta.coeffs, b.final_state.theta.coeffs)
     _, _, Z = grid16.meshgrid()
     with pytest.raises(ValueError):
         run(config, theta0=forward_transform(PhysicalField(grid16, np.cos(Z))))
+
+
+def test_samples_cadence(grid16):
+    # 5 steps of 0.05, sampled every 2nd step and at the last one
+    config = single_mode_config(grid16, dt=0.05, t_end=0.25, diagnostics_every=2)
+    times = [s.t for s in samples(config)]
+    assert times == pytest.approx([0.0, 0.1, 0.2, 0.25], abs=1e-15)
+    assert times == run(config).times
+
+
+def test_step_keeps_the_integrator_output(grid16, monkeypatch):
+    # the new state wraps the integrator's fresh array: no copy, read-only
+    config = single_mode_config(grid16, epsilon=0.1)
+    state = SimState(0.0, build_initial(grid16, config.initial, True))
+    outputs = []
+
+    def recording(*args):
+        outputs.append(original(*args))
+        return outputs[-1]
+
+    original = rotconv.evolution._ifrk4_step
+    monkeypatch.setattr(rotconv.evolution, "_ifrk4_step", recording)
+    new = step(state, 0.01, config)
+    assert new.theta.coeffs is outputs[0]
+    assert not new.theta.coeffs.flags.writeable
+
+
+def test_step_rejects_output_breaking_reality(grid16, monkeypatch):
+    config = single_mode_config(grid16)
+    state = SimState(0.0, build_initial(grid16, config.initial, True))
+
+    def unpaired(c, *args):
+        out = np.zeros_like(c)
+        out[1, 2, 0] = 1.0  # its partner at (-1, -2, 0) stays zero
+        return out
+
+    monkeypatch.setattr(rotconv.evolution, "_ifrk4_step", unpaired)
+    with pytest.raises(BlowUpError, match="reality") as info:
+        step(state, 0.01, config)
+    assert info.value.last_state is state
 
 
 def test_run_t_end_zero(grid16):
@@ -174,8 +216,8 @@ def test_run_t_end_zero(grid16):
 def test_run_steady_state(grid32):
     config = single_mode_config(grid32, epsilon=0.0, dt=0.02, t_end=1.0,
                                 integrator="rk4")
-    traj = run(config, store_states=True)
-    diff = traj.final_state.theta.coeffs - traj.states[0].theta.coeffs
+    states = list(samples(config))
+    diff = states[-1].theta.coeffs - states[0].theta.coeffs
     assert spectral_l2(SpectralField(grid32, diff)) <= 1e-10
 
 
@@ -191,8 +233,7 @@ def test_run_deterministic(grid16):
 def test_mean_sector_stays_zero(grid16):
     init = InitialSpec(kind="random-band-limited", band=(1, 4), amplitude=1.0, seed=1)
     config = SimConfig(grid=grid16, epsilon=0.05, dt=0.05, t_end=0.5, initial=init)
-    traj = run(config, store_states=True)
-    for s in traj.states:
+    for s in samples(config):
         assert np.max(np.abs(s.theta.coeffs[0, 0, :])) == 0.0
 
 

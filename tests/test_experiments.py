@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import rotconv.evolution
 import rotconv.experiments
-from rotconv.evolution import InitialSpec, SimConfig, build_initial, cfl_dt, run
+from rotconv.evolution import InitialSpec, SimConfig, build_initial, cfl_dt, samples
 from rotconv.experiments import (
     h2h_bound_constant,
     mean_h1_error_and_bound,
@@ -88,33 +89,57 @@ def test_sweep_members_share_the_reference_time_grid(grid16):
     state0 = SimState(0.0, build_initial(grid16, cfg.initial))
     members = [replace(cfg, epsilon=e) for e in (0.0, 0.5)]
     dt = min(cfl_dt(state0, cfg.safety, m) for m in members)
-    ref, member = (run(replace(m, dt=dt), store_states=True, compute_reports=False)
-                   for m in members)
+    ref, member = (list(samples(replace(m, dt=dt))) for m in members)
     expected = [
         spectral_l2(SpectralField(grid16, a.theta.coeffs - b.theta.coeffs))
-        for a, b in zip(member.states, ref.states)
+        for a, b in zip(member, ref)
     ]
     res = sweep_epsilon(cfg, [0.5])
-    assert res.times == ref.times
+    assert res.times == [s.t for s in ref]
     assert res.per_time_l2 == [expected]
 
 
-@pytest.mark.parametrize("sweep, values", [(sweep_epsilon, [0.5, 0.25, 0.125]),
-                                           (sweep_resolution, [2, 3, 4, 5])])
-def test_sweep_keeps_one_member_trajectory_alive(grid16, monkeypatch, sweep, values):
-    # while a member runs, only the reference trajectory may still be held
-    finished = []
-    alive_at_start = []
+@pytest.mark.parametrize("experiment, n_members", [
+    (lambda cfg: sweep_epsilon(cfg, [0.5, 0.25, 0.125]), 3),
+    (lambda cfg: sweep_epsilon(cfg, [0.5, 0.25], "eps-scaled"), 2),
+    (lambda cfg: sweep_resolution(cfg, [2, 3, 4, 5]), 3),
+    (lambda cfg: twin_run(cfg, 1e-6), 2),
+], ids=["sweep-epsilon", "sweep-epsilon-scaled", "sweep-resolution", "twin"])
+def test_members_stream_against_the_stored_reference(grid16, monkeypatch, experiment, n_members):
+    # while a member steps, no state an earlier member yielded and no
+    # difference field is alive, and of its own samples only the one being
+    # stepped; the stored reference is the only trajectory held
+    runs = []  # weakrefs to the states of each `samples` call, the reference first
+    measured = []  # weakrefs to every field whose L2 norm the experiments took
+    alive = []  # per member step: (earlier members' states, own states, measured fields)
 
-    def tracking(*args, **kwargs):
-        alive_at_start.append(sum(ref() is not None for ref in finished))
-        traj = run(*args, **kwargs)
-        finished.append(weakref.ref(traj))
-        return traj
+    def recording_samples(*args, **kwargs):
+        runs.append([])
+        for state in original_samples(*args, **kwargs):
+            runs[-1].append(weakref.ref(state))
+            yield state
 
-    monkeypatch.setattr(rotconv.experiments, "run", tracking)
-    sweep(random_config(grid16, t_end=0.1), values)
-    assert alive_at_start == [0, 1, 1, 1]
+    def checking_step(*args, **kwargs):
+        if len(runs) > 1:
+            alive.append((sum(r() is not None for run_ in runs[1:-1] for r in run_),
+                          sum(r() is not None for r in runs[-1]),
+                          sum(r() is not None for r in measured)))
+        return original_step(*args, **kwargs)
+
+    def recording_l2(field):
+        measured.append(weakref.ref(field))
+        return original_l2(field)
+
+    original_samples = rotconv.experiments.samples
+    original_step = rotconv.evolution.step
+    original_l2 = rotconv.experiments.spectral_l2
+    monkeypatch.setattr(rotconv.experiments, "samples", recording_samples)
+    monkeypatch.setattr(rotconv.evolution, "step", checking_step)
+    monkeypatch.setattr(rotconv.experiments, "spectral_l2", recording_l2)
+    experiment(random_config(grid16, t_end=0.15, diagnostics_every=1))
+    assert len(runs) == 1 + n_members
+    assert len(alive) == 3 * n_members
+    assert set(alive) == {(0, 1, 0)}
 
 
 def test_eps_scaled_sweep_samples_every_reference_time(grid16):

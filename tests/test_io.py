@@ -23,7 +23,7 @@ from rotconv.meanstate import mean_profile
 def small_run(grid):
     init = InitialSpec(kind="random-band-limited", band=(1, 4), amplitude=0.5, seed=2)
     config = SimConfig(grid=grid, epsilon=0.1, dt=0.05, t_end=0.2, initial=init)
-    return run(config, store_states=True)
+    return run(config)
 
 
 def test_snapshot_round_trip(tmp_path, grid16):
