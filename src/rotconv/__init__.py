@@ -7,7 +7,6 @@ from .grid import (
     Grid,
     PhysicalField,
     SpectralField,
-    aniso_norm,
     apply_symbol,
     dealias,
     forward_transform,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from .evolution import InitialSpec, SimConfig, SimState, initial_state, run
@@ -26,14 +26,18 @@ from .velocity import (
 
 def load_config(path) -> SimConfig:
     raw = json.loads(Path(path).read_text())
-    init_raw = raw.get("initial", {})
-    for section, keys, cls in (("top-level", raw, SimConfig), ("initial", init_raw, InitialSpec)):
-        if unknown := sorted(set(keys) - {f.name for f in fields(cls)}):
+    init_raw, grid_raw = raw.get("initial", {}), raw.get("grid", {})
+    for section, keys, cls in (("top-level", raw, SimConfig), ("initial", init_raw, InitialSpec),
+                               ("grid", grid_raw, Grid)):
+        known = fields(cls)
+        if unknown := sorted(set(keys) - {f.name for f in known}):
             raise ValueError(f"unknown {section} config key(s): {', '.join(unknown)}")
+        if missing := [f.name for f in known if f.name not in keys
+                       and f.default is MISSING and f.default_factory is MISSING]:
+            raise ValueError(f"missing {section} config key(s): {', '.join(missing)}")
     initial = InitialSpec(**{k: tuple(v) if k in ("mode", "band") else v
                              for k, v in init_raw.items()})
-    grid = Grid(raw["grid"]["nx"], raw["grid"]["ny"], raw["grid"]["nz"])
-    return SimConfig(**{**raw, "grid": grid, "initial": initial})
+    return SimConfig(**{**raw, "grid": Grid(**grid_raw), "initial": initial})
 
 
 def config_echo(config: SimConfig) -> dict:

@@ -63,6 +63,11 @@ class InitialSpec:
     seed: int = 0
 
 
+def _is_number(x, kind=numbers.Real) -> bool:
+    """x is an instance of `kind` and not a bool."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     grid: Grid
@@ -77,23 +82,21 @@ class SimConfig:
     mode_cap: int | None = None  # Galerkin truncation |k_i| <= mode_cap
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+        if not (_is_number(self.epsilon) and 0 <= self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be a nonnegative finite number, got {self.epsilon!r}")
+        if not (_is_number(self.t_end) and 0 <= self.t_end < math.inf):
+            raise ValueError(f"t_end must be a nonnegative finite number, got {self.t_end!r}")
         if self.integrator not in ("rk4", "if-rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.diagnostics_every < 1:
-            raise ValueError("diagnostics_every must be a positive integer")
-        if self.dt != "auto" and not (
-            isinstance(self.dt, numbers.Real) and not isinstance(self.dt, bool)
-            and 0 < self.dt < math.inf
-        ):
+        if not (_is_number(self.diagnostics_every, numbers.Integral)
+                and self.diagnostics_every >= 1):
+            raise ValueError("diagnostics_every must be a positive integer,"
+                             f" got {self.diagnostics_every!r}")
+        if self.dt != "auto" and not (_is_number(self.dt) and 0 < self.dt < math.inf):
             raise ValueError(f'dt must be "auto" or a positive finite number, got {self.dt!r}')
         cap_max = max(self.grid.shape) // 2
         if self.mode_cap is not None and not (
-            isinstance(self.mode_cap, numbers.Integral) and not isinstance(self.mode_cap, bool)
-            and 1 <= self.mode_cap <= cap_max
+            _is_number(self.mode_cap, numbers.Integral) and 1 <= self.mode_cap <= cap_max
         ):
             raise ValueError(f"mode_cap must be an integer in 1..{cap_max} (max(n_i)/2)"
                              f" or None, got {self.mode_cap!r}")
@@ -154,29 +157,27 @@ def _advective_rhs(c: np.ndarray, ws: _Workspace) -> np.ndarray:
     return out
 
 
+def _rhs(c: np.ndarray, eps: float, ws: _Workspace) -> np.ndarray:
+    """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz + eps^2 lap_h theta'."""
+    out = _advective_rhs(c, ws)
+    if eps != 0.0:
+        out += eps**2 * ws.lap_h * c
+    return out
+
+
 def tendency(theta: SpectralField, epsilon: float, dealias: bool = True) -> SpectralField:
     """Full spectral tendency of the evolution equation."""
     if not theta.has_zero_horizontal_mean(tol=1e-10):
         raise ValueError("tendency requires a zero-horizontal-mean field")
-    ws = _workspace(theta.grid, dealias, None)
-    out = _advective_rhs(theta.coeffs, ws)
-    if epsilon != 0.0:
-        out = out + epsilon**2 * ws.lap_h * theta.coeffs
-        out[0, 0, :] = 0.0
-    return SpectralField(theta.grid, out)
+    return SpectralField._wrap(theta.grid, _rhs(theta.coeffs, epsilon,
+                                                _workspace(theta.grid, dealias, None)))
 
 
 def _rk4_step(c: np.ndarray, dt: float, eps: float, ws: _Workspace):
-    def rhs(x):
-        out = _advective_rhs(x, ws)
-        if eps != 0.0:
-            out = out + eps**2 * ws.lap_h * x
-        return out
-
-    k1 = rhs(c)
-    k2 = rhs(c + 0.5 * dt * k1)
-    k3 = rhs(c + 0.5 * dt * k2)
-    k4 = rhs(c + dt * k3)
+    k1 = _rhs(c, eps, ws)
+    k2 = _rhs(c + 0.5 * dt * k1, eps, ws)
+    k3 = _rhs(c + 0.5 * dt * k2, eps, ws)
+    k4 = _rhs(c + dt * k3, eps, ws)
     return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

@@ -4,6 +4,8 @@ Galerkin resolution sweep, and the continuous-dependence twin run."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,19 +34,11 @@ from .meanstate import heat_flux, mean_gradient, profile_l2
 from .velocity import solve_velocity, velocity_symbols  # noqa: F401
 
 
-def _h2h_symbols(grid: Grid) -> list[np.ndarray]:
+@lru_cache(maxsize=32)
+def _h2h_symbols(grid: Grid) -> tuple[np.ndarray, ...]:
     """|symbols| mapping the temperature difference to lap_h of (u, v, w)."""
     kh2 = _lattice(grid.nx, grid.ny, grid.nz).kh2
-    return [kh2 * np.abs(m) for m in velocity_symbols(grid)[:3]]
-
-
-def _h2h_velocity_error(diff: SpectralField) -> float:
-    """||lap_h(u_e - u)||_2 + ||lap_h(v_e - v)||_2 + ||lap_h(w_e - w)||_2,
-    computed spectrally from the temperature difference."""
-    c2 = np.abs(diff.coeffs) ** 2
-    return float(sum(
-        np.sqrt(parseval_sum(diff.grid, m**2 * c2)) for m in _h2h_symbols(diff.grid)
-    ))
+    return tuple(kh2 * np.abs(m) for m in velocity_symbols(grid)[:3])
 
 
 def h2h_bound_constant(grid: Grid) -> float:
@@ -59,35 +53,64 @@ def _rms_h_sup(values: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.mean(values**2, axis=(0, 1)))))
 
 
-def mean_h1_error_and_bound(
-    state_eps: SimState, state_ref: SimState
-) -> tuple[float, float]:
-    """Hdot1(0,2pi) error of the mean-temperature profile and its
-    Cauchy-Schwarz bound in terms of the L2 temperature error.
+def _physical_mean_gradient(theta: SpectralField):
+    """theta and w in physical space, from one inverse transform, and the
+    mean temperature gradient profile of their heat flux."""
+    mw = velocity_symbols(theta.grid)[2]
+    theta_p, w_p = inverse_transform_batch(theta, [(), (mw,)])
+    return theta_p, w_p, mean_gradient(heat_flux(theta_p, w_p))
 
-    Every step of the bound is an exact inequality on grid samples, so the
-    measured error can exceed the bound only by rounding.
+
+class _Reference(NamedTuple):
+    """What every member's errors at one sample need of the reference sample."""
+
+    theta: SpectralField
+    dtheta_dz: np.ndarray  # mean temperature gradient profile
+    theta_rms_sup: float  # sup over z of rms_h(theta)
+
+
+def _sweep_reference(theta: SpectralField) -> _Reference:
+    """The reference part of `_sweep_errors`: one inverse transform of
+    (theta, w), run once per reference sample whatever the number of members."""
+    theta_p, _, dtz = _physical_mean_gradient(theta)
+    return _Reference(theta, dtz, _rms_h_sup(theta_p.values))
+
+
+def _sweep_errors(theta: SpectralField, ref: _Reference):
+    """(L2 error, H2h velocity error, mean-profile Hdot1 error, its bound) of
+    one member sample against the reference part of its reference sample; an
+    identically zero difference has zero errors and zero bounds.
+
+    A nonzero difference costs one inverse transform, of the member's
+    (theta, w).  The H2h velocity error and ||w_e - w||_2 are weighted Parseval
+    sums of one |difference|^2 array: on grid samples Parseval is exact, so
+    ||w_e - w||_2 is the collocation norm the bound needs.  Every step of the
+    Hdot1 bound is an exact inequality on grid samples, so the measured error
+    can exceed the bound only by rounding.
     """
-    grid = state_eps.theta.grid
-    mw = velocity_symbols(grid)[2]
-    theta_eps_p, w_eps_p = inverse_transform_batch(state_eps.theta, [(), (mw,)])
-    theta_ref_p, w_ref_p = inverse_transform_batch(state_ref.theta, [(), (mw,)])
-    err = profile_l2(
-        mean_gradient(heat_flux(theta_eps_p, w_eps_p))
-        - mean_gradient(heat_flux(theta_ref_p, w_ref_p))
-    )
-
-    diff = SpectralField(grid, state_eps.theta.coeffs - state_ref.theta.coeffs)
-    theta_l2 = spectral_l2(diff)
-    (w_diff,) = inverse_transform_batch(diff, [(mw,)])
-    w_diff_l2 = float(np.sqrt(np.sum(w_diff.values**2) * grid.cell_volume))
+    grid = theta.grid
+    diff = SpectralField._wrap(grid, theta.coeffs - ref.theta.coeffs)
+    d_l2 = spectral_l2(diff)
+    if d_l2 == 0.0:
+        return 0.0, 0.0, 0.0, 0.0
+    c2 = np.abs(diff.coeffs) ** 2
+    vel_h2 = float(sum(np.sqrt(parseval_sum(grid, m**2 * c2)) for m in _h2h_symbols(grid)))
+    w_diff_l2 = np.sqrt(parseval_sum(grid, velocity_symbols(grid)[2] ** 2 * c2))
+    _, w_p, dtz = _physical_mean_gradient(theta)
+    err = profile_l2(dtz - ref.dtheta_dz)
     # |mean_h(D w_e)| <= rms_h(D) rms_h(w_e) level-wise; sum over z and pull
     # out the sup_z factor
-    bound = (
-        _rms_h_sup(w_eps_p.values) * theta_l2
-        + _rms_h_sup(theta_ref_p.values) * w_diff_l2
-    ) / (2.0 * np.pi)
-    return err, bound
+    bound = (_rms_h_sup(w_p.values) * d_l2 + ref.theta_rms_sup * w_diff_l2) / (2.0 * np.pi)
+    return d_l2, vel_h2, err, float(bound)
+
+
+def mean_h1_error_and_bound(state_eps: SimState, state_ref: SimState) -> tuple[float, float]:
+    """Hdot1(0,2pi) error of the mean-temperature profile and its
+    Cauchy-Schwarz bound in terms of the L2 temperature error: `_sweep_errors`
+    against `_sweep_reference` of the reference state.  The sweeps call the two
+    parts directly, so that the reference part runs once per reference sample.
+    """
+    return _sweep_errors(state_eps.theta, _sweep_reference(state_ref.theta))[2:]
 
 
 @dataclass
@@ -122,42 +145,35 @@ def _fit_slope(params, errors):
     return slope, 0.0
 
 
-def _stream(configs, theta0s, measure):
-    """Run the first member as the reference and store its samples, then run
-    every other member sample by sample against them, all on one time step:
-    the configured dt or, under "auto", the members' smallest CFL step at t = 0.
+def _stream(configs, theta0s, reference, measure):
+    """Run the first member as the reference, then every other member sample
+    by sample against it, all on one time step: the configured dt or, under
+    "auto", the members' smallest CFL step at t = 0.
 
-    Returns the reference samples and, per member, measure(member sample,
-    reference sample) at every sample.  Each member sample is dropped once it
-    is measured and stepped, so no member trajectory is ever stored.
+    Returns the reference sample times, `reference(theta)` of each reference
+    sample (run once per sample and stored in its place) and, per member,
+    `measure(member theta, stored part)` at every sample.  Each member sample
+    is dropped once it is measured and stepped, so no trajectory is stored.
     """
     dt = configs[0].dt
     if dt == "auto":
         dt = min(cfl_dt(SimState(0.0, theta0), cfg.safety, cfg)
                  for cfg, theta0 in zip(configs, theta0s))
-    ref = list(samples(replace(configs[0], dt=dt), theta0s[0]))
+    times, refs = [], []
+    for s in samples(replace(configs[0], dt=dt), theta0s[0]):
+        times.append(s.t)
+        refs.append(reference(s.theta))
     members = (samples(replace(cfg, dt=dt), theta0)
                for cfg, theta0 in zip(configs[1:], theta0s[1:]))
-    return ref, [[measure(s_m, s_ref) for s_m, s_ref in zip(member, ref)]
-                 for member in members]
+    return times, refs, [[measure(s.theta, r) for s, r in zip(member, refs)]
+                         for member in members]
 
 
-def _sweep_errors(s_m: SimState, s_ref: SimState):
-    """(L2 error, H2h velocity error, mean-profile Hdot1 error, its bound) of
-    one member sample; an identically zero difference has zero errors and
-    zero bounds."""
-    diff = SpectralField(s_ref.theta.grid, s_m.theta.coeffs - s_ref.theta.coeffs)
-    d_l2 = spectral_l2(diff)
-    if d_l2 == 0.0:
-        return 0.0, 0.0, 0.0, 0.0
-    return (d_l2, _h2h_velocity_error(diff), *mean_h1_error_and_bound(s_m, s_ref))
-
-
-def _compare(parameters, ref: list[SimState], rows) -> SweepResult:
+def _compare(parameters, times, refs: list[_Reference], rows) -> SweepResult:
     """Sweep result from each member's `_sweep_errors` rows.  Samples with an
     identically zero difference enter the errors and the per-time series only,
     not the worst excess over the a priori error bounds."""
-    vel_const = h2h_bound_constant(ref[0].theta.grid)
+    vel_const = h2h_bound_constant(refs[0].theta.grid)
     cols = [list(zip(*row)) for row in rows]
     nonzero = [sample for row in rows for sample in row if sample[0] > 0.0]
     err_l2 = [max(l2) for l2, _, _, _ in cols]
@@ -169,7 +185,7 @@ def _compare(parameters, ref: list[SimState], rows) -> SweepResult:
         err_vel_h2=[max(vel) for _, vel, _, _ in cols],
         slope=slope,
         slope_ci=ci,
-        times=[s.t for s in ref],
+        times=times,
         per_time_l2=[list(l2) for l2, _, _, _ in cols],
         max_vel_excess=max((v - vel_const * l2 for l2, v, _, _ in nonzero), default=-np.inf),
         max_mean_excess=max((h1 - bound for _, _, h1, bound in nonzero), default=-np.inf),
@@ -202,7 +218,7 @@ def sweep_epsilon(
                        for eps in eps_list]
 
     configs = [replace(base, epsilon=eps) for eps in [0.0] + eps_list]
-    return _compare(eps_list, *_stream(configs, theta0s, _sweep_errors))
+    return _compare(eps_list, *_stream(configs, theta0s, _sweep_reference, _sweep_errors))
 
 
 def sweep_resolution(base: SimConfig, mode_counts) -> SweepResult:
@@ -213,9 +229,10 @@ def sweep_resolution(base: SimConfig, mode_counts) -> SweepResult:
     # the finest truncation is the reference: it runs first, and its stored
     # samples stand in for its own member row, the last one
     configs = [replace(base, mode_cap=int(m)) for m in mode_counts[-1:] + mode_counts[:-1]]
-    ref, rows = _stream(configs, [initial_state(c) for c in configs], _sweep_errors)
-    rows.append([_sweep_errors(s, s) for s in ref])
-    return _compare([float(m) for m in mode_counts], ref, rows)
+    times, refs, rows = _stream(configs, [initial_state(c) for c in configs],
+                                _sweep_reference, _sweep_errors)
+    rows.append([_sweep_errors(r.theta, r) for r in refs])
+    return _compare([float(m) for m in mode_counts], times, refs, rows)
 
 
 @dataclass
@@ -248,9 +265,8 @@ def twin_run(
     theta0s = [theta0] + [
         SpectralField(base.grid, theta0.coeffs + a * pert.coeffs) for a in amps
     ]
-    ref, rows = _stream([base] * len(theta0s), theta0s, _separation)
+    times, _, rows = _stream([base] * len(theta0s), theta0s, lambda theta: theta, _separation)
     errs, duals = (list(col) for col in zip(*rows[0]))
-    times = [s.t for s in ref]
     t = np.asarray(times)
     y = np.log(np.maximum(np.asarray(errs), 1e-300))
     rate = float(np.polyfit(t, y, 1)[0]) if t.size > 1 else 0.0
@@ -270,9 +286,9 @@ def twin_run(
     )
 
 
-def _separation(s_p: SimState, s_r: SimState) -> tuple[float, float]:
+def _separation(theta_p: SpectralField, theta_r: SpectralField) -> tuple[float, float]:
     """L2 and dual norm of the difference of two states."""
-    diff = SpectralField(s_r.theta.grid, s_p.theta.coeffs - s_r.theta.coeffs)
+    diff = SpectralField(theta_r.grid, theta_p.coeffs - theta_r.coeffs)
     return spectral_l2(diff), dual_norm(diff)
 
 

@@ -219,16 +219,11 @@ def inverse_transform_batch(F: SpectralField, chains) -> list[PhysicalField]:
     return [PhysicalField._wrap(F.grid, v) for v in to_physical(stack)]
 
 
-def apply_symbol(F: SpectralField, symbol) -> SpectralField:
-    """Multiply coefficients by a diagonal symbol sigma(k).
-
-    `symbol` is either an ndarray broadcastable to the half lattice or a
-    callable of the integer wavenumber arrays (kx, ky, kz).  A product that
-    breaks reality on the kz = 0 or kz = nz/2 plane is rejected.
+def apply_symbol(F: SpectralField, symbol: np.ndarray) -> SpectralField:
+    """Multiply coefficients by a diagonal symbol sigma(k), an array
+    broadcastable to the half lattice (build it from `Grid.wavenumbers`).  A
+    product that breaks reality on the kz = 0 or kz = nz/2 plane is rejected.
     """
-    if callable(symbol):
-        kx, ky, kz = F.grid.wavenumbers()
-        symbol = symbol(kx, ky, kz)
     return SpectralField(F.grid, np.asarray(symbol, dtype=np.complex128) * F.coeffs)
 
 
@@ -248,12 +243,6 @@ def horizontal_power_symbol(grid: Grid, s: float) -> np.ndarray:
     kh2 = _lattice(grid.nx, grid.ny, grid.nz).kh2
     with np.errstate(divide="ignore"):
         return np.broadcast_to(np.where(kh2 > 0, kh2 ** float(s), 0.0), grid.spectral_shape)
-
-
-def vertical_bessel_symbol(grid: Grid, s: float) -> np.ndarray:
-    """Symbol of (I - d^2/dz^2)^s."""
-    kz = _lattice(grid.nx, grid.ny, grid.nz).kz.astype(np.float64)
-    return np.broadcast_to((1.0 + kz**2) ** float(s), grid.spectral_shape)
 
 
 def dealias(F: SpectralField) -> SpectralField:
@@ -307,15 +296,3 @@ def parseval_sum(grid: Grid, density: np.ndarray) -> float:
 def spectral_l2(F: SpectralField) -> float:
     """L^2 norm via Parseval."""
     return float(np.sqrt(parseval_sum(F.grid, np.abs(F.coeffs) ** 2)))
-
-
-def aniso_norm(F: SpectralField, a: float, b: float, p: float) -> float:
-    """|| (I - d_zz)^a A^b F ||_p, the anisotropic fractional norm."""
-    if b != 0.0 and not F.has_zero_horizontal_mean(tol=1e-10):
-        raise ValueError("A-power requires a zero-horizontal-mean field")
-    out = F
-    if a != 0.0:
-        out = apply_symbol(out, vertical_bessel_symbol(F.grid, a))
-    if b != 0.0:
-        out = apply_symbol(out, horizontal_power_symbol(F.grid, b))
-    return lp_norm(inverse_transform(out), p)

@@ -53,13 +53,23 @@ def test_load_config_converts_mode_and_band_to_tuples(tmp_path):
     assert initial.mode == (1, 2, 3) and initial.band == (2, 5)
 
 
-@pytest.mark.parametrize("section, key", [(None, "epsion"), ("initial", "sed")])
+@pytest.mark.parametrize("section, key", [(None, "epsion"), ("initial", "sed"), ("grid", "nw")])
 def test_load_config_rejects_unknown_keys(tmp_path, config_path, section, key):
     cfg = json.loads(config_path.read_text())
     (cfg[section] if section else cfg)[key] = 0.5
     path = tmp_path / "typo.json"
     path.write_text(json.dumps(cfg))
     with pytest.raises(ValueError, match=key):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section, key", [(None, "grid"), ("grid", "nz")])
+def test_load_config_rejects_missing_keys(tmp_path, config_path, section, key):
+    cfg = json.loads(config_path.read_text())
+    del (cfg[section] if section else cfg)[key]
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=f"missing .* key.*: {key}"):
         load_config(path)
 
 

@@ -19,12 +19,14 @@ from rotconv.grid import (
     Grid,
     PhysicalField,
     SpectralField,
+    dealias,
     forward_transform,
     inverse_transform,
     lp_norm,
     spectral_l2,
 )
 
+from conftest import random_band_limited
 
 
 def single_mode_config(grid, amplitude=1.0, **kw):
@@ -45,6 +47,16 @@ def test_config_validation(grid16):
 def test_config_rejects_bad_dt(grid16, dt):
     with pytest.raises(ValueError, match="dt must be"):
         SimConfig(grid=grid16, dt=dt)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", -1.0), ("epsilon", True),
+    ("t_end", float("nan")), ("t_end", float("inf")), ("t_end", -0.5), ("t_end", "1"),
+    ("diagnostics_every", 2.5), ("diagnostics_every", 0), ("diagnostics_every", True),
+])
+def test_config_rejects_bad_epsilon_t_end_and_cadence(grid16, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        SimConfig(grid=grid16, **{field: value})
 
 
 @pytest.mark.parametrize("mode_cap", [0, -1, 9, 2.5, True])
@@ -115,6 +127,25 @@ def test_one_step_fourth_order(grid32):
     err_half = np.max(np.abs(advance(dt / 2.0, 2) - ref))
     ratio = err_full / err_half
     assert 16.0 * 0.8 <= ratio <= 16.0 * 1.2
+
+
+def test_rk4_step_is_rk4_on_the_public_tendency(grid16):
+    # classical RK4 and `tendency` share one definition of the full right-hand
+    # side, eps^2 lap_h theta' included, to the last bit
+    eps, dt = 0.2, 0.05
+    config = SimConfig(grid=grid16, epsilon=eps, integrator="rk4")
+    c = dealias(random_band_limited(grid16, 4)).coeffs
+
+    def k(x):
+        return tendency(SpectralField(grid16, x), eps).coeffs
+
+    k1 = k(c)
+    k2 = k(c + 0.5 * dt * k1)
+    k3 = k(c + 0.5 * dt * k2)
+    k4 = k(c + dt * k3)
+    expected = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    got = step(SimState(0.0, SpectralField(grid16, c)), dt, config).theta.coeffs
+    assert np.array_equal(got, expected)
 
 
 def test_step_rejects_bad_dt(grid16):

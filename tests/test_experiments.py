@@ -8,6 +8,8 @@ import rotconv.evolution
 import rotconv.experiments
 from rotconv.evolution import InitialSpec, SimConfig, build_initial, cfl_dt, samples
 from rotconv.experiments import (
+    _sweep_errors,
+    _sweep_reference,
     h2h_bound_constant,
     mean_h1_error_and_bound,
     sweep_epsilon,
@@ -155,6 +157,17 @@ def test_mean_h1_bound_is_at_most_three_inverse_transforms(grid16, to_physical_c
     to_physical_calls.clear()
     mean_h1_error_and_bound(a, b)
     assert len(to_physical_calls) <= 3
+
+
+def test_member_sample_is_one_inverse_transform(grid16, to_physical_calls):
+    # the reference part runs once per reference sample; each member sample
+    # with a nonzero difference then costs one batched inverse, of its (theta, w)
+    ref = _sweep_reference(random_band_limited(grid16, 22, kmax=4))
+    theta = random_band_limited(grid16, 21, kmax=4)
+    to_physical_calls.clear()
+    errors = _sweep_errors(theta, ref)
+    assert len(to_physical_calls) == 1
+    assert errors[0] > 0.0
 
 
 def test_mean_h1_bound_on_random_states(grid16):
