@@ -29,23 +29,17 @@ def load_config(path) -> SimConfig:
     init_raw, grid_raw = raw.get("initial", {}), raw.get("grid", {})
     for section, keys, cls in (("top-level", raw, SimConfig), ("initial", init_raw, InitialSpec),
                                ("grid", grid_raw, Grid)):
+        if not isinstance(keys, dict):
+            raise ValueError(f"{section} config must be a JSON object, got {keys!r}")
         known = fields(cls)
         if unknown := sorted(set(keys) - {f.name for f in known}):
             raise ValueError(f"unknown {section} config key(s): {', '.join(unknown)}")
         if missing := [f.name for f in known if f.name not in keys
                        and f.default is MISSING and f.default_factory is MISSING]:
             raise ValueError(f"missing {section} config key(s): {', '.join(missing)}")
-    initial = InitialSpec(**{k: tuple(v) if k in ("mode", "band") else v
+    initial = InitialSpec(**{k: tuple(v) if k in ("mode", "band") and isinstance(v, list) else v
                              for k, v in init_raw.items()})
     return SimConfig(**{**raw, "grid": Grid(**grid_raw), "initial": initial})
-
-
-def config_echo(config: SimConfig) -> dict:
-    d = asdict(config)
-    d["grid"] = {"nx": config.grid.nx, "ny": config.grid.ny, "nz": config.grid.nz}
-    d["initial"]["mode"] = list(config.initial.mode)
-    d["initial"]["band"] = list(config.initial.band)
-    return d
 
 
 def cmd_run(args) -> int:
@@ -100,7 +94,7 @@ def cmd_sweep_epsilon(args) -> int:
     eps = [float(s) for s in args.eps.split(",")]
     mode = {"matched": "matched", "scaled": "eps-scaled"}[args.mode]
     result = sweep_epsilon(config, eps, mode)
-    write_sweep_outputs(args.out, result, config_echo(config), "epsilon")
+    write_sweep_outputs(args.out, result, asdict(config), "epsilon")
     print(f"epsilon sweep done, slope = {result.slope}")
     return 0
 
@@ -112,7 +106,7 @@ def cmd_sweep_resolution(args) -> int:
     config = load_config(args.config)
     modes = [int(s) for s in args.modes.split(",")]
     result = sweep_resolution(config, modes)
-    write_sweep_outputs(args.out, result, config_echo(config), "modes")
+    write_sweep_outputs(args.out, result, asdict(config), "modes")
     print("resolution sweep done")
     return 0
 
@@ -132,7 +126,7 @@ def cmd_twin(args) -> int:
         "fitted_rate": report.fitted_rate,
         "response_ratio": report.response_ratio,
         "in_linear_regime": report.in_linear_regime,
-        "config": config_echo(config),
+        "config": asdict(config),
     }
     (out / "twin.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"twin run done, fitted rate = {report.fitted_rate:.6g}")

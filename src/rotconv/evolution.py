@@ -47,6 +47,17 @@ class BlowUpError(RuntimeError):
         self.last_state = last_state
 
 
+def _is_number(x, kind=numbers.Real) -> bool:
+    """x is an instance of `kind` and not a bool."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
+def _is_ints(x, n: int) -> bool:
+    """x is a tuple of n integers."""
+    return isinstance(x, tuple) and len(x) == n and all(
+        _is_number(k, numbers.Integral) for k in x)
+
+
 @dataclass(frozen=True)
 class InitialSpec:
     """Initial temperature fluctuation.
@@ -62,10 +73,23 @@ class InitialSpec:
     band: tuple[int, int] = (1, 6)
     seed: int = 0
 
-
-def _is_number(x, kind=numbers.Real) -> bool:
-    """x is an instance of `kind` and not a bool."""
-    return isinstance(x, kind) and not isinstance(x, bool)
+    def __post_init__(self):
+        if self.kind not in ("analytic-single-mode", "random-band-limited"):
+            raise ValueError(f"unknown initial kind {self.kind!r}")
+        # a mode with k1 = k2 = 0 lies in the horizontal-mean sector, which is
+        # projected out: the run would start from zero
+        if not (_is_ints(self.mode, 3) and self.mode[:2] != (0, 0)):
+            raise ValueError("initial mode must be a tuple of three integers (k1, k2, k3)"
+                             f" with k1 or k2 nonzero, got {self.mode!r}")
+        if not (_is_ints(self.band, 2) and 0 <= self.band[0] <= self.band[1]):
+            raise ValueError("initial band must be a tuple of two integers"
+                             f" 0 <= kmin <= kmax, got {self.band!r}")
+        if not (_is_number(self.amplitude) and self.amplitude != 0
+                and math.isfinite(self.amplitude)):
+            raise ValueError("initial amplitude must be a nonzero finite number,"
+                             f" got {self.amplitude!r}")
+        if not (_is_number(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"initial seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +118,8 @@ class SimConfig:
                              f" got {self.diagnostics_every!r}")
         if self.dt != "auto" and not (_is_number(self.dt) and 0 < self.dt < math.inf):
             raise ValueError(f'dt must be "auto" or a positive finite number, got {self.dt!r}')
+        if not (_is_number(self.safety) and 0 < self.safety <= 1):
+            raise ValueError(f"safety must be a number in (0, 1], got {self.safety!r}")
         cap_max = max(self.grid.shape) // 2
         if self.mode_cap is not None and not (
             _is_number(self.mode_cap, numbers.Integral) and 1 <= self.mode_cap <= cap_max
@@ -165,12 +191,12 @@ def _rhs(c: np.ndarray, eps: float, ws: _Workspace) -> np.ndarray:
     return out
 
 
-def tendency(theta: SpectralField, epsilon: float, dealias: bool = True) -> SpectralField:
-    """Full spectral tendency of the evolution equation."""
+def tendency(theta: SpectralField, epsilon: float) -> SpectralField:
+    """Full spectral tendency of the evolution equation, under the 2/3 rule."""
     if not theta.has_zero_horizontal_mean(tol=1e-10):
         raise ValueError("tendency requires a zero-horizontal-mean field")
     return SpectralField._wrap(theta.grid, _rhs(theta.coeffs, epsilon,
-                                                _workspace(theta.grid, dealias, None)))
+                                                _workspace(theta.grid, True, None)))
 
 
 def _rk4_step(c: np.ndarray, dt: float, eps: float, ws: _Workspace):
@@ -240,22 +266,22 @@ def build_initial(grid: Grid, spec: InitialSpec, dealias_field: bool = True) -> 
         k1, k2, k3 = spec.mode
         values = spec.amplitude * np.sin(k1 * X + k2 * Y + k3 * Z)
         F = forward_transform(PhysicalField(grid, values))
-    elif spec.kind == "random-band-limited":
+    else:
         rng = np.random.default_rng(spec.seed)
         F = forward_transform(PhysicalField(grid, rng.standard_normal(grid.shape)))
         kx, ky, kz = grid.wavenumbers()
         kmax_abs = np.maximum(np.maximum(np.abs(kx), np.abs(ky)), np.abs(kz))
         band = (kmax_abs >= spec.band[0]) & (kmax_abs <= spec.band[1])
         F = SpectralField(grid, np.where(band, F.coeffs, 0.0))
-    else:
-        raise ValueError(f"unknown initial kind {spec.kind!r}")
     F = project_zero_horizontal_mean(F)
     if dealias_field:
         F = dealias_op(F)
     if spec.kind == "random-band-limited":
         l6 = lp_norm(inverse_transform(F), 6.0)
-        if l6 > 0:
-            F = SpectralField(grid, F.coeffs * (spec.amplitude / l6))
+        if l6 == 0:
+            raise ValueError(f"initial band {spec.band!r} keeps no mode of the"
+                             f" {grid.shape} grid outside the horizontal-mean sector")
+        F = SpectralField(grid, F.coeffs * (spec.amplitude / l6))
     return F
 
 

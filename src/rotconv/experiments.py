@@ -241,7 +241,7 @@ class TwinRunReport:
     err_l2: list[float]
     err_dual: list[float]
     fitted_rate: float
-    response_ratio: float | None
+    response_ratio: float
     in_linear_regime: bool
 
 
@@ -249,21 +249,19 @@ def twin_run(
     base: SimConfig,
     delta_amp: float,
     delta_mode: tuple[int, int, int] = (1, 1, 1),
-    check_linearity: bool = True,
 ) -> TwinRunReport:
     """Continuous dependence: evolve a base state and a perturbed twin.
 
-    Fits the exponential separation rate and, when `check_linearity`, verifies
-    that halving the perturbation roughly halves the response.
+    Fits the exponential separation rate and verifies that halving the
+    perturbation roughly halves the response.
     """
     if delta_mode[0] == 0 and delta_mode[1] == 0:
         raise ValueError("perturbation must have zero horizontal mean")
 
     pert = _perturbation_field(base.grid, delta_mode, delta_amp)
     theta0 = initial_state(base)
-    amps = (1.0, 0.5) if check_linearity else (1.0,)
     theta0s = [theta0] + [
-        SpectralField(base.grid, theta0.coeffs + a * pert.coeffs) for a in amps
+        SpectralField(base.grid, theta0.coeffs + a * pert.coeffs) for a in (1.0, 0.5)
     ]
     times, _, rows = _stream([base] * len(theta0s), theta0s, lambda theta: theta, _separation)
     errs, duals = (list(col) for col in zip(*rows[0]))
@@ -271,18 +269,14 @@ def twin_run(
     y = np.log(np.maximum(np.asarray(errs), 1e-300))
     rate = float(np.polyfit(t, y, 1)[0]) if t.size > 1 else 0.0
 
-    response_ratio = None
-    in_regime = True
-    if check_linearity:
-        response_ratio = max(l2 for l2, _ in rows[1]) / max(max(errs), 1e-300)
-        in_regime = 0.3 <= response_ratio <= 0.7
+    response_ratio = max(l2 for l2, _ in rows[1]) / max(max(errs), 1e-300)
     return TwinRunReport(
         times=times,
         err_l2=errs,
         err_dual=duals,
         fitted_rate=rate,
         response_ratio=response_ratio,
-        in_linear_regime=in_regime,
+        in_linear_regime=0.3 <= response_ratio <= 0.7,
     )
 
 

@@ -149,25 +149,6 @@ def integrated_budget_residual(times, l2_series, diss_total) -> float:
 
 
 @dataclass(frozen=True)
-class EnvelopeCalibration:
-    """Gronwall rate constants calibrated from the initial sample."""
-
-    c_l3: float
-    c_l6: float
-    c_grad: float
-
-
-def calibrate(report0: InvariantReport) -> EnvelopeCalibration:
-    r = report0.ratios
-    return EnvelopeCalibration(
-        c_l3=max(r.get("ratio_417", 1.0), 1.0) ** 2,
-        c_l6=max(r.get("ratio_426", 1.0), 1.0) ** 2,
-        c_grad=max(r.get("ratio_56", 1.0), 1.0)
-        + max(r.get("ratio_58", 1.0), 1.0) ** 2,
-    )
-
-
-@dataclass(frozen=True)
 class EnvelopeSeries:
     env_l3: np.ndarray  # bounds on l3^3
     env_l6: np.ndarray  # bounds on l6^6
@@ -183,32 +164,31 @@ def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def gronwall_envelopes(
-    reports: list[InvariantReport],
-    calibration: EnvelopeCalibration | None = None,
-    slack: float = 10.0,
-) -> EnvelopeSeries:
+def gronwall_envelopes(reports: list[InvariantReport], slack: float = 10.0) -> EnvelopeSeries:
     """Growth envelopes for the L3, L6 and gradient-L3 norms.
 
     Envelope form: norm0^q * (1 + slack * expm1(rate integral)); slack = 1
     recovers the plain exponential bound, slack = 0 pins the envelope at the
-    initial value (negative control: any growth fails).
+    initial value (negative control: any growth fails).  The rate constants
+    are calibrated from the embedding ratios of the first sample.
     """
     if not reports:
         raise ValueError("empty report series")
-    if calibration is None:
-        calibration = calibrate(reports[0])
+    r0 = reports[0].ratios
+    c_l3 = max(r0.get("ratio_417", 1.0), 1.0) ** 2
+    c_l6 = max(r0.get("ratio_426", 1.0), 1.0) ** 2
+    c_grad = max(r0.get("ratio_56", 1.0), 1.0) + max(r0.get("ratio_58", 1.0), 1.0) ** 2
     t = np.array([r.t for r in reports])
     l2 = np.array([r.l2 for r in reports])
     l3 = np.array([r.l3 for r in reports])
     l6 = np.array([r.l6 for r in reports])
     g3 = np.array([r.grad_l3 for r in reports])
 
-    x3 = calibration.c_l3 * l2[0] ** 2 * t
+    x3 = c_l3 * l2[0] ** 2 * t
     env3 = l3[0] ** 3 * (1.0 + slack * np.expm1(x3))
-    x6 = calibration.c_l6 * _cumtrapz(l3**2, t)
+    x6 = c_l6 * _cumtrapz(l3**2, t)
     env6 = l6[0] ** 6 * (1.0 + slack * np.expm1(x6))
-    xg = calibration.c_grad * _cumtrapz(l6**2 + 1.0, t)
+    xg = c_grad * _cumtrapz(l6**2 + 1.0, t)
     envg = g3[0] ** 3 * (1.0 + slack * np.expm1(xg))
 
     tol = 1e-12

@@ -42,11 +42,11 @@ def mean_gradient(flux: np.ndarray) -> np.ndarray:
     return flux - np.mean(flux)
 
 
-def reconstruct_mean(dtheta_dz: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def reconstruct_mean(dtheta_dz: np.ndarray) -> np.ndarray:
     """Spectral antiderivative in z with zero-mean gauge."""
     g = np.asarray(dtheta_dz, dtype=np.float64)
     nz = g.size
-    if abs(np.mean(g)) * TWO_PI > tol * max(np.max(np.abs(g)), 1.0):
+    if abs(np.mean(g)) * TWO_PI > 1e-10 * max(np.max(np.abs(g)), 1.0):
         raise ValueError("mean gradient must integrate to zero over a period")
     ghat = sfft.rfft(g)
     k = np.arange(ghat.size, dtype=np.float64)

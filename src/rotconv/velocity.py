@@ -12,7 +12,6 @@ with the horizontal-mean sector (k1 = k2 = 0) excluded throughout.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -174,22 +173,16 @@ def lattice_sup(spec: MultiplierSpec, K: int) -> float:
     )
 
 
-def empirical_lp_ratio(
-    spec: MultiplierSpec,
-    p: float,
-    trials: int,
-    seed: int,
-    grid: Grid | None = None,
-) -> float:
-    """Max of ||m f||_p / ||f||_p over seeded random band-limited fields.
+def empirical_lp_ratio(spec: MultiplierSpec, p: float, trials: int, seed: int) -> float:
+    """Max of ||m f||_p / ||f||_p over seeded random band-limited fields on
+    the 32^3 grid.
 
     A numerical lower bound for the multiplier's L^p operator norm; reported
     for regression tracking, nothing is asserted about tightness.
     """
     if not (1.0 < p < np.inf):
         raise ValueError(f"p must lie in (1, inf), got {p}")
-    if grid is None:
-        grid = Grid(32, 32, 32)
+    grid = Grid(32, 32, 32)
     rng = np.random.default_rng(seed)
     sym = multiplier_array(spec, grid)
     best = 0.0
@@ -248,17 +241,3 @@ CATALOG: tuple[CatalogEntry, ...] = (
     ),
 )
 
-
-def catalog_json() -> str:
-    entries = [
-        {
-            "name": e.name,
-            "a": str(e.spec.a),
-            "b": str(e.spec.b),
-            "c": str(e.spec.c),
-            "d": str(e.spec.d),
-            "source_anchor": e.source_anchor,
-        }
-        for e in CATALOG
-    ]
-    return json.dumps({"entries": entries}, indent=2)

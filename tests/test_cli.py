@@ -53,7 +53,9 @@ def test_load_config_converts_mode_and_band_to_tuples(tmp_path):
     assert initial.mode == (1, 2, 3) and initial.band == (2, 5)
 
 
-@pytest.mark.parametrize("section, key", [(None, "epsion"), ("initial", "sed"), ("grid", "nw")])
+# the last two set a whole section to 0.5, which is not a JSON object
+@pytest.mark.parametrize("section, key", [(None, "epsion"), ("initial", "sed"), ("grid", "nw"),
+                                          (None, "grid"), (None, "initial")])
 def test_load_config_rejects_unknown_keys(tmp_path, config_path, section, key):
     cfg = json.loads(config_path.read_text())
     (cfg[section] if section else cfg)[key] = 0.5
@@ -141,4 +143,15 @@ def test_load_config_rejects_non_auto_dt_string(tmp_path, config_path):
     path = tmp_path / "fast.json"
     path.write_text(json.dumps(cfg))
     with pytest.raises(ValueError, match="dt must be"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("key, value", [("mode", 5), ("band", [6, 1]),
+                                        ("amplitude", float("nan")), ("seed", -1)])
+def test_load_config_rejects_bad_initial_values(tmp_path, config_path, key, value):
+    cfg = json.loads(config_path.read_text())
+    cfg["initial"][key] = value
+    path = tmp_path / "bad_initial.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=f"initial {key}"):
         load_config(path)

@@ -53,6 +53,8 @@ def test_config_rejects_bad_dt(grid16, dt):
     ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", -1.0), ("epsilon", True),
     ("t_end", float("nan")), ("t_end", float("inf")), ("t_end", -0.5), ("t_end", "1"),
     ("diagnostics_every", 2.5), ("diagnostics_every", 0), ("diagnostics_every", True),
+    ("safety", 0.0), ("safety", 1.5), ("safety", -0.5), ("safety", float("nan")),
+    ("safety", "0.5"),
 ])
 def test_config_rejects_bad_epsilon_t_end_and_cadence(grid16, field, value):
     with pytest.raises(ValueError, match=f"{field} must be"):
@@ -303,5 +305,24 @@ def test_initial_spec_normalization(grid32):
     kmag = np.maximum(np.maximum(np.abs(kx), np.abs(ky)), np.abs(kz))
     outside = (kmag < 2) | (kmag > 5)
     assert np.max(np.abs(np.where(outside, F.coeffs, 0.0))) == 0.0
-    with pytest.raises(ValueError):
-        build_initial(grid32, InitialSpec(kind="bogus"), True)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kind", "bogus"),
+    ("mode", (1, 2)), ("mode", (1, 2, 3, 4)), ("mode", (1.0, 0, 0)), ("mode", [1, 0, 0]),
+    ("mode", (0, 0, 3)), ("mode", 5),
+    ("band", (6, 1)), ("band", (-1, 4)), ("band", (1,)), ("band", (1, 4.5)),
+    ("amplitude", 0.0), ("amplitude", float("nan")), ("amplitude", float("inf")),
+    ("amplitude", "0.1"), ("amplitude", True),
+    ("seed", -1), ("seed", 1.5), ("seed", "3"), ("seed", True),
+])
+def test_initial_spec_rejects_bad_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        InitialSpec(**{field: value})
+
+
+@pytest.mark.parametrize("band", [(0, 0), (6, 8), (20, 30)])
+def test_build_initial_rejects_band_with_no_kept_mode(grid16, band):
+    # N = 16 keeps |k_i| <= 5 under the 2/3 rule; (0, 0) is the mean sector only
+    with pytest.raises(ValueError, match="band"):
+        build_initial(grid16, InitialSpec(band=band))

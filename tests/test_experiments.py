@@ -197,7 +197,7 @@ def test_sweep_resolution_monotone(grid32):
 
 
 def test_twin_zero_perturbation(grid16):
-    rep = twin_run(random_config(grid16, t_end=0.2), 0.0, check_linearity=False)
+    rep = twin_run(random_config(grid16, t_end=0.2), 0.0)
     assert max(rep.err_l2) == 0.0
     assert max(rep.err_dual) == 0.0
 

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from rotconv.grid import (
 from rotconv.velocity import (
     CATALOG,
     MultiplierSpec,
-    catalog_json,
     empirical_lp_ratio,
     hypothesis_check,
     lattice_sup,
@@ -183,12 +180,6 @@ def test_empirical_ratio_deterministic():
         empirical_lp_ratio(spec, 1.0, 5, 42)
 
 
-def test_catalog_hypotheses_and_export():
+def test_catalog_hypotheses():
     for entry in CATALOG:
         assert hypothesis_check(entry.spec), entry.name
-    doc = json.loads(catalog_json())
-    assert len(doc["entries"]) == len(CATALOG)
-    names = {e["name"] for e in doc["entries"]}
-    assert "w_velocity" in names
-    for e in doc["entries"]:
-        assert set(e) == {"name", "a", "b", "c", "d", "source_anchor"}
