@@ -26,6 +26,8 @@ from .velocity import (
 
 def load_config(path) -> SimConfig:
     raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError(f"top-level config must be a JSON object, got {raw!r}")
     init_raw, grid_raw = raw.get("initial", {}), raw.get("grid", {})
     for section, keys, cls in (("top-level", raw, SimConfig), ("initial", init_raw, InitialSpec),
                                ("grid", grid_raw, Grid)):

@@ -163,20 +163,34 @@ def _workspace(grid: Grid, dealias: bool, mode_cap: int | None) -> _Workspace:
                       mask, horizontal_laplacian_symbol(grid)[:, :, :1], drop)
 
 
+def _physical(sym: np.ndarray, c: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The real field of sym * c, transformed in `buf`."""
+    return to_physical(np.multiply(sym, c, out=buf))
+
+
 def _advective_rhs(c: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz."""
-    stack = np.empty((6,) + c.shape, dtype=np.complex128)
-    stack[0] = c
-    for out, sym in zip(stack[1:], (ws.mu, ws.mv, ws.mw, ws.ikx, ws.iky)):
-        np.multiply(sym, c, out=out)
-    theta_p, u_p, v_p, w_p, tx_p, ty_p = to_physical(stack)
-    # the products overwrite their first factors: flux from theta' w, then
-    # nl = u d_x theta' + v d_y theta' + w dtheta_bar/dz in u's buffer
+    """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz.
+
+    The six factors are inverse-transformed one at a time through one spectral
+    buffer and consumed as they arrive: the flux from theta' w, then
+    nl = (u d_x theta' + v d_y theta') + w dtheta_bar/dz.  At most five fields
+    are alive at once: the buffer, w, nl and the pair being multiplied.
+    """
+    buf = c.copy()
+    theta_p = to_physical(buf)
+    w_p = _physical(ws.mw, c, buf)
     flux = np.mean(np.multiply(theta_p, w_p, out=theta_p), axis=(0, 1))
+    del theta_p
     dtz = mean_gradient(flux)
-    nl = np.multiply(u_p, tx_p, out=u_p)
-    nl += np.multiply(v_p, ty_p, out=v_p)
-    nl += np.multiply(w_p, dtz, out=w_p)
+    nl = _physical(ws.mu, c, buf)
+    nl *= _physical(ws.ikx, c, buf)
+    v_p = _physical(ws.mv, c, buf)
+    v_p *= _physical(ws.iky, c, buf)
+    nl += v_p
+    del v_p
+    w_p *= dtz
+    nl += w_p
+    del w_p, buf
     out = to_spectral(nl)
     np.negative(out, out=out)
     np.copyto(out, 0.0, where=ws.drop)
@@ -200,27 +214,54 @@ def tendency(theta: SpectralField, epsilon: float) -> SpectralField:
 
 
 def _rk4_step(c: np.ndarray, dt: float, eps: float, ws: _Workspace):
-    k1 = _rhs(c, eps, ws)
-    k2 = _rhs(c + 0.5 * dt * k1, eps, ws)
-    k3 = _rhs(c + 0.5 * dt * k2, eps, ws)
-    k4 = _rhs(c + dt * k3, eps, ws)
-    return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """c + (dt/6) (k1 + 2 k2 + 2 k3 + k4), in that operation order.  The sum
+    grows in k1's buffer as each stage arrives, and the stage inputs share one
+    buffer."""
+    acc = _rhs(c, eps, ws)  # k1
+    x = np.multiply(0.5 * dt, acc)
+    x += c
+    for h in (0.5 * dt, dt):  # k2, then k3, each giving the next stage input c + h k
+        k = _rhs(x, eps, ws)
+        np.multiply(h, k, out=x)
+        x += c
+        k *= 2.0
+        acc += k
+        del k
+    acc += _rhs(x, eps, ws)  # k4
+    acc *= dt / 6.0
+    acc += c
+    return acc
 
 
 def _ifrk4_step(c: np.ndarray, dt: float, eps: float, ws: _Workspace):
-    # integrating factor for the diffusive term; RK4 on the advective remainder
+    """Integrating factor for the diffusive term, RK4 on the advective
+    remainder: e_full c + (dt/6) (e_full n1 + 2 e_half (n2 + n3) + n4), in that
+    operation order.  The stage inputs reuse n1's buffer, and the sum grows
+    in its own buffer as each stage arrives."""
     e_half = np.exp(0.5 * dt * eps**2 * ws.lap_h)  # one exp per horizontal mode
     e_full = e_half * e_half
-    n1 = _advective_rhs(c, ws)
-    u2 = e_half * (c + 0.5 * dt * n1)
-    n2 = _advective_rhs(u2, ws)
-    u3 = e_half * c + 0.5 * dt * n2
-    n3 = _advective_rhs(u3, ws)
-    u4 = e_full * c + dt * e_half * n3
-    n4 = _advective_rhs(u4, ws)
-    return e_full * c + (dt / 6.0) * (
-        e_full * n1 + 2.0 * e_half * (n2 + n3) + n4
-    )
+    x = _advective_rhs(c, ws)  # n1
+    acc = e_full * x
+    x *= 0.5 * dt
+    x += c
+    x *= e_half  # u2 = e_half (c + dt/2 n1)
+    n2 = _advective_rhs(x, ws)
+    np.multiply(e_half, c, out=x)
+    x += 0.5 * dt * n2  # u3 = e_half c + dt/2 n2
+    n3 = _advective_rhs(x, ws)
+    np.multiply(dt * e_half, n3, out=x)
+    n2 += n3
+    np.multiply(e_full, c, out=n3)
+    x += n3  # u4 = e_full c + dt e_half n3
+    del n3
+    n2 *= 2.0 * e_half
+    acc += n2
+    del n2
+    acc += _advective_rhs(x, ws)  # n4
+    acc *= dt / 6.0
+    np.multiply(e_full, c, out=x)
+    x += acc
+    return x
 
 
 def step(state: SimState, dt: float, config: SimConfig) -> SimState:
@@ -262,6 +303,11 @@ def cfl_dt(state: SimState, safety: float, config: SimConfig) -> float:
 def build_initial(grid: Grid, spec: InitialSpec, dealias_field: bool = True) -> SpectralField:
     """Construct the initial spectral state with zero horizontal mean."""
     if spec.kind == "analytic-single-mode":
+        # |k_i| >= n_i/2 vanishes on the grid or aliases; the 2/3 rule removes |k_i| > n_i/3
+        limits = [n // 3 if dealias_field else n // 2 - 1 for n in grid.shape]
+        if any(abs(k) > lim for k, lim in zip(spec.mode, limits)):
+            raise ValueError(f"initial mode {spec.mode!r} is not resolved on the {grid.shape} grid:"
+                             f" it needs |k_i| <= {tuple(limits)}")
         X, Y, Z = grid.meshgrid()
         k1, k2, k3 = spec.mode
         values = spec.amplitude * np.sin(k1 * X + k2 * Y + k3 * Z)
@@ -299,7 +345,14 @@ def initial_state(config: SimConfig) -> SpectralField:
     theta0 = build_initial(config.grid, config.initial, config.dealias)
     if config.mode_cap is not None:
         ws = _workspace(config.grid, config.dealias, config.mode_cap)
-        theta0 = SpectralField(config.grid, np.where(ws.mask, theta0.coeffs, 0.0))
+        capped = np.where(ws.mask, theta0.coeffs, 0.0)
+        # relative to the uncapped field: a capped single mode leaves round-off
+        if np.max(np.abs(capped)) <= 1e-12 * np.max(np.abs(theta0.coeffs)):
+            init = config.initial
+            what = (f"band {init.band!r}" if init.kind == "random-band-limited"
+                    else f"mode {init.mode!r}")
+            raise ValueError(f"mode_cap {config.mode_cap} removes every mode of the initial {what}")
+        theta0 = SpectralField(config.grid, capped)
     return theta0
 
 

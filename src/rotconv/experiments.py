@@ -3,12 +3,14 @@ Galerkin resolution sweep, and the continuous-dependence twin run."""
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
+from . import grid as _grid
 from .grid import (
     Grid,
     PhysicalField,
@@ -145,28 +147,129 @@ def _fit_slope(params, errors):
     return slope, 0.0
 
 
+class _Members:
+    """Members streamed against a reference that one thread publishes part by
+    part.  Each member row is stored by member index, and a failure is kept
+    with the index of the run it came from (-1 for the reference)."""
+
+    def __init__(self, configs, theta0s, measure):
+        self.runs = list(zip(configs, theta0s))
+        self.measure = measure
+        self.parts = []
+        self.rows = [None] * len(self.runs)
+        self.claimed = 0
+        self.done = False  # the reference has published its last part
+        # a run that fails stops every member after it, whose rows serial
+        # order would never reach: the error raised is the one serial order meets
+        self.failed = len(self.runs)
+        self.error = None
+        self.cond = threading.Condition()
+
+    def lead(self, states, reference) -> list[float]:
+        """Publish `reference(theta)` of each reference sample as soon as it is
+        stored; returns the sample times."""
+        times = []
+        for s in states:
+            times.append(s.t)
+            part = reference(s.theta)
+            with self.cond:
+                self.parts.append(part)
+                self.cond.notify_all()
+        self.finish()
+        return times
+
+    def finish(self) -> None:
+        with self.cond:
+            self.done = True
+            self.cond.notify_all()
+
+    def fail(self, k: int, error: BaseException) -> None:
+        with self.cond:
+            if k < self.failed:
+                self.failed, self.error = k, error
+            self.cond.notify_all()
+
+    def _part(self, k: int, i: int):
+        """Reference part i, once published; None if the reference has no
+        sample i or member k is to stop."""
+        with self.cond:
+            self.cond.wait_for(lambda: len(self.parts) > i or self.done or self.failed < k)
+            return self.parts[i] if len(self.parts) > i and self.failed > k else None
+
+    def _member(self, k: int) -> None:
+        config, theta0 = self.runs[k]
+        row = []
+        try:
+            for i, s in enumerate(samples(config, theta0)):
+                part = self._part(k, i)
+                if part is None:
+                    break
+                row.append(self.measure(s.theta, part))
+        except BaseException as err:  # raised again in the caller by `_stream`
+            self.fail(k, err)
+        else:
+            self.rows[k] = row
+
+    def work(self) -> None:
+        """Run unclaimed members until none is left."""
+        while True:
+            with self.cond:
+                k = self.claimed
+                self.claimed += 1
+            if k >= min(len(self.runs), self.failed):
+                return
+            self._member(k)
+
+    def helper(self) -> None:
+        """`work` in a helper thread, with one FFT worker."""
+        _grid._thread.workers = 1
+        self.work()
+
+
 def _stream(configs, theta0s, reference, measure):
-    """Run the first member as the reference, then every other member sample
+    """Run the first member as the reference and every other member sample
     by sample against it, all on one time step: the configured dt or, under
     "auto", the members' smallest CFL step at t = 0.
 
     Returns the reference sample times, `reference(theta)` of each reference
     sample (run once per sample and stored in its place) and, per member,
     `measure(member theta, stored part)` at every sample.  Each member sample
-    is dropped once it is measured and stepped, so no trajectory is stored.
+    is dropped once it is measured and stepped, so no member trajectory is
+    stored.
+
+    The calling thread runs the reference and publishes each part as soon as
+    it is stored.  `min(grid.WORKERS, len(configs)) - 1` helper threads take
+    the members in turn from one shared counter, and the caller joins them
+    once the reference is done; a member waits only for the part of the
+    sample it measures.  While helpers run, every thread transforms with one
+    FFT worker.  An error raised in any run is raised here once the helpers
+    have stopped.
     """
     dt = configs[0].dt
     if dt == "auto":
         dt = min(cfl_dt(SimState(0.0, theta0), cfg.safety, cfg)
                  for cfg, theta0 in zip(configs, theta0s))
-    times, refs = [], []
-    for s in samples(replace(configs[0], dt=dt), theta0s[0]):
-        times.append(s.t)
-        refs.append(reference(s.theta))
-    members = (samples(replace(cfg, dt=dt), theta0)
-               for cfg, theta0 in zip(configs[1:], theta0s[1:]))
-    return times, refs, [[measure(s.theta, r) for s, r in zip(member, refs)]
-                         for member in members]
+    stream = _Members([replace(cfg, dt=dt) for cfg in configs[1:]], theta0s[1:], measure)
+    helpers = [threading.Thread(target=stream.helper, daemon=True)
+               for _ in range(min(_grid.WORKERS, len(configs)) - 1)]
+    if helpers:
+        _grid._thread.workers = 1
+    try:
+        for helper in helpers:
+            helper.start()
+        times = stream.lead(samples(replace(configs[0], dt=dt), theta0s[0]), reference)
+        stream.work()
+    except BaseException as err:  # raised below, once the helpers have stopped
+        stream.fail(-1, err)
+    finally:
+        stream.finish()
+        for helper in helpers:
+            helper.join()
+        if helpers:
+            del _grid._thread.workers
+    if stream.error is not None:
+        raise stream.error
+    return times, stream.parts, stream.rows
 
 
 def _compare(parameters, times, refs: list[_Reference], rows) -> SweepResult:

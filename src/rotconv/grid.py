@@ -15,11 +15,20 @@ run on every CPU the process may use (`WORKERS`); pocketfft splits independent
 1-D transforms across its threads, so results are bitwise independent of the
 thread count.  `to_physical` consumes its input: it transforms the caller's
 stack in place.
+
+The sweeps and the twin run also use `WORKERS` to step trajectories side by
+side: the calling thread runs the reference while `WORKERS - 1` helper threads
+(at most one per member) run the members.  While helpers run, each of these
+threads sets its own FFT worker count to 1 (`_thread.workers`, which
+`_workers` reads in place of `WORKERS`).  Under `taskset -c 0`, `WORKERS` is 1:
+there are no helpers, and every trajectory runs in the caller in turn.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple
@@ -37,6 +46,8 @@ DOMAIN_VOLUME = TWO_PI**3
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 THREADED_MIN_POINTS = 2**16
+# per-thread settings: `workers`, when set, is this thread's FFT worker count
+_thread = threading.local()
 
 
 @dataclass(frozen=True)
@@ -49,8 +60,9 @@ class Grid:
 
     def __post_init__(self):
         for name, n in (("nx", self.nx), ("ny", self.ny), ("nz", self.nz)):
-            if n < 4 or n % 2 != 0:
-                raise ValueError(f"{name} must be an even integer >= 4, got {n}")
+            if (not isinstance(n, numbers.Integral) or isinstance(n, bool)
+                    or n < 4 or n % 2 != 0):
+                raise ValueError(f"{name} must be an even integer >= 4, got {n!r}")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -175,7 +187,9 @@ class SpectralField(_Frozen):
 
 
 def _workers(nx: int, ny: int, nz: int) -> int:
-    return WORKERS if nx * ny * nz >= THREADED_MIN_POINTS else 1
+    if nx * ny * nz < THREADED_MIN_POINTS:
+        return 1
+    return getattr(_thread, "workers", WORKERS)
 
 
 def to_spectral(values: np.ndarray) -> np.ndarray:

@@ -155,3 +155,16 @@ def test_load_config_rejects_bad_initial_values(tmp_path, config_path, key, valu
     path.write_text(json.dumps(cfg))
     with pytest.raises(ValueError, match=f"initial {key}"):
         load_config(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "top-level config must be a JSON object"),
+    ('"run"', "top-level config must be a JSON object"),
+    ('{"grid": {"nx": "16", "ny": 16, "nz": 16}}', "nx must be an even integer"),
+    ('{"grid": {"nx": 16, "ny": 16, "nz": true}}', "nz must be an even integer"),
+])
+def test_load_config_rejects_malformed_documents(tmp_path, text, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_config(path)

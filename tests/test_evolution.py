@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -326,3 +329,56 @@ def test_build_initial_rejects_band_with_no_kept_mode(grid16, band):
     # N = 16 keeps |k_i| <= 5 under the 2/3 rule; (0, 0) is the mean sector only
     with pytest.raises(ValueError, match="band"):
         build_initial(grid16, InitialSpec(band=band))
+
+
+@pytest.mark.parametrize("mode_cap, initial, named", [
+    (2, InitialSpec(band=(3, 6)), r"band \(3, 6\)"),
+    (2, InitialSpec(kind="analytic-single-mode", mode=(3, 1, 0)), r"mode \(3, 1, 0\)"),
+], ids=["band", "mode"])
+def test_initial_state_rejects_mode_cap_below_the_initial_modes(grid16, mode_cap, initial, named):
+    config = SimConfig(grid=grid16, mode_cap=mode_cap, initial=initial)
+    with pytest.raises(ValueError, match=f"mode_cap {mode_cap} .*{named}"):
+        initial_state(config)
+
+
+def test_initial_state_keeps_a_nonzero_capped_start(grid16):
+    config = SimConfig(grid=grid16, mode_cap=3, initial=InitialSpec(band=(3, 6)))
+    full = build_initial(grid16, config.initial)
+    kx, ky, kz = grid16.wavenumbers()
+    kept = np.maximum(np.maximum(np.abs(kx), np.abs(ky)), kz) <= 3
+    assert np.array_equal(initial_state(config).coeffs, np.where(kept, full.coeffs, 0.0))
+
+
+@pytest.mark.parametrize("mode, dealiased", [
+    ((6, 0, 0), True), ((1, 0, 6), True),  # removed by the 2/3 rule: |k_i| <= 5 on N = 16
+    ((0, 8, 0), False),  # the Nyquist mode: sin(8 y) vanishes at every grid point
+    ((9, 0, 0), False),  # aliases to k1 = -7
+])
+def test_build_initial_rejects_unresolved_single_mode(grid16, mode, dealiased):
+    spec = InitialSpec(kind="analytic-single-mode", mode=mode)
+    message = f"mode {mode!r} is not resolved on the (16, 16, 16) grid"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_initial(grid16, spec, dealiased)
+
+
+@pytest.mark.parametrize("mode, dealiased", [((5, 0, 5), True), ((7, -7, 7), False)])
+def test_build_initial_accepts_the_outermost_resolved_single_mode(grid16, mode, dealiased):
+    F = build_initial(grid16, InitialSpec(kind="analytic-single-mode", mode=mode), dealiased)
+    assert spectral_l2(F) == pytest.approx(np.sqrt((2 * np.pi) ** 3 / 2) * 0.1)
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "if-rk4"])
+def test_step_memory_budget(grid32, integrator):
+    # one step allocates at most 10 half-spectrum fields at once: the stage
+    # inputs, the growing RK sum and the stages are formed in place, and the
+    # tendency transforms one factor at a time
+    config = SimConfig(grid=grid32, epsilon=0.1, dt=0.01, integrator=integrator)
+    state = SimState(0.0, build_initial(grid32, config.initial))
+    step(state, 0.01, config)  # fills the caches and the FFT plans
+    tracemalloc.start()
+    try:
+        step(state, 0.01, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * state.theta.coeffs.nbytes

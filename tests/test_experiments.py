@@ -1,4 +1,7 @@
+import sys
+import threading
 import weakref
+from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +9,15 @@ import pytest
 
 import rotconv.evolution
 import rotconv.experiments
-from rotconv.evolution import InitialSpec, SimConfig, build_initial, cfl_dt, samples
+import rotconv.grid
+from rotconv.evolution import (
+    BlowUpError,
+    InitialSpec,
+    SimConfig,
+    build_initial,
+    cfl_dt,
+    samples,
+)
 from rotconv.experiments import (
     _sweep_errors,
     _sweep_reference,
@@ -108,40 +119,131 @@ def test_sweep_members_share_the_reference_time_grid(grid16):
     (lambda cfg: twin_run(cfg, 1e-6), 2),
 ], ids=["sweep-epsilon", "sweep-epsilon-scaled", "sweep-resolution", "twin"])
 def test_members_stream_against_the_stored_reference(grid16, monkeypatch, experiment, n_members):
-    # while a member steps, no state an earlier member yielded and no
-    # difference field is alive, and of its own samples only the one being
-    # stepped; the stored reference is the only trajectory held
-    runs = []  # weakrefs to the states of each `samples` call, the reference first
-    measured = []  # weakrefs to every field whose L2 norm the experiments took
-    alive = []  # per member step: (earlier members' states, own states, measured fields)
+    # members run beside the reference, on one helper thread and then on the
+    # caller.  Whenever a run steps, in its thread: of its own samples only the
+    # one being stepped is alive, no state of a run whose thread has moved on
+    # to another run is alive, and no difference field that thread measured is
+    # alive.  Once the experiment returns, no sampled state is alive: the
+    # stored reference parts are the only trajectory held
+    runs = []  # weakrefs to the states of each `samples` call
+    first = {}  # thread id -> the weakrefs of its first run: the caller's is the reference
+    current = {}  # thread id -> the weakrefs of the run it is stepping
+    finished = []  # the runs whose thread has started another run since
+    measured = defaultdict(list)  # thread id -> weakrefs to the fields whose L2 norm it took
+    alive = []  # per step: (is a member, (finished runs' states, own states, own measured fields))
 
     def recording_samples(*args, **kwargs):
-        runs.append([])
+        mine = []
+        runs.append(mine)
+        first.setdefault(threading.get_ident(), mine)
+        if threading.get_ident() in current:
+            finished.append(current[threading.get_ident()])
+        current[threading.get_ident()] = mine
         for state in original_samples(*args, **kwargs):
-            runs[-1].append(weakref.ref(state))
+            mine.append(weakref.ref(state))
             yield state
 
     def checking_step(*args, **kwargs):
-        if len(runs) > 1:
-            alive.append((sum(r() is not None for run_ in runs[1:-1] for r in run_),
-                          sum(r() is not None for r in runs[-1]),
-                          sum(r() is not None for r in measured)))
+        own = current[threading.get_ident()]
+        alive.append((own is not first[caller],
+                      (sum(r() is not None for run_ in list(finished) for r in run_),
+                       sum(r() is not None for r in own),
+                       sum(r() is not None for r in measured[threading.get_ident()]))))
         return original_step(*args, **kwargs)
 
     def recording_l2(field):
-        measured.append(weakref.ref(field))
+        measured[threading.get_ident()].append(weakref.ref(field))
         return original_l2(field)
 
+    caller = threading.get_ident()
     original_samples = rotconv.experiments.samples
     original_step = rotconv.evolution.step
     original_l2 = rotconv.experiments.spectral_l2
+    monkeypatch.setattr(rotconv.grid, "WORKERS", 2)
     monkeypatch.setattr(rotconv.experiments, "samples", recording_samples)
     monkeypatch.setattr(rotconv.evolution, "step", checking_step)
     monkeypatch.setattr(rotconv.experiments, "spectral_l2", recording_l2)
     experiment(random_config(grid16, t_end=0.15, diagnostics_every=1))
     assert len(runs) == 1 + n_members
-    assert len(alive) == 3 * n_members
-    assert set(alive) == {(0, 1, 0)}
+    assert sorted(member for member, _ in alive) == [False] * 3 + [True] * 3 * n_members
+    assert len(current) == 2 and finished  # two threads, and one moved on
+    assert {counts for _, counts in alive} == {(0, 1, 0)}
+    assert sum(r() is not None for run_ in runs for r in run_) == 0
+
+
+def _failing_step(fail_at):
+    """`step` raising BlowUpError from the state at time >= fail_at[eps] of a
+    run with that eps."""
+    def step(state, dt, config):
+        if state.t >= fail_at.get(config.epsilon, np.inf) - 1e-12:
+            raise BlowUpError(f"injected at eps = {config.epsilon}", state)
+        return original(state, dt, config)
+
+    original = rotconv.evolution.step
+    return step
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("fail_at, failing_eps", [
+    ({0.0: 0.1}, 0.0),
+    # the later member fails first, but the error is the one serial order meets
+    ({0.25: 0.2, 0.125: 0.0}, 0.25),
+], ids=["reference", "members"])
+def test_stream_errors_reach_the_caller(grid16, monkeypatch, workers, fail_at, failing_eps):
+    monkeypatch.setattr(rotconv.grid, "WORKERS", workers)
+    monkeypatch.setattr(rotconv.evolution, "step", _failing_step(fail_at))
+    before = set(threading.enumerate())
+    outcome = {}
+
+    def call():
+        try:
+            sweep_epsilon(random_config(grid16), [0.5, 0.25, 0.125])
+        except BlowUpError as err:
+            outcome["error"] = str(err)
+        outcome["workers set"] = hasattr(rotconv.grid._thread, "workers")
+
+    runner = threading.Thread(target=call, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert outcome == {"error": f"injected at eps = {failing_eps}", "workers set": False}
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("experiment", [
+    lambda cfg: sweep_epsilon(cfg, [0.5, 0.25, 0.125]),
+    lambda cfg: sweep_epsilon(cfg, [0.5, 0.25], "eps-scaled"),
+    lambda cfg: sweep_resolution(cfg, [2, 3, 4, 5]),
+    lambda cfg: twin_run(cfg, 1e-6),
+], ids=["sweep-epsilon", "sweep-epsilon-scaled", "sweep-resolution", "twin"])
+def test_concurrent_members_match_the_serial_path(grid16, monkeypatch, experiment):
+    # WORKERS = 1 runs every trajectory in the caller in turn; 4 gives every
+    # member a helper thread of its own, and with a short switch interval the
+    # threads interleave often.  While helpers run, each thread transforms a
+    # large grid with one FFT worker, and the caller's count comes back once
+    # they are done
+    fft_workers = []  # per step: the stepping thread's FFT worker count at 64^3
+
+    def recording_step(*args, **kwargs):
+        fft_workers.append(rotconv.grid._workers(64, 64, 64))
+        return original_step(*args, **kwargs)
+
+    original_step = rotconv.evolution.step
+    monkeypatch.setattr(rotconv.evolution, "step", recording_step)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(rotconv.grid, "WORKERS", workers)
+            fft_workers.clear()
+            results.append(experiment(random_config(grid16)))
+            assert set(fft_workers) == {1}
+            assert rotconv.grid._workers(64, 64, 64) == workers
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[1] == results[0]
+    assert results[2] == results[0]
 
 
 def test_eps_scaled_sweep_samples_every_reference_time(grid16):

@@ -29,6 +29,12 @@ def test_grid_rejects_odd_or_small():
         Grid(8, 2, 8)
 
 
+@pytest.mark.parametrize("n", ["16", True, 16.0, None])
+def test_grid_rejects_non_integer_counts(n):
+    with pytest.raises(ValueError, match="ny must be an even integer"):
+        Grid(16, n, 16)
+
+
 def test_constant_field_transform(grid16):
     F = forward_transform(PhysicalField(grid16, np.ones(grid16.shape)))
     assert abs(F.coeffs[0, 0, 0] - 1.0) < 1e-14
