@@ -58,6 +58,22 @@ def _is_ints(x, n: int) -> bool:
         _is_number(k, numbers.Integral) for k in x)
 
 
+def _check_mode(name: str, mode, grid: Grid | None = None, dealias_field: bool = True) -> None:
+    """Raise a ValueError naming `name` unless the single mode is three integers
+    with k1 or k2 nonzero and, given a grid, is resolved on it."""
+    # a mode with k1 = k2 = 0 lies in the horizontal-mean sector, which is projected out
+    if not (_is_ints(mode, 3) and mode[:2] != (0, 0)):
+        raise ValueError(f"{name} must be a tuple of three integers (k1, k2, k3)"
+                         f" with k1 or k2 nonzero, got {mode!r}")
+    if grid is None:
+        return
+    # |k_i| >= n_i/2 vanishes on the grid or aliases; the 2/3 rule removes |k_i| > n_i/3
+    limits = [n // 3 if dealias_field else n // 2 - 1 for n in grid.shape]
+    if any(abs(k) > lim for k, lim in zip(mode, limits)):
+        raise ValueError(f"{name} {mode!r} is not resolved on the {grid.shape} grid:"
+                         f" it needs |k_i| <= {tuple(limits)}")
+
+
 @dataclass(frozen=True)
 class InitialSpec:
     """Initial temperature fluctuation.
@@ -76,11 +92,7 @@ class InitialSpec:
     def __post_init__(self):
         if self.kind not in ("analytic-single-mode", "random-band-limited"):
             raise ValueError(f"unknown initial kind {self.kind!r}")
-        # a mode with k1 = k2 = 0 lies in the horizontal-mean sector, which is
-        # projected out: the run would start from zero
-        if not (_is_ints(self.mode, 3) and self.mode[:2] != (0, 0)):
-            raise ValueError("initial mode must be a tuple of three integers (k1, k2, k3)"
-                             f" with k1 or k2 nonzero, got {self.mode!r}")
+        _check_mode("initial mode", self.mode)
         if not (_is_ints(self.band, 2) and 0 <= self.band[0] <= self.band[1]):
             raise ValueError("initial band must be a tuple of two integers"
                              f" 0 <= kmin <= kmax, got {self.band!r}")
@@ -303,11 +315,7 @@ def cfl_dt(state: SimState, safety: float, config: SimConfig) -> float:
 def build_initial(grid: Grid, spec: InitialSpec, dealias_field: bool = True) -> SpectralField:
     """Construct the initial spectral state with zero horizontal mean."""
     if spec.kind == "analytic-single-mode":
-        # |k_i| >= n_i/2 vanishes on the grid or aliases; the 2/3 rule removes |k_i| > n_i/3
-        limits = [n // 3 if dealias_field else n // 2 - 1 for n in grid.shape]
-        if any(abs(k) > lim for k, lim in zip(spec.mode, limits)):
-            raise ValueError(f"initial mode {spec.mode!r} is not resolved on the {grid.shape} grid:"
-                             f" it needs |k_i| <= {tuple(limits)}")
+        _check_mode("initial mode", spec.mode, grid, dealias_field)
         X, Y, Z = grid.meshgrid()
         k1, k2, k3 = spec.mode
         values = spec.amplitude * np.sin(k1 * X + k2 * Y + k3 * Z)

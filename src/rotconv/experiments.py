@@ -3,6 +3,7 @@ Galerkin resolution sweep, and the continuous-dependence twin run."""
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -25,6 +26,8 @@ from .grid import (
 from .evolution import (
     SimConfig,
     SimState,
+    _check_mode,
+    _is_number,
     build_initial,
     cfl_dt,
     initial_state,
@@ -147,85 +150,6 @@ def _fit_slope(params, errors):
     return slope, 0.0
 
 
-class _Members:
-    """Members streamed against a reference that one thread publishes part by
-    part.  Each member row is stored by member index, and a failure is kept
-    with the index of the run it came from (-1 for the reference)."""
-
-    def __init__(self, configs, theta0s, measure):
-        self.runs = list(zip(configs, theta0s))
-        self.measure = measure
-        self.parts = []
-        self.rows = [None] * len(self.runs)
-        self.claimed = 0
-        self.done = False  # the reference has published its last part
-        # a run that fails stops every member after it, whose rows serial
-        # order would never reach: the error raised is the one serial order meets
-        self.failed = len(self.runs)
-        self.error = None
-        self.cond = threading.Condition()
-
-    def lead(self, states, reference) -> list[float]:
-        """Publish `reference(theta)` of each reference sample as soon as it is
-        stored; returns the sample times."""
-        times = []
-        for s in states:
-            times.append(s.t)
-            part = reference(s.theta)
-            with self.cond:
-                self.parts.append(part)
-                self.cond.notify_all()
-        self.finish()
-        return times
-
-    def finish(self) -> None:
-        with self.cond:
-            self.done = True
-            self.cond.notify_all()
-
-    def fail(self, k: int, error: BaseException) -> None:
-        with self.cond:
-            if k < self.failed:
-                self.failed, self.error = k, error
-            self.cond.notify_all()
-
-    def _part(self, k: int, i: int):
-        """Reference part i, once published; None if the reference has no
-        sample i or member k is to stop."""
-        with self.cond:
-            self.cond.wait_for(lambda: len(self.parts) > i or self.done or self.failed < k)
-            return self.parts[i] if len(self.parts) > i and self.failed > k else None
-
-    def _member(self, k: int) -> None:
-        config, theta0 = self.runs[k]
-        row = []
-        try:
-            for i, s in enumerate(samples(config, theta0)):
-                part = self._part(k, i)
-                if part is None:
-                    break
-                row.append(self.measure(s.theta, part))
-        except BaseException as err:  # raised again in the caller by `_stream`
-            self.fail(k, err)
-        else:
-            self.rows[k] = row
-
-    def work(self) -> None:
-        """Run unclaimed members until none is left."""
-        while True:
-            with self.cond:
-                k = self.claimed
-                self.claimed += 1
-            if k >= min(len(self.runs), self.failed):
-                return
-            self._member(k)
-
-    def helper(self) -> None:
-        """`work` in a helper thread, with one FFT worker."""
-        _grid._thread.workers = 1
-        self.work()
-
-
 def _stream(configs, theta0s, reference, measure):
     """Run the first member as the reference and every other member sample
     by sample against it, all on one time step: the configured dt or, under
@@ -238,38 +162,91 @@ def _stream(configs, theta0s, reference, measure):
     stored.
 
     The calling thread runs the reference and publishes each part as soon as
-    it is stored.  `min(grid.WORKERS, len(configs)) - 1` helper threads take
-    the members in turn from one shared counter, and the caller joins them
-    once the reference is done; a member waits only for the part of the
-    sample it measures.  While helpers run, every thread transforms with one
-    FFT worker.  An error raised in any run is raised here once the helpers
-    have stopped.
+    it is stored, while `min(grid.WORKERS, len(configs)) - 1` helper threads,
+    and then the caller, draw member indices in order from one shared
+    iterator.  A member waits only for the part of the sample it measures,
+    and stops if the reference closes without it.  While helpers run, each of
+    these threads transforms with one FFT worker (`grid._thread.workers`).
+    Under `taskset -c 0`, `grid.WORKERS` is 1: no thread starts, and the runs
+    go in serial order.  A failing run records its error and drains the
+    iterator, so no member that has not started starts.  Once the helpers are
+    joined, the error of the lowest run index is raised: every member below
+    it has started, so it is the error the serial order meets first.
     """
     dt = configs[0].dt
     if dt == "auto":
         dt = min(cfl_dt(SimState(0.0, theta0), cfg.safety, cfg)
                  for cfg, theta0 in zip(configs, theta0s))
-    stream = _Members([replace(cfg, dt=dt) for cfg in configs[1:]], theta0s[1:], measure)
-    helpers = [threading.Thread(target=stream.helper, daemon=True)
-               for _ in range(min(_grid.WORKERS, len(configs)) - 1)]
+    runs = [(replace(cfg, dt=dt), theta0) for cfg, theta0 in zip(configs, theta0s)]
+    times, parts, rows = [], [], [None] * (len(runs) - 1)
+    errors = {}  # run index -> its error; -1 is the reference
+    members = iter(range(len(rows)))
+    cond = threading.Condition()
+    closed = False  # the reference has published its last part
+
+    def lead(_):
+        nonlocal closed
+        try:  # a helper that fails to start closes the reference, releasing the others
+            for thread in helpers:
+                thread.start()
+            for s in samples(*runs[0]):
+                times.append(s.t)
+                part = reference(s.theta)
+                with cond:
+                    parts.append(part)
+                    cond.notify_all()
+        finally:
+            with cond:
+                closed = True
+                cond.notify_all()
+
+    def member(k):
+        row = []
+        for i, s in enumerate(samples(*runs[k + 1])):
+            with cond:
+                cond.wait_for(lambda: len(parts) > i or closed)
+                if len(parts) <= i:
+                    return
+            row.append(measure(s.theta, parts[i]))
+        rows[k] = row
+
+    def attempt(k, run):
+        try:
+            run(k)
+        except BaseException as err:  # raised in the caller once the helpers are joined
+            with cond:
+                errors[k] = err
+                for _ in members:  # drain: no member that has not started starts
+                    pass
+
+    def draw():
+        with cond:
+            return next(members, None)
+
+    def work():
+        while (k := draw()) is not None:
+            attempt(k, member)
+
+    def helper():
+        _grid._thread.workers = 1
+        work()
+
+    helpers = [threading.Thread(target=helper, daemon=True)
+               for _ in range(min(_grid.WORKERS, len(runs)) - 1)]
     if helpers:
         _grid._thread.workers = 1
     try:
-        for helper in helpers:
-            helper.start()
-        times = stream.lead(samples(replace(configs[0], dt=dt), theta0s[0]), reference)
-        stream.work()
-    except BaseException as err:  # raised below, once the helpers have stopped
-        stream.fail(-1, err)
+        attempt(-1, lead)
+        work()
     finally:
-        stream.finish()
-        for helper in helpers:
-            helper.join()
+        for thread in helpers:
+            if thread.ident is not None:  # started
+                thread.join()
         if helpers:
             del _grid._thread.workers
-    if stream.error is not None:
-        raise stream.error
-    return times, stream.parts, stream.rows
+    if errors:
+        raise errors[min(errors)]
+    return times, parts, rows
 
 
 def _compare(parameters, times, refs: list[_Reference], rows) -> SweepResult:
@@ -304,8 +281,8 @@ def sweep_epsilon(
     eps_list = list(eps_list)
     if any(e <= 0 or e > 1 for e in eps_list):
         raise ValueError("eps values must lie in (0, 1]")
-    if sorted(eps_list, reverse=True) != eps_list:
-        raise ValueError("eps list must be strictly decreasing")
+    if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError(f"eps list must be strictly decreasing, got {eps_list!r}")
     if init_perturbation not in ("matched", "eps-scaled"):
         raise ValueError(f"unknown perturbation mode {init_perturbation!r}")
 
@@ -327,8 +304,8 @@ def sweep_epsilon(
 def sweep_resolution(base: SimConfig, mode_counts) -> SweepResult:
     """Galerkin truncation sweep; the finest truncation is the reference."""
     mode_counts = list(mode_counts)
-    if sorted(mode_counts) != mode_counts:
-        raise ValueError("mode counts must be increasing")
+    if any(a >= b for a, b in zip(mode_counts, mode_counts[1:])):
+        raise ValueError(f"mode counts must be strictly increasing, got {mode_counts!r}")
     # the finest truncation is the reference: it runs first, and its stored
     # samples stand in for its own member row, the last one
     configs = [replace(base, mode_cap=int(m)) for m in mode_counts[-1:] + mode_counts[:-1]]
@@ -358,8 +335,9 @@ def twin_run(
     Fits the exponential separation rate and verifies that halving the
     perturbation roughly halves the response.
     """
-    if delta_mode[0] == 0 and delta_mode[1] == 0:
-        raise ValueError("perturbation must have zero horizontal mean")
+    if not (_is_number(delta_amp) and math.isfinite(delta_amp)):
+        raise ValueError(f"delta_amp must be a finite number, got {delta_amp!r}")
+    _check_mode("delta_mode", delta_mode, base.grid, base.dealias)
 
     pert = _perturbation_field(base.grid, delta_mode, delta_amp)
     theta0 = initial_state(base)
@@ -385,7 +363,7 @@ def twin_run(
 
 def _separation(theta_p: SpectralField, theta_r: SpectralField) -> tuple[float, float]:
     """L2 and dual norm of the difference of two states."""
-    diff = SpectralField(theta_r.grid, theta_p.coeffs - theta_r.coeffs)
+    diff = SpectralField._wrap(theta_r.grid, theta_p.coeffs - theta_r.coeffs)
     return spectral_l2(diff), dual_norm(diff)
 
 

@@ -16,12 +16,9 @@ run on every CPU the process may use (`WORKERS`); pocketfft splits independent
 thread count.  `to_physical` consumes its input: it transforms the caller's
 stack in place.
 
-The sweeps and the twin run also use `WORKERS` to step trajectories side by
-side: the calling thread runs the reference while `WORKERS - 1` helper threads
-(at most one per member) run the members.  While helpers run, each of these
-threads sets its own FFT worker count to 1 (`_thread.workers`, which
-`_workers` reads in place of `WORKERS`).  Under `taskset -c 0`, `WORKERS` is 1:
-there are no helpers, and every trajectory runs in the caller in turn.
+A thread that sets `_thread.workers` transforms with that many FFT workers
+in place of `WORKERS` (`_workers`); `experiments._stream` sets it to 1 in each
+thread that steps a trajectory beside others.
 """
 
 from __future__ import annotations

@@ -137,6 +137,18 @@ def test_twin_command(tmp_path, config_path):
     assert (out / "twin.csv").read_text().splitlines()[0] == "t,err_l2,err_dual"
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--delta-mode", "1,1", "delta_mode must be a tuple of three integers"),
+    ("--delta-mode", "8,0,0", r"delta_mode \(8, 0, 0\) is not resolved"),
+    ("--delta-amp", "nan", "delta_amp must be a finite number"),
+])
+def test_twin_command_rejects_bad_perturbations(tmp_path, config_path, option, value, message):
+    out = tmp_path / "twin"
+    with pytest.raises(ValueError, match=message):
+        main(["twin", "--config", str(config_path), option, value, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_load_config_rejects_non_auto_dt_string(tmp_path, config_path):
     cfg = json.loads(config_path.read_text())
     cfg["dt"] = "fast"

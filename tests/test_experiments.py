@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import weakref
@@ -59,8 +60,18 @@ def test_sweep_epsilon_validation(grid16):
         sweep_epsilon(cfg, [0.5, 1.5])
     with pytest.raises(ValueError):
         sweep_epsilon(cfg, [0.125, 0.25])
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        sweep_epsilon(cfg, [0.5, 0.5])
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        sweep_epsilon(cfg, [0.5, 0.25, 0.25])
     with pytest.raises(ValueError):
         sweep_epsilon(cfg, [0.5, 0.25], "sideways")
+
+
+@pytest.mark.parametrize("modes", [[8, 4], [4, 4, 6], [4, 6, 6]])
+def test_sweep_resolution_validation(grid16, modes):
+    with pytest.raises(ValueError, match="mode counts must be strictly increasing"):
+        sweep_resolution(random_config(grid16), modes)
 
 
 def test_sweep_epsilon_single_value(grid16):
@@ -210,6 +221,43 @@ def test_stream_errors_reach_the_caller(grid16, monkeypatch, workers, fail_at, f
     assert set(threading.enumerate()) == before
 
 
+def test_helper_start_failure_reaches_the_caller(grid16, monkeypatch):
+    # the first helper starts and waits on the reference; the second cannot start
+    def start(thread):
+        if len(started) == 1:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        original_start(thread)
+
+    started = []
+    original_start = threading.Thread.start
+    monkeypatch.setattr(rotconv.grid, "WORKERS", 4)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        sweep_epsilon(random_config(grid16), [0.5, 0.25, 0.125])
+    assert not started[0].is_alive()
+    assert not hasattr(rotconv.grid._thread, "workers")
+
+
+@pytest.mark.parametrize("fail_at, started", [({0.0: 0.1}, 1), ({0.5: 0.1}, 2)],
+                         ids=["reference", "first-member"])
+def test_no_member_starts_after_a_failure(grid16, monkeypatch, fail_at, started):
+    # in serial order a failing run is the last one to start
+    calls = []
+
+    def counting_samples(*args, **kwargs):
+        calls.append(args[0].epsilon)
+        return original_samples(*args, **kwargs)
+
+    original_samples = rotconv.experiments.samples
+    monkeypatch.setattr(rotconv.grid, "WORKERS", 1)
+    monkeypatch.setattr(rotconv.evolution, "step", _failing_step(fail_at))
+    monkeypatch.setattr(rotconv.experiments, "samples", counting_samples)
+    with pytest.raises(BlowUpError):
+        sweep_epsilon(random_config(grid16), [0.5, 0.25, 0.125])
+    assert calls == [0.0, 0.5, 0.25, 0.125][:started]
+
+
 @pytest.mark.parametrize("experiment", [
     lambda cfg: sweep_epsilon(cfg, [0.5, 0.25, 0.125]),
     lambda cfg: sweep_epsilon(cfg, [0.5, 0.25], "eps-scaled"),
@@ -314,3 +362,24 @@ def test_twin_linear_response(grid16):
 def test_twin_rejects_mean_sector_perturbation(grid16):
     with pytest.raises(ValueError):
         twin_run(random_config(grid16), 1e-6, (0, 0, 1))
+
+
+@pytest.mark.parametrize("delta_amp, delta_mode, dealiased, message", [
+    (1e-6, (20, 0, 0), False, "delta_mode (20, 0, 0) is not resolved"),  # aliases to k1 = 4
+    (1e-6, (8, 0, 0), False, "delta_mode (8, 0, 0) is not resolved"),  # the Nyquist plane
+    (1e-6, (6, 0, 0), True, "delta_mode (6, 0, 0) is not resolved"),  # removed by the 2/3 rule
+    (1e-6, (1, 1), True, "delta_mode must be a tuple of three integers"),
+    (1e-6, (1, 1.5, 0), True, "delta_mode must be a tuple of three integers"),
+    (float("nan"), (1, 1, 1), True, "delta_amp must be a finite number"),
+    (float("inf"), (1, 1, 1), True, "delta_amp must be a finite number"),
+    ("1e-6", (1, 1, 1), True, "delta_amp must be a finite number"),
+])
+def test_twin_rejects_perturbations_the_grid_cannot_carry(grid16, delta_amp, delta_mode,
+                                                          dealiased, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        twin_run(random_config(grid16, dealias=dealiased), delta_amp, delta_mode)
+
+
+def test_twin_accepts_the_outermost_resolved_mode(grid16):
+    rep = twin_run(random_config(grid16, t_end=0.1), 1e-6, (5, 0, 5))
+    assert rep.err_l2[0] == pytest.approx(1e-6)
