@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -18,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import grid as _grid
 from .grid import (
     TWO_PI,
     Grid,
@@ -58,9 +60,11 @@ def _is_ints(x, n: int) -> bool:
         _is_number(k, numbers.Integral) for k in x)
 
 
-def _check_mode(name: str, mode, grid: Grid | None = None, dealias_field: bool = True) -> None:
+def _check_mode(name: str, mode, grid: Grid | None = None, dealias_field: bool = True,
+                mode_cap: int | None = None) -> None:
     """Raise a ValueError naming `name` unless the single mode is three integers
-    with k1 or k2 nonzero and, given a grid, is resolved on it."""
+    with k1 or k2 nonzero and, given a grid, is resolved on it and kept by the
+    Galerkin truncation `mode_cap`."""
     # a mode with k1 = k2 = 0 lies in the horizontal-mean sector, which is projected out
     if not (_is_ints(mode, 3) and mode[:2] != (0, 0)):
         raise ValueError(f"{name} must be a tuple of three integers (k1, k2, k3)"
@@ -72,6 +76,9 @@ def _check_mode(name: str, mode, grid: Grid | None = None, dealias_field: bool =
     if any(abs(k) > lim for k, lim in zip(mode, limits)):
         raise ValueError(f"{name} {mode!r} is not resolved on the {grid.shape} grid:"
                          f" it needs |k_i| <= {tuple(limits)}")
+    if mode_cap is not None and max(map(abs, mode)) > mode_cap:
+        raise ValueError(f"{name} {mode!r} lies outside the Galerkin truncation"
+                         f" mode_cap = {mode_cap}: it needs |k_i| <= {mode_cap}")
 
 
 @dataclass(frozen=True)
@@ -350,18 +357,23 @@ class Trajectory:
 
 def initial_state(config: SimConfig) -> SpectralField:
     """The configured initial state, restricted to the modes kept by `mode_cap`."""
-    theta0 = build_initial(config.grid, config.initial, config.dealias)
-    if config.mode_cap is not None:
-        ws = _workspace(config.grid, config.dealias, config.mode_cap)
-        capped = np.where(ws.mask, theta0.coeffs, 0.0)
-        # relative to the uncapped field: a capped single mode leaves round-off
-        if np.max(np.abs(capped)) <= 1e-12 * np.max(np.abs(theta0.coeffs)):
-            init = config.initial
-            what = (f"band {init.band!r}" if init.kind == "random-band-limited"
-                    else f"mode {init.mode!r}")
-            raise ValueError(f"mode_cap {config.mode_cap} removes every mode of the initial {what}")
-        theta0 = SpectralField(config.grid, capped)
-    return theta0
+    init = config.initial
+    what = (f"initial band {init.band!r}" if init.kind == "random-band-limited"
+            else f"initial mode {init.mode!r}")
+    return _truncate(config, build_initial(config.grid, init, config.dealias), what)
+
+
+def _truncate(config: SimConfig, theta: SpectralField, what: str) -> SpectralField:
+    """`theta` restricted to the modes kept by `mode_cap`; a ValueError naming
+    `what` if it keeps none of them."""
+    if config.mode_cap is None:
+        return theta
+    ws = _workspace(config.grid, config.dealias, config.mode_cap)
+    capped = np.where(ws.mask, theta.coeffs, 0.0)
+    # relative to the uncapped field: a capped single mode leaves round-off
+    if np.max(np.abs(capped)) <= 1e-12 * np.max(np.abs(theta.coeffs)):
+        raise ValueError(f"mode_cap {config.mode_cap} removes every mode of the {what}")
+    return SpectralField(config.grid, capped)
 
 
 def samples(config: SimConfig, theta0: SpectralField | None = None) -> Iterator[SimState]:
@@ -393,11 +405,46 @@ def samples(config: SimConfig, theta0: SpectralField | None = None) -> Iterator[
 
 
 def run(config: SimConfig, theta0: SpectralField | None = None) -> Trajectory:
-    """The invariant report of every state `samples(config, theta0)` yields."""
+    """The invariant report of every state `samples(config, theta0)` yields.
+
+    Each sample's report is computed in a helper thread, with one FFT worker
+    (`grid._thread.workers`), while the calling thread steps to the next
+    sample.  At most one report is in flight: it is joined before the next
+    sample is handed over, so the reports come in sample order.  Under
+    `taskset -c 0`, `grid.WORKERS` is 1: no thread starts, and the caller
+    computes each report in turn.  A report's error is raised in the caller
+    once its thread is joined, in place of any error of a later step, as in
+    the serial order.
+    """
     from .invariants import compute_report
 
-    times, reports = [], []
-    for state in samples(config, theta0):
-        times.append(state.t)
-        reports.append(compute_report(state, config.epsilon))
+    times, reports, errors = [], [], []
+
+    def report(state):
+        _grid._thread.workers = 1
+        try:
+            reports.append(compute_report(state, config.epsilon))
+        except BaseException as err:  # raised in the caller once joined
+            errors.append(err)
+
+    threaded = _grid.WORKERS > 1
+    pending = None  # the started thread computing the latest report
+    try:
+        for state in samples(config, theta0):
+            times.append(state.t)
+            if not threaded:
+                reports.append(compute_report(state, config.epsilon))
+                continue
+            if pending is not None:
+                pending.join()
+                if errors:
+                    break
+            thread = threading.Thread(target=report, args=(state,), daemon=True)
+            thread.start()
+            pending = thread
+    finally:
+        if pending is not None:
+            pending.join()
+        if errors:
+            raise errors[0]
     return Trajectory(times, reports, state)

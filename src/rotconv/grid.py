@@ -18,7 +18,8 @@ stack in place.
 
 A thread that sets `_thread.workers` transforms with that many FFT workers
 in place of `WORKERS` (`_workers`); `experiments._stream` sets it to 1 in each
-thread that steps a trajectory beside others.
+thread that steps a trajectory beside others, and `evolution.run` in the
+thread that computes a report beside the stepping.
 """
 
 from __future__ import annotations

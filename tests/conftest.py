@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -28,16 +30,26 @@ def random_band_limited(grid, seed, kmin=1, kmax=6, rng=None):
     return SpectralField(grid, c)
 
 
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves more threads alive than it started with."""
+    before = set(threading.enumerate())
+    yield
+    left = set(threading.enumerate()) - before
+    assert not left, f"threads left alive: {sorted(t.name for t in left)}"
+
+
 @pytest.fixture
 def to_physical_calls(monkeypatch):
     """A list that grows by one entry per call of rotconv.grid.to_physical,
-    the one batched inverse transform."""
+    the one batched inverse transform: a copy of the batch of half spectra
+    it was given."""
     calls = []
     original = rotconv.grid.to_physical
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(coeffs):
+        calls.append(coeffs.copy())
+        return original(coeffs)
 
     monkeypatch.setattr(rotconv.grid, "to_physical", counting)
     return calls

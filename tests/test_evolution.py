@@ -1,10 +1,14 @@
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import rotconv.evolution
+import rotconv.grid
+import rotconv.invariants
 from rotconv.evolution import (
     BlowUpError,
     InitialSpec,
@@ -383,3 +387,153 @@ def test_step_memory_budget(grid32, integrator):
     finally:
         tracemalloc.stop()
     assert peak <= 10 * state.theta.coeffs.nbytes
+
+
+def _run_config(grid):
+    init = InitialSpec(kind="random-band-limited", band=(1, 4), amplitude=0.5, seed=3)
+    return SimConfig(grid=grid, epsilon=0.1, dt=0.05, t_end=0.3, initial=init)
+
+
+def _trajectory_values(traj):
+    """What a Trajectory holds, in a form `==` compares: the final field's
+    array is compared by its bytes."""
+    final = traj.final_state
+    return traj.times, traj.reports, final.t, final.theta.coeffs.tobytes()
+
+
+def test_threaded_run_matches_the_serial_path(grid16, monkeypatch):
+    # WORKERS = 1 computes every report in the caller and starts no thread;
+    # otherwise one thread per sample computes its report with one FFT worker
+    # while the caller steps with its own count, left unset
+    reports, steps, started = [], [], []  # (thread id, FFT workers at 64^3) per call
+
+    def recording_report(state, epsilon):
+        reports.append((threading.get_ident(), rotconv.grid._workers(64, 64, 64)))
+        return original_report(state, epsilon)
+
+    def recording_step(*args, **kwargs):
+        steps.append((threading.get_ident(), rotconv.grid._workers(64, 64, 64)))
+        return original_step(*args, **kwargs)
+
+    def counting_start(thread):
+        started.append(thread)
+        original_start(thread)
+
+    original_report = rotconv.invariants.compute_report
+    original_step = rotconv.evolution.step
+    original_start = threading.Thread.start
+    monkeypatch.setattr(rotconv.invariants, "compute_report", recording_report)
+    monkeypatch.setattr(rotconv.evolution, "step", recording_step)
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    caller = threading.get_ident()
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(rotconv.grid, "WORKERS", workers)
+            for record in (reports, steps, started):
+                record.clear()
+            results.append(_trajectory_values(run(_run_config(grid16))))
+            assert len(reports) == 7 and len(steps) == 6
+            assert set(steps) == {(caller, workers)}
+            if workers == 1:
+                assert not started
+                assert set(reports) == {(caller, 1)}
+            else:
+                assert [t.ident for t in started] == [ident for ident, _ in reports]
+                assert caller not in {ident for ident, _ in reports}
+                assert {n for _, n in reports} == {1}
+            assert not hasattr(rotconv.grid._thread, "workers")
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+def _outcome_of(call):
+    """How `call` ended, run in a thread of its own so that a hang fails the
+    test: its error, and whether that thread's FFT worker count was left set."""
+    outcome = {}
+
+    def target():
+        try:
+            call()
+        except Exception as err:
+            outcome["error"] = f"{type(err).__name__}: {err}"
+        outcome["workers set"] = hasattr(rotconv.grid._thread, "workers")
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    return outcome
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_run_report_error_reaches_the_caller(grid16, monkeypatch, workers):
+    # no report starts after the failing one, as in the serial order
+    started = []
+
+    def failing_report(state, epsilon):
+        started.append(state.t)
+        if state.t > 0.07:
+            raise ValueError(f"injected at t = {state.t:.2f}")
+        return original_report(state, epsilon)
+
+    original_report = rotconv.invariants.compute_report
+    monkeypatch.setattr(rotconv.grid, "WORKERS", workers)
+    monkeypatch.setattr(rotconv.invariants, "compute_report", failing_report)
+    outcome = _outcome_of(lambda: run(_run_config(grid16)))
+    assert outcome == {"error": "ValueError: injected at t = 0.10", "workers set": False}
+    assert len(started) == 3
+
+
+@pytest.mark.parametrize("report_fails, error", [
+    (False, "BlowUpError: injected at t = 0.15"),
+    # the serial order meets the report of t = 0.1 before the step to t = 0.15
+    (True, "ValueError: injected at t = 0.10"),
+], ids=["step", "report-first"])
+def test_run_blow_up_while_a_report_is_pending(grid16, monkeypatch, report_fails, error):
+    # the report of t = 0.1 waits until the step from it has failed
+    failed = threading.Event()
+    finished = []
+
+    def waiting_report(state, epsilon):
+        if state.t > 0.07:
+            assert failed.wait(timeout=30)
+            if report_fails:
+                raise ValueError(f"injected at t = {state.t:.2f}")
+        finished.append(state.t)
+        return original_report(state, epsilon)
+
+    def failing_step(state, dt, config):
+        if state.t + dt > 0.12:
+            failed.set()
+            raise BlowUpError(f"injected at t = {state.t + dt:.2f}", state)
+        return original_step(state, dt, config)
+
+    original_report = rotconv.invariants.compute_report
+    original_step = rotconv.evolution.step
+    monkeypatch.setattr(rotconv.grid, "WORKERS", 2)
+    monkeypatch.setattr(rotconv.invariants, "compute_report", waiting_report)
+    monkeypatch.setattr(rotconv.evolution, "step", failing_step)
+    outcome = _outcome_of(lambda: run(_run_config(grid16)))
+    assert outcome == {"error": error, "workers set": False}
+    assert len(finished) == (2 if report_fails else 3)
+
+
+def test_run_report_thread_start_failure_reaches_the_caller(grid16, monkeypatch):
+    def start(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        original_start(thread)
+
+    started = []
+    original_start = threading.Thread.start
+    monkeypatch.setattr(rotconv.grid, "WORKERS", 2)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        run(_run_config(grid16))
+    assert not started[0].is_alive()

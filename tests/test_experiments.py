@@ -294,6 +294,33 @@ def test_concurrent_members_match_the_serial_path(grid16, monkeypatch, experimen
     assert results[2] == results[0]
 
 
+def test_eps_scaled_perturbation_lies_inside_the_truncation(grid16, monkeypatch):
+    # the perturbation direction is restricted to the kept modes, then normalised
+    def capturing_stream(configs, theta0s, *args):
+        starts.extend(theta0s)
+        return original_stream(configs, theta0s, *args)
+
+    starts = []
+    original_stream = rotconv.experiments._stream
+    monkeypatch.setattr(rotconv.experiments, "_stream", capturing_stream)
+    config = random_config(grid16, mode_cap=2, initial=InitialSpec(band=(1, 6), amplitude=0.5))
+    sweep_epsilon(config, [0.5, 0.25], "eps-scaled")
+    kx, ky, kz = grid16.wavenumbers()
+    outside = np.maximum(np.maximum(np.abs(kx), np.abs(ky)), kz) > 2
+    for eps, theta0 in zip([0.5, 0.25], starts[1:]):
+        diff = SpectralField(grid16, theta0.coeffs - starts[0].coeffs)
+        assert np.all(diff.coeffs[np.broadcast_to(outside, diff.coeffs.shape)] == 0.0)
+        assert spectral_l2(diff) == pytest.approx(eps, rel=1e-12)
+
+
+def test_eps_scaled_sweep_rejects_a_perturbation_band_outside_the_truncation(grid16):
+    # a single-mode start inside the cap, but the perturbation uses band (5, 6)
+    init = InitialSpec(kind="analytic-single-mode", mode=(1, 0, 0), band=(5, 6))
+    with pytest.raises(ValueError, match=re.escape(
+            "mode_cap 2 removes every mode of the eps-scaled perturbation band (5, 6)")):
+        sweep_epsilon(random_config(grid16, mode_cap=2, initial=init), [0.5], "eps-scaled")
+
+
 def test_eps_scaled_sweep_samples_every_reference_time(grid16):
     res = sweep_epsilon(random_config(grid16), [0.5, 0.25], "eps-scaled")
     assert res.times[-1] == pytest.approx(0.5)
@@ -378,6 +405,18 @@ def test_twin_rejects_perturbations_the_grid_cannot_carry(grid16, delta_amp, del
                                                           dealiased, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         twin_run(random_config(grid16, dealias=dealiased), delta_amp, delta_mode)
+
+
+@pytest.mark.parametrize("delta_mode", [(4, 0, 0), (0, -3, 1), (1, 1, -3)])
+def test_twin_rejects_perturbations_outside_the_truncation(grid16, delta_mode):
+    with pytest.raises(ValueError, match=re.escape(
+            f"delta_mode {delta_mode!r} lies outside the Galerkin truncation mode_cap = 2")):
+        twin_run(random_config(grid16, mode_cap=2), 1e-6, delta_mode)
+
+
+def test_twin_accepts_the_outermost_capped_mode(grid16):
+    rep = twin_run(random_config(grid16, t_end=0.1, mode_cap=2), 1e-6, (2, -2, -2))
+    assert rep.err_l2[0] == pytest.approx(1e-6)
 
 
 def test_twin_accepts_the_outermost_resolved_mode(grid16):

@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -141,11 +143,29 @@ def test_report_equals_field_by_field_path(n):
         assert embedding_ratios(state.theta) == _report_field_by_field(state, 0.1).ratios
 
 
-def test_report_is_one_inverse_transform(grid16, to_physical_calls):
+def test_report_transforms_each_field_once(grid16, to_physical_calls):
+    # theta', u, v, w, d_x (u, v, w, theta') and d_y theta', however batched
     state = SimState(0.0, random_band_limited(grid16, 4))
     to_physical_calls.clear()
     compute_report(state, 0.1)
-    assert len(to_physical_calls) == 1
+    fields = [f for batch in to_physical_calls for f in batch]
+    assert len(fields) == 9
+    assert not any(np.array_equal(a, b) for a, b in combinations(fields, 2))
+
+
+def test_report_memory_budget(grid32):
+    # the nine fields are transformed a pair at a time, and each pair is
+    # reduced and dropped before the next one is formed; all nine at once
+    # took 17.6 half-spectrum fields
+    state = SimState(0.0, random_band_limited(grid32, 4))
+    compute_report(state, 0.1)  # fills the caches and the FFT plans
+    tracemalloc.start()
+    try:
+        compute_report(state, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * state.theta.coeffs.nbytes
 
 
 def test_budget_series_steady_run(grid32):
