@@ -99,7 +99,6 @@ def compute_report(state, epsilon: float) -> InvariantReport:
 
     (dxw,) = inverse_transform_batch(theta, [(mw, dx)])
     dxw_max = float(np.max(np.abs(dxw.values)))
-    del dxw
 
     ratios = {}
     if l2 > 0:
