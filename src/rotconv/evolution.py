@@ -15,7 +15,7 @@ import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .grid import (
     PhysicalField,
     SpectralField,
     _lattice,
-    dealias as dealias_op,
+    dealias,
     derivative_symbol,
     forward_transform,
     horizontal_laplacian_symbol,
@@ -60,10 +60,9 @@ def _is_ints(x, n: int) -> bool:
         _is_number(k, numbers.Integral) for k in x)
 
 
-def _check_mode(name: str, mode, grid: Grid | None = None, dealias_field: bool = True,
-                mode_cap: int | None = None) -> None:
+def _check_mode(name: str, mode, grid: Grid | None = None, mode_cap: int | None = None) -> None:
     """Raise a ValueError naming `name` unless the single mode is three integers
-    with k1 or k2 nonzero and, given a grid, is resolved on it and kept by the
+    with k1 or k2 nonzero and, given a grid, is kept by its 2/3 rule and by the
     Galerkin truncation `mode_cap`."""
     # a mode with k1 = k2 = 0 lies in the horizontal-mean sector, which is projected out
     if not (_is_ints(mode, 3) and mode[:2] != (0, 0)):
@@ -71,11 +70,9 @@ def _check_mode(name: str, mode, grid: Grid | None = None, dealias_field: bool =
                          f" with k1 or k2 nonzero, got {mode!r}")
     if grid is None:
         return
-    # |k_i| >= n_i/2 vanishes on the grid or aliases; the 2/3 rule removes |k_i| > n_i/3
-    limits = [n // 3 if dealias_field else n // 2 - 1 for n in grid.shape]
-    if any(abs(k) > lim for k, lim in zip(mode, limits)):
+    if any(3 * abs(k) > n for k, n in zip(mode, grid.shape)):
         raise ValueError(f"{name} {mode!r} is not resolved on the {grid.shape} grid:"
-                         f" it needs |k_i| <= {tuple(limits)}")
+                         f" it needs |k_i| <= {tuple(n // 3 for n in grid.shape)}")
     if mode_cap is not None and max(map(abs, mode)) > mode_cap:
         raise ValueError(f"{name} {mode!r} lies outside the Galerkin truncation"
                          f" mode_cap = {mode_cap}: it needs |k_i| <= {mode_cap}")
@@ -118,11 +115,11 @@ class SimConfig:
     dt: float | str = "auto"
     t_end: float = 1.0
     integrator: str = "if-rk4"
-    dealias: bool = True
     initial: InitialSpec = field(default_factory=InitialSpec)
     diagnostics_every: int = 1
     safety: float = 0.5
     mode_cap: int | None = None  # Galerkin truncation |k_i| <= mode_cap
+    dealias: ClassVar[bool] = True  # not a field: always on; acceptance criterion 3 reads it
 
     def __post_init__(self):
         if not (_is_number(self.epsilon) and 0 <= self.epsilon < math.inf):
@@ -154,32 +151,27 @@ class SimState:
 
 
 class _Workspace(NamedTuple):
-    """The symbols and masks of one tendency, cached per grid and truncation."""
+    """The symbols and the dropped modes of one tendency, cached per grid and truncation."""
 
     mu: np.ndarray
     mv: np.ndarray
     mw: np.ndarray
     ikx: np.ndarray
     iky: np.ndarray
-    mask: np.ndarray  # the modes kept by the 2/3 rule and `mode_cap`
     lap_h: np.ndarray  # -kh2 on its (nx, ny, 1) base: constant in kz, it broadcasts
-    drop: np.ndarray  # the modes every tendency zeroes: outside the mask, and the mean sector
+    drop: np.ndarray  # zeroed modes: the mean sector, and all outside the 2/3 rule and `mode_cap`
 
 
 @lru_cache(maxsize=32)
-def _workspace(grid: Grid, dealias: bool, mode_cap: int | None) -> _Workspace:
+def _workspace(grid: Grid, mode_cap: int | None) -> _Workspace:
     lat = _lattice(grid.nx, grid.ny, grid.nz)
     mu, mv, mw, _, _ = velocity_symbols(grid)
-    mask = np.broadcast_to(True, grid.spectral_shape)
-    if dealias:
-        mask = mask & lat.dealias
+    drop = ~lat.dealias
     if mode_cap is not None:
-        kmax = np.maximum(np.maximum(np.abs(lat.kx), np.abs(lat.ky)), lat.kz)
-        mask = mask & (kmax <= mode_cap)
-    drop = ~mask
+        drop |= np.maximum(np.maximum(np.abs(lat.kx), np.abs(lat.ky)), lat.kz) > mode_cap
     drop[0, 0, :] = True
     return _Workspace(mu, mv, mw, derivative_symbol(grid, 0), derivative_symbol(grid, 1),
-                      mask, horizontal_laplacian_symbol(grid)[:, :, :1], drop)
+                      horizontal_laplacian_symbol(grid)[:, :, :1], drop)
 
 
 def _physical(sym: np.ndarray, c: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -229,7 +221,7 @@ def tendency(theta: SpectralField, epsilon: float) -> SpectralField:
     if not theta.has_zero_horizontal_mean(tol=1e-10):
         raise ValueError("tendency requires a zero-horizontal-mean field")
     return SpectralField._wrap(theta.grid, _rhs(theta.coeffs, epsilon,
-                                                _workspace(theta.grid, True, None)))
+                                                _workspace(theta.grid, None)))
 
 
 def _rk4_step(c: np.ndarray, dt: float, eps: float, ws: _Workspace):
@@ -287,7 +279,7 @@ def step(state: SimState, dt: float, config: SimConfig) -> SimState:
     """Advance one time step; a new state that is not a finite real field is a blow-up."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    ws = _workspace(config.grid, config.dealias, config.mode_cap)
+    ws = _workspace(config.grid, config.mode_cap)
     c = state.theta.coeffs
     if config.integrator == "rk4":
         out = _rk4_step(c, dt, config.epsilon, ws)
@@ -320,9 +312,11 @@ def cfl_dt(state: SimState, safety: float, config: SimConfig) -> float:
 
 
 def build_initial(grid: Grid, spec: InitialSpec, dealias_field: bool = True) -> SpectralField:
-    """Construct the initial spectral state with zero horizontal mean."""
+    """Construct the initial spectral state with zero horizontal mean under the 2/3 rule."""
+    if dealias_field is not True:  # True only; it stays because acceptance criterion 3 passes it
+        raise ValueError(f"the 2/3 rule is always on, got dealias_field={dealias_field!r}")
     if spec.kind == "analytic-single-mode":
-        _check_mode("initial mode", spec.mode, grid, dealias_field)
+        _check_mode("initial mode", spec.mode, grid)
         X, Y, Z = grid.meshgrid()
         k1, k2, k3 = spec.mode
         values = spec.amplitude * np.sin(k1 * X + k2 * Y + k3 * Z)
@@ -334,9 +328,7 @@ def build_initial(grid: Grid, spec: InitialSpec, dealias_field: bool = True) -> 
         kmax_abs = np.maximum(np.maximum(np.abs(kx), np.abs(ky)), np.abs(kz))
         band = (kmax_abs >= spec.band[0]) & (kmax_abs <= spec.band[1])
         F = SpectralField(grid, np.where(band, F.coeffs, 0.0))
-    F = project_zero_horizontal_mean(F)
-    if dealias_field:
-        F = dealias_op(F)
+    F = dealias(project_zero_horizontal_mean(F))
     if spec.kind == "random-band-limited":
         l6 = lp_norm(inverse_transform(F), 6.0)
         if l6 == 0:
@@ -360,7 +352,7 @@ def initial_state(config: SimConfig) -> SpectralField:
     init = config.initial
     what = (f"initial band {init.band!r}" if init.kind == "random-band-limited"
             else f"initial mode {init.mode!r}")
-    return _truncate(config, build_initial(config.grid, init, config.dealias), what)
+    return _truncate(config, build_initial(config.grid, init), what)
 
 
 def _truncate(config: SimConfig, theta: SpectralField, what: str) -> SpectralField:
@@ -368,8 +360,8 @@ def _truncate(config: SimConfig, theta: SpectralField, what: str) -> SpectralFie
     `what` if it keeps none of them."""
     if config.mode_cap is None:
         return theta
-    ws = _workspace(config.grid, config.dealias, config.mode_cap)
-    capped = np.where(ws.mask, theta.coeffs, 0.0)
+    ws = _workspace(config.grid, config.mode_cap)
+    capped = np.where(ws.drop, 0.0, theta.coeffs)
     # relative to the uncapped field: a capped single mode leaves round-off
     if np.max(np.abs(capped)) <= 1e-12 * np.max(np.abs(theta.coeffs)):
         raise ValueError(f"mode_cap {config.mode_cap} removes every mode of the {what}")

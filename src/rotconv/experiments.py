@@ -294,7 +294,7 @@ def sweep_epsilon(
             base.initial, kind="random-band-limited", seed=base.initial.seed + 104729
         )
         # a direction outside the Galerkin truncation would not perturb the truncated system
-        direction = _truncate(base, build_initial(base.grid, pert_spec, base.dealias),
+        direction = _truncate(base, build_initial(base.grid, pert_spec),
                               f"eps-scaled perturbation band {pert_spec.band!r}")
         direction = direction.coeffs / spectral_l2(direction)
         theta0s[1:] = [SpectralField(base.grid, theta0.coeffs + eps * direction)
@@ -340,7 +340,7 @@ def twin_run(
     """
     if not (_is_number(delta_amp) and math.isfinite(delta_amp)):
         raise ValueError(f"delta_amp must be a finite number, got {delta_amp!r}")
-    _check_mode("delta_mode", delta_mode, base.grid, base.dealias, base.mode_cap)
+    _check_mode("delta_mode", delta_mode, base.grid, base.mode_cap)
 
     pert = _perturbation_field(base.grid, delta_mode, delta_amp)
     theta0 = initial_state(base)

@@ -122,7 +122,11 @@ def _lattice(nx: int, ny: int, nz: int) -> _Lattice:
 
 
 class _Frozen:
-    """A field whose array `_freeze` checks, makes read-only and stores."""
+    """A field whose array `_freeze` checks, makes read-only and stores; `==` compares values."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.grid == other.grid and np.array_equal(
+            getattr(self, self._array), getattr(other, self._array))
 
     @classmethod
     def _wrap(cls, grid: Grid, array: np.ndarray):
@@ -133,7 +137,7 @@ class _Frozen:
         return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhysicalField(_Frozen):
     """Real scalar samples at the collocation points of `grid`.
 
@@ -143,6 +147,7 @@ class PhysicalField(_Frozen):
 
     grid: Grid
     values: np.ndarray
+    _array = "values"
 
     def __post_init__(self):
         self._freeze(np.array(self.values, dtype=np.float64))
@@ -156,12 +161,13 @@ class PhysicalField(_Frozen):
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralField(_Frozen):
     """Half-spectrum Fourier coefficients of a real field, coeff(0) = field mean."""
 
     grid: Grid
     coeffs: np.ndarray
+    _array = "coeffs"
 
     def __post_init__(self):
         self._freeze(np.array(self.coeffs, dtype=np.complex128, order="C"))

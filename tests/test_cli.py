@@ -53,9 +53,10 @@ def test_load_config_converts_mode_and_band_to_tuples(tmp_path):
     assert initial.mode == (1, 2, 3) and initial.band == (2, 5)
 
 
-# the last two set a whole section to 0.5, which is not a JSON object
+# "dealias" is not a key, because the 2/3 rule is not a setting.  The last two
+# set a whole section to 0.5, which is not a JSON object
 @pytest.mark.parametrize("section, key", [(None, "epsion"), ("initial", "sed"), ("grid", "nw"),
-                                          (None, "grid"), (None, "initial")])
+                                          (None, "dealias"), (None, "grid"), (None, "initial")])
 def test_load_config_rejects_unknown_keys(tmp_path, config_path, section, key):
     cfg = json.loads(config_path.read_text())
     (cfg[section] if section else cfg)[key] = 0.5
@@ -101,6 +102,13 @@ def test_check_multipliers_command(tmp_path):
         assert line.split(",")[1] == "1"  # every hypothesis holds
 
 
+def _reloaded_echo(tmp_path, payload):
+    """The SimConfig that `load_config` reads from an output's config echo."""
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(payload["config"]))
+    return load_config(path)
+
+
 def test_sweep_epsilon_command(tmp_path, config_path):
     out = tmp_path / "sweep"
     code = main([
@@ -110,7 +118,8 @@ def test_sweep_epsilon_command(tmp_path, config_path):
     assert code == 0
     assert (out / "sweep.csv").exists()
     payload = json.loads((out / "sweep.json").read_text())
-    assert "slope" in payload and "config" in payload
+    assert "slope" in payload
+    assert _reloaded_echo(tmp_path, payload) == load_config(config_path)
 
 
 def test_sweep_resolution_command(tmp_path, config_path):
@@ -134,6 +143,7 @@ def test_twin_command(tmp_path, config_path):
     assert code == 0
     payload = json.loads((out / "twin.json").read_text())
     assert payload["in_linear_regime"] is True
+    assert _reloaded_echo(tmp_path, payload) == load_config(config_path)
     assert (out / "twin.csv").read_text().splitlines()[0] == "t,err_l2,err_dual"
 
 

@@ -103,7 +103,7 @@ def test_tendency_zero_field(grid16):
 
 def test_steady_state_under_stepping(grid32):
     config = single_mode_config(grid32, epsilon=0.0, dt=1e-2, integrator="rk4")
-    state = SimState(0.0, build_initial(grid32, config.initial, config.dealias))
+    state = SimState(0.0, build_initial(grid32, config.initial))
     c0 = state.theta.coeffs.copy()
     for _ in range(100):
         state = step(state, 1e-2, config)
@@ -113,7 +113,7 @@ def test_steady_state_under_stepping(grid32):
 def test_ifrk4_exact_diffusion_factor(grid32):
     eps, dt = 0.3, 0.05
     config = single_mode_config(grid32, epsilon=eps, dt=dt, integrator="if-rk4")
-    state = SimState(0.0, build_initial(grid32, config.initial, config.dealias))
+    state = SimState(0.0, build_initial(grid32, config.initial))
     before = state.theta.coeffs[1, 0, 0]
     after = step(state, dt, config).theta.coeffs[1, 0, 0]
     assert abs(after - before * np.exp(-(eps**2) * dt)) < 1e-15
@@ -354,22 +354,28 @@ def test_initial_state_keeps_a_nonzero_capped_start(grid16):
     assert np.array_equal(initial_state(config).coeffs, np.where(kept, full.coeffs, 0.0))
 
 
-@pytest.mark.parametrize("mode, dealiased", [
-    ((6, 0, 0), True), ((1, 0, 6), True),  # removed by the 2/3 rule: |k_i| <= 5 on N = 16
-    ((0, 8, 0), False),  # the Nyquist mode: sin(8 y) vanishes at every grid point
-    ((9, 0, 0), False),  # aliases to k1 = -7
+# the 2/3 rule keeps |k_i| <= 5 on N = 16
+@pytest.mark.parametrize("mode", [
+    (6, 0, 0), (1, 0, 6),
+    (0, 8, 0),  # the Nyquist mode: sin(8 y) vanishes at every grid point
+    (9, 0, 0),  # aliases to k1 = -7
+    (7, -7, 7),  # resolved by the grid (|k_i| < 8), but removed by the 2/3 rule
 ])
-def test_build_initial_rejects_unresolved_single_mode(grid16, mode, dealiased):
+def test_build_initial_rejects_unresolved_single_mode(grid16, mode):
     spec = InitialSpec(kind="analytic-single-mode", mode=mode)
     message = f"mode {mode!r} is not resolved on the (16, 16, 16) grid"
     with pytest.raises(ValueError, match=re.escape(message)):
-        build_initial(grid16, spec, dealiased)
+        build_initial(grid16, spec)
 
 
-@pytest.mark.parametrize("mode, dealiased", [((5, 0, 5), True), ((7, -7, 7), False)])
-def test_build_initial_accepts_the_outermost_resolved_single_mode(grid16, mode, dealiased):
-    F = build_initial(grid16, InitialSpec(kind="analytic-single-mode", mode=mode), dealiased)
+def test_build_initial_accepts_the_outermost_resolved_single_mode(grid16):
+    F = build_initial(grid16, InitialSpec(kind="analytic-single-mode", mode=(5, 0, 5)))
     assert spectral_l2(F) == pytest.approx(np.sqrt((2 * np.pi) ** 3 / 2) * 0.1)
+
+
+def test_build_initial_rejects_turning_off_the_two_thirds_rule(grid16):
+    with pytest.raises(ValueError, match="2/3 rule"):
+        build_initial(grid16, InitialSpec(), False)
 
 
 @pytest.mark.parametrize("integrator", ["rk4", "if-rk4"])
@@ -394,11 +400,18 @@ def _run_config(grid):
     return SimConfig(grid=grid, epsilon=0.1, dt=0.05, t_end=0.3, initial=init)
 
 
-def _trajectory_values(traj):
-    """What a Trajectory holds, in a form `==` compares: the final field's
-    array is compared by its bytes."""
-    final = traj.final_state
-    return traj.times, traj.reports, final.t, final.theta.coeffs.tobytes()
+def test_runs_of_one_config_compare_equal(grid16):
+    # fields compare by grid and values, so states and trajectories compare whole
+    first, second = run(_run_config(grid16)), run(_run_config(grid16))
+    assert first == second
+    theta = first.final_state.theta
+    changed = theta.coeffs.copy()
+    changed[1, 0, 1] += 1e-12
+    changed = SpectralField(grid16, changed)
+    assert changed != theta
+    assert SimState(first.final_state.t, changed) != first.final_state
+    assert inverse_transform(theta) == inverse_transform(second.final_state.theta)
+    assert inverse_transform(changed) != inverse_transform(theta)
 
 
 def test_threaded_run_matches_the_serial_path(grid16, monkeypatch):
@@ -434,7 +447,7 @@ def test_threaded_run_matches_the_serial_path(grid16, monkeypatch):
             monkeypatch.setattr(rotconv.grid, "WORKERS", workers)
             for record in (reports, steps, started):
                 record.clear()
-            results.append(_trajectory_values(run(_run_config(grid16))))
+            results.append(run(_run_config(grid16)))
             assert len(reports) == 7 and len(steps) == 6
             assert set(steps) == {(caller, workers)}
             if workers == 1:

@@ -391,20 +391,19 @@ def test_twin_rejects_mean_sector_perturbation(grid16):
         twin_run(random_config(grid16), 1e-6, (0, 0, 1))
 
 
-@pytest.mark.parametrize("delta_amp, delta_mode, dealiased, message", [
-    (1e-6, (20, 0, 0), False, "delta_mode (20, 0, 0) is not resolved"),  # aliases to k1 = 4
-    (1e-6, (8, 0, 0), False, "delta_mode (8, 0, 0) is not resolved"),  # the Nyquist plane
-    (1e-6, (6, 0, 0), True, "delta_mode (6, 0, 0) is not resolved"),  # removed by the 2/3 rule
-    (1e-6, (1, 1), True, "delta_mode must be a tuple of three integers"),
-    (1e-6, (1, 1.5, 0), True, "delta_mode must be a tuple of three integers"),
-    (float("nan"), (1, 1, 1), True, "delta_amp must be a finite number"),
-    (float("inf"), (1, 1, 1), True, "delta_amp must be a finite number"),
-    ("1e-6", (1, 1, 1), True, "delta_amp must be a finite number"),
+@pytest.mark.parametrize("delta_amp, delta_mode, message", [
+    (1e-6, (20, 0, 0), "delta_mode (20, 0, 0) is not resolved"),  # aliases to k1 = 4
+    (1e-6, (8, 0, 0), "delta_mode (8, 0, 0) is not resolved"),  # the Nyquist plane
+    (1e-6, (6, 0, 0), "delta_mode (6, 0, 0) is not resolved"),  # removed by the 2/3 rule
+    (1e-6, (1, 1), "delta_mode must be a tuple of three integers"),
+    (1e-6, (1, 1.5, 0), "delta_mode must be a tuple of three integers"),
+    (float("nan"), (1, 1, 1), "delta_amp must be a finite number"),
+    (float("inf"), (1, 1, 1), "delta_amp must be a finite number"),
+    ("1e-6", (1, 1, 1), "delta_amp must be a finite number"),
 ])
-def test_twin_rejects_perturbations_the_grid_cannot_carry(grid16, delta_amp, delta_mode,
-                                                          dealiased, message):
+def test_twin_rejects_perturbations_the_grid_cannot_carry(grid16, delta_amp, delta_mode, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        twin_run(random_config(grid16, dealias=dealiased), delta_amp, delta_mode)
+        twin_run(random_config(grid16), delta_amp, delta_mode)
 
 
 @pytest.mark.parametrize("delta_mode", [(4, 0, 0), (0, -3, 1), (1, 1, -3)])
