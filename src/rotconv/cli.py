@@ -115,7 +115,7 @@ def cmd_sweep_resolution(args) -> int:
 
 def cmd_twin(args) -> int:
     from .experiments import twin_run
-    from .io import write_csv
+    from .io import write_csv, write_json
 
     config = load_config(args.config)
     mode = tuple(int(s) for s in args.delta_mode.split(","))
@@ -130,7 +130,7 @@ def cmd_twin(args) -> int:
         "in_linear_regime": report.in_linear_regime,
         "config": asdict(config),
     }
-    (out / "twin.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(out / "twin.json", payload)
     print(f"twin run done, fitted rate = {report.fitted_rate:.6g}")
     return 0
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar, NamedTuple
@@ -25,6 +25,7 @@ from .grid import (
     Grid,
     PhysicalField,
     SpectralField,
+    _is_number,
     _lattice,
     dealias,
     derivative_symbol,
@@ -47,11 +48,6 @@ class BlowUpError(RuntimeError):
     def __init__(self, message: str, last_state: "SimState"):
         super().__init__(message)
         self.last_state = last_state
-
-
-def _is_number(x, kind=numbers.Real) -> bool:
-    """x is an instance of `kind` and not a bool."""
-    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 def _is_ints(x, n: int) -> bool:
@@ -399,44 +395,34 @@ def samples(config: SimConfig, theta0: SpectralField | None = None) -> Iterator[
 def run(config: SimConfig, theta0: SpectralField | None = None) -> Trajectory:
     """The invariant report of every state `samples(config, theta0)` yields.
 
-    Each sample's report is computed in a helper thread, with one FFT worker
-    (`grid._thread.workers`), while the calling thread steps to the next
-    sample.  At most one report is in flight: it is joined before the next
-    sample is handed over, so the reports come in sample order.  Under
+    Each sample's report is computed on one report thread per call, a
+    single-worker executor whose thread transforms with one FFT worker
+    (`grid.set_fft_workers`), while the calling thread steps to the next
+    sample.  At most one report is in flight: its result is taken before the
+    next sample is submitted, so the reports come in sample order.  Under
     `taskset -c 0`, `grid.WORKERS` is 1: no thread starts, and the caller
-    computes each report in turn.  A report's error is raised in the caller
-    once its thread is joined, in place of any error of a later step, as in
-    the serial order.
+    computes each report in turn.  The pending report's result is taken on
+    the way out too, so its error is raised in place of any error of a later
+    step, as in the serial order.
     """
     from .invariants import compute_report
 
-    times, reports, errors = [], [], []
-
-    def report(state):
-        _grid._thread.workers = 1
-        try:
-            reports.append(compute_report(state, config.epsilon))
-        except BaseException as err:  # raised in the caller once joined
-            errors.append(err)
-
-    threaded = _grid.WORKERS > 1
-    pending = None  # the started thread computing the latest report
-    try:
+    times = []
+    if _grid.WORKERS == 1:
+        reports = []
         for state in samples(config, theta0):
             times.append(state.t)
-            if not threaded:
-                reports.append(compute_report(state, config.epsilon))
-                continue
-            if pending is not None:
-                pending.join()
-                if errors:
-                    break
-            thread = threading.Thread(target=report, args=(state,), daemon=True)
-            thread.start()
-            pending = thread
-    finally:
-        if pending is not None:
-            pending.join()
-        if errors:
-            raise errors[0]
-    return Trajectory(times, reports, state)
+            reports.append(compute_report(state, config.epsilon))
+        return Trajectory(times, reports, state)
+    with ThreadPoolExecutor(1, initializer=_grid.set_fft_workers, initargs=(1,)) as pool:
+        futures = []
+        try:
+            for state in samples(config, theta0):
+                times.append(state.t)
+                if futures:
+                    futures[-1].result()
+                futures.append(pool.submit(compute_report, state, config.epsilon))
+        finally:
+            if futures:
+                futures[-1].result()
+    return Trajectory(times, [f.result() for f in futures], state)

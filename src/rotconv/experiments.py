@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -16,9 +17,9 @@ from .grid import (
     Grid,
     PhysicalField,
     SpectralField,
+    _is_number,
     _lattice,
     forward_transform,
-    inverse_transform_batch,
     parseval_sum,
     project_zero_horizontal_mean,
     spectral_l2,
@@ -27,7 +28,6 @@ from .evolution import (
     SimConfig,
     SimState,
     _check_mode,
-    _is_number,
     _truncate,
     build_initial,
     cfl_dt,
@@ -35,7 +35,7 @@ from .evolution import (
     samples,
 )
 from .invariants import dual_norm
-from .meanstate import heat_flux, mean_gradient, profile_l2
+from .meanstate import _physical_mean_gradient, profile_l2
 # solve_velocity is unused here but bench/test_bench.py rebinds it through this module
 from .velocity import solve_velocity, velocity_symbols  # noqa: F401
 
@@ -57,14 +57,6 @@ def h2h_bound_constant(grid: Grid) -> float:
 def _rms_h_sup(values: np.ndarray) -> float:
     """sup over z of the horizontal root-mean-square."""
     return float(np.sqrt(np.max(np.mean(values**2, axis=(0, 1)))))
-
-
-def _physical_mean_gradient(theta: SpectralField):
-    """theta and w in physical space, from one inverse transform, and the
-    mean temperature gradient profile of their heat flux."""
-    mw = velocity_symbols(theta.grid)[2]
-    theta_p, w_p = inverse_transform_batch(theta, [(), (mw,)])
-    return theta_p, w_p, mean_gradient(heat_flux(theta_p, w_p))
 
 
 class _Reference(NamedTuple):
@@ -163,15 +155,16 @@ def _stream(configs, theta0s, reference, measure):
     stored.
 
     The calling thread runs the reference and publishes each part as soon as
-    it is stored, while `min(grid.WORKERS, len(configs)) - 1` helper threads,
-    and then the caller, draw member indices in order from one shared
-    iterator.  A member waits only for the part of the sample it measures,
-    and stops if the reference closes without it.  While helpers run, each of
-    these threads transforms with one FFT worker (`grid._thread.workers`).
-    Under `taskset -c 0`, `grid.WORKERS` is 1: no thread starts, and the runs
-    go in serial order.  A failing run records its error and drains the
-    iterator, so no member that has not started starts.  Once the helpers are
-    joined, the error of the lowest run index is raised: every member below
+    it is stored, while `min(grid.WORKERS, len(configs)) - 1` helpers, the
+    workers of one executor, and then the caller, draw member indices in order
+    from one shared iterator.  A member waits only for the part of the sample
+    it measures, and stops if the reference closes without it.  While helpers
+    run, each of these threads transforms with one FFT worker
+    (`grid.set_fft_workers`).  Under `taskset -c 0`, `grid.WORKERS` is 1: no
+    helper is submitted, so no thread starts, and the runs go in serial order.
+    A failing run records its error and drains the iterator, so no member that
+    has not started starts.  Once the executor's shutdown has joined the
+    helpers, the error of the lowest run index is raised: every member below
     it has started, so it is the error the serial order meets first.
     """
     dt = configs[0].dt
@@ -184,12 +177,13 @@ def _stream(configs, theta0s, reference, measure):
     members = iter(range(len(rows)))
     cond = threading.Condition()
     closed = False  # the reference has published its last part
+    helpers = min(_grid.WORKERS, len(runs)) - 1
 
     def lead(_):
         nonlocal closed
         try:  # a helper that fails to start closes the reference, releasing the others
-            for thread in helpers:
-                thread.start()
+            for _ in range(helpers):
+                pool.submit(work)
             for s in samples(*runs[0]):
                 times.append(s.t)
                 part = reference(s.theta)
@@ -228,23 +222,16 @@ def _stream(configs, theta0s, reference, measure):
         while (k := draw()) is not None:
             attempt(k, member)
 
-    def helper():
-        _grid._thread.workers = 1
-        work()
-
-    helpers = [threading.Thread(target=helper, daemon=True)
-               for _ in range(min(_grid.WORKERS, len(runs)) - 1)]
     if helpers:
-        _grid._thread.workers = 1
+        _grid.set_fft_workers(1)
     try:
-        attempt(-1, lead)
-        work()
+        with ThreadPoolExecutor(max(helpers, 1), initializer=_grid.set_fft_workers,
+                                initargs=(1,)) as pool:
+            attempt(-1, lead)
+            work()
     finally:
-        for thread in helpers:
-            if thread.ident is not None:  # started
-                thread.join()
         if helpers:
-            del _grid._thread.workers
+            _grid.set_fft_workers(None)
     if errors:
         raise errors[min(errors)]
     return times, parts, rows

@@ -16,10 +16,10 @@ run on every CPU the process may use (`WORKERS`); pocketfft splits independent
 thread count.  `to_physical` consumes its input: it transforms the caller's
 stack in place.
 
-A thread that sets `_thread.workers` transforms with that many FFT workers
-in place of `WORKERS` (`_workers`); `experiments._stream` sets it to 1 in each
-thread that steps a trajectory beside others, and `evolution.run` in the
-thread that computes a report beside the stepping.
+`set_fft_workers` alone sets a thread's own FFT worker count, used in place
+of `WORKERS`.  It starts the executor threads of `evolution.run` (its report
+thread) and `experiments._stream` (its member helpers) at 1, and `_stream`
+sets the caller's count to 1 while helpers run and clears it afterwards.
 """
 
 from __future__ import annotations
@@ -48,6 +48,11 @@ THREADED_MIN_POINTS = 2**16
 _thread = threading.local()
 
 
+def _is_number(x, kind=numbers.Real) -> bool:
+    """x is an instance of `kind` and not a bool."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Collocation counts per axis on the cube [0, 2pi]^3."""
@@ -58,8 +63,7 @@ class Grid:
 
     def __post_init__(self):
         for name, n in (("nx", self.nx), ("ny", self.ny), ("nz", self.nz)):
-            if (not isinstance(n, numbers.Integral) or isinstance(n, bool)
-                    or n < 4 or n % 2 != 0):
+            if not _is_number(n, numbers.Integral) or n < 4 or n % 2 != 0:
                 raise ValueError(f"{name} must be an even integer >= 4, got {n!r}")
 
     @property
@@ -188,6 +192,14 @@ class SpectralField(_Frozen):
     def has_zero_horizontal_mean(self, tol: float = 1e-12) -> bool:
         scale = max(np.max(np.abs(self.coeffs)), 1.0)
         return float(np.max(np.abs(self.coeffs[0, 0, :]))) <= tol * scale
+
+
+def set_fft_workers(n: int | None) -> None:
+    """Transform with n FFT workers in this thread, or with `WORKERS` again for None."""
+    if n is not None:
+        _thread.workers = n
+    elif hasattr(_thread, "workers"):
+        del _thread.workers
 
 
 def _workers(nx: int, ny: int, nz: int) -> int:

@@ -19,7 +19,7 @@ from .grid import (
     spectral_l2,
 )
 from .evolution import SimState
-from .meanstate import heat_flux, mean_gradient, profile_l2
+from .meanstate import _physical_mean_gradient, profile_l2
 from .velocity import velocity_symbols
 
 
@@ -71,8 +71,7 @@ def compute_report(state, epsilon: float) -> InvariantReport:
     dV = grid.cell_volume
     l2 = spectral_l2(theta)
 
-    theta_p, w = inverse_transform_batch(theta, [(), (mw,)])
-    dtz = mean_gradient(heat_flux(theta_p, w))
+    theta_p, w, dtz = _physical_mean_gradient(theta)
     l3 = lp_norm(theta_p, 3.0)
     l6 = lp_norm(theta_p, 6.0)
     w_p = w.values

@@ -60,6 +60,10 @@ def write_csv(path, header: list[str], rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def write_json(path, payload) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 SERIES_COLUMNS = [
     "t", "l2", "l3", "l6", "grad_l3", "dual", "mean_grad_l2",
     "diss_h", "diss_z", "budget_residual",
@@ -108,4 +112,5 @@ def write_sweep_outputs(out_dir, result, config_echo: dict, label: str) -> None:
         "config": config_echo,
         "tool_version": __version__,
     }
-    (out / "sweep.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(out / "sweep.json", payload)
+

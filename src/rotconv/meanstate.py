@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .grid import TWO_PI, PhysicalField
+from .grid import TWO_PI, PhysicalField, SpectralField, inverse_transform_batch
+from .velocity import velocity_symbols
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,14 @@ def mean_gradient(flux: np.ndarray) -> np.ndarray:
     """Mean temperature gradient: the flux with its z-average removed."""
     flux = np.asarray(flux, dtype=np.float64)
     return flux - np.mean(flux)
+
+
+def _physical_mean_gradient(theta: SpectralField):
+    """theta and w in physical space, from one inverse transform, and the
+    mean temperature gradient profile of their heat flux."""
+    mw = velocity_symbols(theta.grid)[2]
+    theta_p, w_p = inverse_transform_batch(theta, [(), (mw,)])
+    return theta_p, w_p, mean_gradient(heat_flux(theta_p, w_p))
 
 
 def reconstruct_mean(dtheta_dz: np.ndarray) -> np.ndarray:

@@ -416,8 +416,8 @@ def test_runs_of_one_config_compare_equal(grid16):
 
 def test_threaded_run_matches_the_serial_path(grid16, monkeypatch):
     # WORKERS = 1 computes every report in the caller and starts no thread;
-    # otherwise one thread per sample computes its report with one FFT worker
-    # while the caller steps with its own count, left unset
+    # otherwise one started thread, not the caller, computes every report with
+    # one FFT worker while the caller steps with its own count, left unset
     reports, steps, started = [], [], []  # (thread id, FFT workers at 64^3) per call
 
     def recording_report(state, epsilon):
@@ -454,9 +454,9 @@ def test_threaded_run_matches_the_serial_path(grid16, monkeypatch):
                 assert not started
                 assert set(reports) == {(caller, 1)}
             else:
-                assert [t.ident for t in started] == [ident for ident, _ in reports]
-                assert caller not in {ident for ident, _ in reports}
-                assert {n for _, n in reports} == {1}
+                assert len(started) == 1
+                assert set(reports) == {(started[0].ident, 1)}
+                assert started[0].ident != caller
             assert not hasattr(rotconv.grid._thread, "workers")
     finally:
         sys.setswitchinterval(interval)
@@ -537,16 +537,16 @@ def test_run_blow_up_while_a_report_is_pending(grid16, monkeypatch, report_fails
 
 
 def test_run_report_thread_start_failure_reaches_the_caller(grid16, monkeypatch):
+    # the one report thread of the call fails to start
     def start(thread):
-        if started:
-            raise RuntimeError("can't start new thread")
         started.append(thread)
-        original_start(thread)
+        raise RuntimeError("can't start new thread")
 
     started = []
-    original_start = threading.Thread.start
+    before = set(threading.enumerate())
     monkeypatch.setattr(rotconv.grid, "WORKERS", 2)
     monkeypatch.setattr(threading.Thread, "start", start)
     with pytest.raises(RuntimeError, match="can't start new thread"):
         run(_run_config(grid16))
-    assert not started[0].is_alive()
+    assert len(started) == 1
+    assert set(threading.enumerate()) == before
