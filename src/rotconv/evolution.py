@@ -156,6 +156,7 @@ class _Workspace(NamedTuple):
     iky: np.ndarray
     lap_h: np.ndarray  # -kh2 on its (nx, ny, 1) base: constant in kz, it broadcasts
     drop: np.ndarray  # zeroed modes: the mean sector, and all outside the 2/3 rule and `mode_cap`
+    planes: int  # the kz planes kz < planes hold every kept mode
 
 
 @lru_cache(maxsize=32)
@@ -166,40 +167,44 @@ def _workspace(grid: Grid, mode_cap: int | None) -> _Workspace:
     if mode_cap is not None:
         drop |= np.maximum(np.maximum(np.abs(lat.kx), np.abs(lat.ky)), lat.kz) > mode_cap
     drop[0, 0, :] = True
+    kz_max = grid.nz // 3 if mode_cap is None else min(grid.nz // 3, mode_cap)
     return _Workspace(mu, mv, mw, derivative_symbol(grid, 0), derivative_symbol(grid, 1),
-                      horizontal_laplacian_symbol(grid)[:, :, :1], drop)
+                      horizontal_laplacian_symbol(grid)[:, :, :1], drop, kz_max + 1)
 
 
-def _physical(sym: np.ndarray, c: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """The real field of sym * c, transformed in `buf`."""
-    return to_physical(np.multiply(sym, c, out=buf))
+def _physical(sym: np.ndarray, c: np.ndarray, buf: np.ndarray, planes: int) -> np.ndarray:
+    """The real field of sym * c, zero from kz plane `planes` on, transformed in `buf`."""
+    return to_physical(np.multiply(sym, c, out=buf), planes)
 
 
 def _advective_rhs(c: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz.
+    """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz for a `c`
+    that is zero outside the kept modes.
 
     The six factors are inverse-transformed one at a time through one spectral
     buffer and consumed as they arrive: the flux from theta' w, then
     nl = (u d_x theta' + v d_y theta') + w dtheta_bar/dz.  At most five fields
-    are alive at once: the buffer, w, nl and the pair being multiplied.
+    are alive at once: the buffer, w, nl and the pair being multiplied.  Every
+    (x, y) pass, inverse and forward, runs on the `ws.planes` kz planes that
+    hold the kept modes only.
     """
+    p = ws.planes
     buf = c.copy()
-    theta_p = to_physical(buf)
-    w_p = _physical(ws.mw, c, buf)
+    theta_p = to_physical(buf, p)
+    w_p = _physical(ws.mw, c, buf, p)
     flux = np.mean(np.multiply(theta_p, w_p, out=theta_p), axis=(0, 1))
     del theta_p
     dtz = mean_gradient(flux)
-    nl = _physical(ws.mu, c, buf)
-    nl *= _physical(ws.ikx, c, buf)
-    v_p = _physical(ws.mv, c, buf)
-    v_p *= _physical(ws.iky, c, buf)
+    nl = _physical(ws.mu, c, buf, p)
+    nl *= _physical(ws.ikx, c, buf, p)
+    v_p = _physical(ws.mv, c, buf, p)
+    v_p *= _physical(ws.iky, c, buf, p)
     nl += v_p
     del v_p
     w_p *= dtz
     nl += w_p
     del w_p, buf
-    out = to_spectral(nl)
-    np.negative(out, out=out)
+    out = to_spectral(nl, p, -1.0)
     np.copyto(out, 0.0, where=ws.drop)
     return out
 
@@ -213,11 +218,12 @@ def _rhs(c: np.ndarray, eps: float, ws: _Workspace) -> np.ndarray:
 
 
 def tendency(theta: SpectralField, epsilon: float) -> SpectralField:
-    """Full spectral tendency of the evolution equation, under the 2/3 rule."""
+    """Full spectral tendency of the evolution equation, under the 2/3 rule:
+    the tendency of theta's modes kept by the rule, which `step` advances."""
     if not theta.has_zero_horizontal_mean(tol=1e-10):
         raise ValueError("tendency requires a zero-horizontal-mean field")
-    return SpectralField._wrap(theta.grid, _rhs(theta.coeffs, epsilon,
-                                                _workspace(theta.grid, None)))
+    ws = _workspace(theta.grid, None)
+    return SpectralField._wrap(theta.grid, _rhs(np.where(ws.drop, 0.0, theta.coeffs), epsilon, ws))
 
 
 def _rk4_step(c: np.ndarray, dt: float, eps: float, ws: _Workspace):
@@ -272,7 +278,10 @@ def _ifrk4_step(c: np.ndarray, dt: float, eps: float, ws: _Workspace):
 
 
 def step(state: SimState, dt: float, config: SimConfig) -> SimState:
-    """Advance one time step; a new state that is not a finite real field is a blow-up."""
+    """Advance one time step of the kept modes (the 2/3 rule within
+    `config.mode_cap`); the state must be zero outside them up to round-off,
+    as every state `samples` yields is.  A new state that is not a finite real
+    field is a blow-up."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     ws = _workspace(config.grid, config.mode_cap)
@@ -364,17 +373,36 @@ def _truncate(config: SimConfig, theta: SpectralField, what: str) -> SpectralFie
     return SpectralField(config.grid, capped)
 
 
+def _check_initial(config: SimConfig, theta: SpectralField) -> None:
+    """Raise a ValueError unless `theta` has zero horizontal mean and no
+    content outside the modes `step` keeps, both to the tolerance of
+    `has_zero_horizontal_mean`: `step` reads those modes as zero, and its
+    (x, y) passes skip their kz planes.  One |coeffs| array serves both tests."""
+    size = np.abs(theta.coeffs)
+    tol = 1e-12 * max(np.max(size), 1.0)
+    if np.max(size[0, 0, :]) > tol:
+        raise ValueError("initial state must have zero horizontal mean")
+    if np.max(size, where=_workspace(config.grid, config.mode_cap).drop, initial=0.0) > tol:
+        cap = "" if config.mode_cap is None else f" and mode_cap = {config.mode_cap}"
+        raise ValueError("initial state has modes outside those kept by the 2/3 rule"
+                         f" |k_i| <= n_i/3{cap}")
+
+
 def samples(config: SimConfig, theta0: SpectralField | None = None) -> Iterator[SimState]:
     """Integrate from `theta0` (default: `initial_state(config)`) to t_end and
     yield the t = 0 state, every `diagnostics_every`-th state and the last one.
+
+    `step` acts on the kept modes only: those of the 2/3 rule within
+    `mode_cap`.  So `theta0` must have zero horizontal mean and no content
+    outside the kept modes beyond round-off (the tolerance of
+    `has_zero_horizontal_mean`); otherwise a ValueError names the rule.
 
     The time step is `config.dt`, or under "auto" the CFL step of `theta0`,
     shortened so that a whole number of steps ends at t_end.
     """
     if theta0 is None:
         theta0 = initial_state(config)
-    if not theta0.has_zero_horizontal_mean():
-        raise ValueError("initial state must have zero horizontal mean")
+    _check_initial(config, theta0)
     state = SimState(0.0, theta0)
 
     if config.dt == "auto":

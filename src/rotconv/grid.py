@@ -14,7 +14,11 @@ The batched transforms of fields with at least `THREADED_MIN_POINTS` points
 run on every CPU the process may use (`WORKERS`); pocketfft splits independent
 1-D transforms across its threads, so results are bitwise independent of the
 thread count.  `to_physical` consumes its input: it transforms the caller's
-stack in place.
+stack in place.  Both transforms make the 1-D passes of `irfftn` and `rfftn`
+bit for bit, and given `planes` run the complex (x, y) pass on the kz planes
+below it only, for callers whose spectra are zero above them (the tendency's
+kept modes): `to_physical` leaves those zero planes as they are, and
+`to_spectral` leaves them holding the z pass alone.
 
 `set_fft_workers` alone sets a thread's own FFT worker count, used in place
 of `WORKERS`.  It starts the executor threads of `evolution.run` (its report
@@ -24,6 +28,7 @@ sets the caller's count to 1 while helpers run and clears it afterwards.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import threading
@@ -208,24 +213,40 @@ def _workers(nx: int, ny: int, nz: int) -> int:
     return getattr(_thread, "workers", WORKERS)
 
 
-def to_spectral(values: np.ndarray) -> np.ndarray:
-    """Half spectra of a batch of real fields on the last three axes."""
-    return sfft.rfftn(values, axes=(-3, -2, -1), norm="forward",
-                      workers=_workers(*values.shape[-3:]))
+def to_spectral(values: np.ndarray, planes: int | None = None,
+                scale: float = 1.0) -> np.ndarray:
+    """`scale` times the half spectra of a batch of real fields on the last
+    three axes, exact on the first `planes` kz planes (default: all).
+
+    The same 1-D passes as `rfftn` (the real transform over z, then the
+    complex one over x and y), with the 1/(nx ny nz) scaling, times `scale`,
+    applied once between them, where `rfftn` applies it.  The complex pass
+    runs in place on planes kz < `planes` only: the planes above hold the z
+    pass alone, and the caller must discard them.
+    """
+    workers = _workers(*values.shape[-3:])
+    out = sfft.rfft(values, axis=-1, workers=workers)
+    # pocketfft's own 1/N: the reciprocal in long double, rounded once to double
+    out *= scale * float(1 / np.longdouble(math.prod(values.shape[-3:])))
+    sfft.fftn(out[..., :planes], axes=(-3, -2), overwrite_x=True, workers=workers)
+    return out
 
 
-def to_physical(coeffs: np.ndarray) -> np.ndarray:
-    """Real fields of a batch of half spectra; overwrites `coeffs`.
+def to_physical(coeffs: np.ndarray, planes: int | None = None) -> np.ndarray:
+    """Real fields of a batch of half spectra that are zero on every kz plane
+    from `planes` on (default: none); overwrites `coeffs`.
 
     The same 1-D passes as `irfftn` (complex inverse over x and y, then the
     real inverse over z; nz is even, so it is twice the last index), but the
-    complex pass runs in place on the caller's array, not on a private copy.
+    complex pass runs in place on the caller's array, not on a private copy,
+    and only on planes kz < `planes`: it maps the zero planes above to
+    themselves.
     """
     nx, ny, nz = coeffs.shape[-3], coeffs.shape[-2], 2 * (coeffs.shape[-1] - 1)
     workers = _workers(nx, ny, nz)
-    mixed = sfft.ifftn(coeffs, axes=(-3, -2), norm="forward", overwrite_x=True,
-                       workers=workers)
-    return sfft.irfft(mixed, n=nz, axis=-1, norm="forward", workers=workers)
+    sfft.ifftn(coeffs[..., :planes], axes=(-3, -2), norm="forward", overwrite_x=True,
+               workers=workers)
+    return sfft.irfft(coeffs, n=nz, axis=-1, norm="forward", workers=workers)
 
 
 def forward_transform(f: PhysicalField) -> SpectralField:

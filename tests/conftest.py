@@ -47,9 +47,9 @@ def to_physical_calls(monkeypatch):
     calls = []
     original = rotconv.grid.to_physical
 
-    def counting(coeffs):
+    def counting(coeffs, *args):
         calls.append(coeffs.copy())
-        return original(coeffs)
+        return original(coeffs, *args)
 
     monkeypatch.setattr(rotconv.grid, "to_physical", counting)
     return calls

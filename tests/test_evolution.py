@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import rotconv.evolution
 import rotconv.grid
@@ -157,6 +158,32 @@ def test_rk4_step_is_rk4_on_the_public_tendency(grid16):
     assert np.array_equal(got, expected)
 
 
+def test_tendency_is_the_tendency_of_the_kept_modes(grid16):
+    # modes |k_i| = 6 lie outside the 2/3 rule at N = 16; the tendency reads
+    # them as zero, its diffusive term included
+    theta = random_band_limited(grid16, 4, kmax=6)
+    assert not np.array_equal(theta.coeffs, dealias(theta).coeffs)
+    assert tendency(theta, 0.2) == tendency(dealias(theta), 0.2)
+
+
+@pytest.mark.parametrize("mode_cap, planes", [(None, 6), (3, 4)])
+def test_tendency_xy_passes_run_on_the_kept_planes(grid16, monkeypatch, mode_cap, planes):
+    # every complex (x, y) pass of a tendency, its six inverses and its one
+    # forward, sees the kz planes that hold the kept modes and no more
+    ws = rotconv.evolution._workspace(grid16, mode_cap)
+    c = dealias(random_band_limited(grid16, 4)).coeffs
+    passes = []
+    for name in ("ifftn", "fftn"):
+        def recording(x, *args, _original=getattr(scipy.fft, name), _name=name, **kwargs):
+            passes.append((_name, x.shape))
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, recording)
+    rotconv.evolution._rhs(c, 0.2, ws)
+    assert ws.planes == planes
+    assert passes == [("ifftn", (16, 16, planes))] * 6 + [("fftn", (16, 16, planes))]
+
+
 def test_step_rejects_bad_dt(grid16):
     config = single_mode_config(grid16)
     state = SimState(0.0, build_initial(grid16, config.initial, True))
@@ -205,6 +232,20 @@ def test_run_from_given_initial_state(grid16):
     _, _, Z = grid16.meshgrid()
     with pytest.raises(ValueError):
         run(config, theta0=forward_transform(PhysicalField(grid16, np.cos(Z))))
+
+
+@pytest.mark.parametrize("mode_cap, mode", [(None, (6, 1, 0)), (None, (1, 0, 6)),
+                                           (3, (4, 1, 0)), (3, (1, 0, 4))])
+def test_samples_rejects_modes_outside_the_kept_ones(grid16, mode_cap, mode):
+    X, Y, Z = grid16.meshgrid()
+    config = SimConfig(grid=grid16, epsilon=0.1, dt=0.05, t_end=0.1, mode_cap=mode_cap)
+    kept = 0.5 * np.sin(X + Y + Z)
+    outside = 1e-9 * np.sin(mode[0] * X + mode[1] * Y + mode[2] * Z)
+    rule = "2/3 rule" + ("" if mode_cap is None else f".*mode_cap = {mode_cap}")
+    with pytest.raises(ValueError, match=rule):
+        run(config, theta0=forward_transform(PhysicalField(grid16, kept + outside)))
+    # the round-off a transform leaves outside the kept modes is accepted
+    assert len(run(config, theta0=forward_transform(PhysicalField(grid16, kept))).times) == 3
 
 
 def test_samples_cadence(grid16):

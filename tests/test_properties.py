@@ -5,7 +5,9 @@ rule and with its horizontal-mean sector removed.  Parseval is also checked
 on the raw field, whose kz = nz/2 plane is not empty, so a wrong Parseval
 weight on either self-conjugate plane fails a test.  The batched
 transforms are checked bit for bit against `scipy.fft.irfftn` and `rfftn` on
-random half spectra of unequal sizes, with one FFT thread and with one per CPU.
+random half spectra of unequal sizes, with one FFT thread and with one per CPU,
+and so are their pruned forms, which run the (x, y) pass on the first kz
+planes only.
 """
 
 import os
@@ -104,3 +106,32 @@ def test_batched_transforms_are_scipy_transforms(nx, ny, nz, batch, seed, worker
     assert values.shape == (batch, nx, ny, nz)
     assert np.array_equal(values, expected)
     assert np.array_equal(spectra, scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward"))
+
+
+@given(nx=even_sizes, ny=even_sizes, nz=even_sizes, batch=st.sampled_from([(), (1,), (3,)]),
+       planes=st.integers(1, 11), seed=seeds,
+       workers=st.sampled_from(sorted({1, os.cpu_count() or 1})))
+def test_pruned_transforms_are_scipy_transforms(nx, ny, nz, batch, planes, seed, workers):
+    # the tendency's passes: an inverse of spectra that are zero from kz
+    # plane `planes` on, and a negated forward read below that plane
+    planes = min(planes, nz // 2 + 1)
+    rng = np.random.default_rng(seed)
+    shape = batch + (nx, ny, nz // 2 + 1)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs[..., planes:] = 0.0
+    values = rng.standard_normal(batch + (nx, ny, nz))
+    spectra = scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
+    with mock.patch.multiple(rotconv.grid, WORKERS=workers, THREADED_MIN_POINTS=0):
+        assert np.array_equal(to_physical(coeffs.copy(), planes), to_physical(coeffs.copy()))
+        assert np.array_equal(to_spectral(values), spectra)
+        negated = to_spectral(values, planes, -1.0)
+    assert np.array_equal(negated[..., :planes], -spectra[..., :planes])
+
+
+def test_forward_scaling_is_rfftn_scaling():
+    # 1/N for N = 2 * 4 * 2731 rounds differently straight to double than
+    # through long double, as pocketfft computes it
+    values = np.random.default_rng(5).standard_normal((2, 4, 2731))
+    expected = scipy.fft.rfftn(values, norm="forward")
+    assert np.array_equal(to_spectral(values), expected)
+    assert np.array_equal(to_spectral(values, 1, -1.0)[..., :1], -expected[..., :1])
