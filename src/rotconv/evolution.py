@@ -172,49 +172,109 @@ def _workspace(grid: Grid, mode_cap: int | None) -> _Workspace:
                       horizontal_laplacian_symbol(grid)[:, :, :1], drop, kz_max + 1)
 
 
-def _physical(sym: np.ndarray, c: np.ndarray, buf: np.ndarray, planes: int) -> np.ndarray:
-    """The real field of sym * c, zero from kz plane `planes` on, transformed in `buf`."""
-    return to_physical(np.multiply(sym, c, out=buf), planes)
+class _Stepper:
+    """The buffers of one trajectory's steps: 4 half-spectrum fields `spec` and
+    4 real fields `real`, with the workspace of its grid and truncation.
 
-
-def _advective_rhs(c: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz for a `c`
-    that is zero outside the kept modes.
-
-    The six factors are inverse-transformed one at a time through one spectral
-    buffer and consumed as they arrive: the flux from theta' w, then
-    nl = (u d_x theta' + v d_y theta') + w dtheta_bar/dz.  At most five fields
-    are alive at once: the buffer, w, nl and the pair being multiplied.  Every
-    (x, y) pass, inverse and forward, runs on the `ws.planes` kz planes that
-    hold the kept modes only.
+    Every step of a trajectory runs in them, so stepping allocates no field
+    but each new state; the real z passes of the transforms write into them.
+    Each method keeps the operation order its docstring gives, so a step is
+    the same to the bit whichever buffer holds what.  A stepper serves one
+    thread.
     """
-    p = ws.planes
-    buf = c.copy()
-    theta_p = to_physical(buf, p)
-    w_p = _physical(ws.mw, c, buf, p)
-    flux = np.mean(np.multiply(theta_p, w_p, out=theta_p), axis=(0, 1))
-    del theta_p
-    dtz = mean_gradient(flux)
-    nl = _physical(ws.mu, c, buf, p)
-    nl *= _physical(ws.ikx, c, buf, p)
-    v_p = _physical(ws.mv, c, buf, p)
-    v_p *= _physical(ws.iky, c, buf, p)
-    nl += v_p
-    del v_p
-    w_p *= dtz
-    nl += w_p
-    del w_p, buf
-    out = to_spectral(nl, p, -1.0)
-    np.copyto(out, 0.0, where=ws.drop)
-    return out
 
+    def __init__(self, grid: Grid, mode_cap: int | None):
+        self.ws = _workspace(grid, mode_cap)
+        self.spec = tuple(np.empty(grid.spectral_shape, dtype=np.complex128) for _ in range(4))
+        self.real = tuple(np.empty(grid.shape) for _ in range(4))
 
-def _rhs(c: np.ndarray, eps: float, ws: _Workspace) -> np.ndarray:
-    """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz + eps^2 lap_h theta'."""
-    out = _advective_rhs(c, ws)
-    if eps != 0.0:
-        out += eps**2 * ws.lap_h * c
-    return out
+    def advective(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz for a `c`
+        that is zero outside the kept modes, written into `out` (not `c`).
+
+        `out` is also the spectral buffer through which the six factors are
+        inverse-transformed one at a time, each into a real buffer, and
+        consumed as they arrive: the flux from theta' w, then
+        nl = (u d_x theta' + v d_y theta') + w dtheta_bar/dz.  Every (x, y)
+        pass, inverse and forward, runs on the `ws.planes` kz planes that hold
+        the kept modes only.
+        """
+        ws = self.ws
+        r0, r1, r2, r3 = self.real
+
+        def physical(sym, r):
+            """The real field of sym * c, zero from kz plane `ws.planes` on, in r."""
+            return to_physical(np.multiply(sym, c, out=out), ws.planes, r)
+
+        np.copyto(out, c)
+        theta_p = to_physical(out, ws.planes, r0)
+        w_p = physical(ws.mw, r1)
+        dtz = mean_gradient(np.mean(np.multiply(theta_p, w_p, out=theta_p), axis=(0, 1)))
+        nl = physical(ws.mu, r0)
+        nl *= physical(ws.ikx, r2)
+        v_p = physical(ws.mv, r2)
+        v_p *= physical(ws.iky, r3)
+        nl += v_p
+        w_p *= dtz
+        nl += w_p
+        to_spectral(nl, ws.planes, -1.0, out)
+        np.copyto(out, 0.0, where=ws.drop)
+        return out
+
+    def rhs(self, c: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
+        """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz + eps^2
+        lap_h theta', written into `out`; `spec[3]` holds the diffusive term."""
+        self.advective(c, out)
+        if eps != 0.0:
+            out += np.multiply(eps**2 * self.ws.lap_h, c, out=self.spec[3])
+        return out
+
+    def rk4(self, c: np.ndarray, dt: float, eps: float) -> np.ndarray:
+        """c + (dt/6) (k1 + 2 k2 + 2 k3 + k4), in that operation order, as a
+        new array.  The sum grows in k1's buffer as each stage arrives, and the
+        stage inputs share one buffer."""
+        acc, x, k = self.spec[:3]
+        self.rhs(c, eps, acc)  # k1
+        np.multiply(0.5 * dt, acc, out=x)
+        x += c
+        for h in (0.5 * dt, dt):  # k2, then k3, each giving the next stage input c + h k
+            self.rhs(x, eps, k)
+            np.multiply(h, k, out=x)
+            x += c
+            k *= 2.0
+            acc += k
+        acc += self.rhs(x, eps, k)  # k4
+        acc *= dt / 6.0
+        return acc + c
+
+    def ifrk4(self, c: np.ndarray, dt: float, eps: float) -> np.ndarray:
+        """Integrating factor for the diffusive term, RK4 on the advective
+        remainder: e_full c + (dt/6) (e_full n1 + 2 e_half (n2 + n3) + n4), in
+        that operation order, as a new array.  The stage inputs reuse n1's
+        buffer, and the sum grows in its own buffer as each stage arrives."""
+        x, acc, n2, n3 = self.spec
+        e_half = np.exp(0.5 * dt * eps**2 * self.ws.lap_h)  # one exp per horizontal mode
+        e_full = e_half * e_half
+        self.advective(c, x)  # n1
+        np.multiply(e_full, x, out=acc)
+        x *= 0.5 * dt
+        x += c
+        x *= e_half  # u2 = e_half (c + dt/2 n1)
+        self.advective(x, n2)
+        np.multiply(e_half, c, out=x)
+        x += np.multiply(0.5 * dt, n2, out=n3)  # u3 = e_half c + dt/2 n2
+        self.advective(x, n3)
+        np.multiply(dt * e_half, n3, out=x)
+        n2 += n3
+        np.multiply(e_full, c, out=n3)
+        x += n3  # u4 = e_full c + dt e_half n3
+        n2 *= 2.0 * e_half
+        acc += n2
+        acc += self.advective(x, n3)  # n4
+        acc *= dt / 6.0
+        out = e_full * c
+        out += acc
+        return out
 
 
 def tendency(theta: SpectralField, epsilon: float) -> SpectralField:
@@ -222,74 +282,24 @@ def tendency(theta: SpectralField, epsilon: float) -> SpectralField:
     the tendency of theta's modes kept by the rule, which `step` advances."""
     if not theta.has_zero_horizontal_mean(tol=1e-10):
         raise ValueError("tendency requires a zero-horizontal-mean field")
-    ws = _workspace(theta.grid, None)
-    return SpectralField._wrap(theta.grid, _rhs(np.where(ws.drop, 0.0, theta.coeffs), epsilon, ws))
+    stepper = _Stepper(theta.grid, None)
+    c = np.where(stepper.ws.drop, 0.0, theta.coeffs)
+    return SpectralField._wrap(theta.grid, stepper.rhs(c, epsilon, np.empty_like(c)))
 
 
-def _rk4_step(c: np.ndarray, dt: float, eps: float, ws: _Workspace):
-    """c + (dt/6) (k1 + 2 k2 + 2 k3 + k4), in that operation order.  The sum
-    grows in k1's buffer as each stage arrives, and the stage inputs share one
-    buffer."""
-    acc = _rhs(c, eps, ws)  # k1
-    x = np.multiply(0.5 * dt, acc)
-    x += c
-    for h in (0.5 * dt, dt):  # k2, then k3, each giving the next stage input c + h k
-        k = _rhs(x, eps, ws)
-        np.multiply(h, k, out=x)
-        x += c
-        k *= 2.0
-        acc += k
-        del k
-    acc += _rhs(x, eps, ws)  # k4
-    acc *= dt / 6.0
-    acc += c
-    return acc
-
-
-def _ifrk4_step(c: np.ndarray, dt: float, eps: float, ws: _Workspace):
-    """Integrating factor for the diffusive term, RK4 on the advective
-    remainder: e_full c + (dt/6) (e_full n1 + 2 e_half (n2 + n3) + n4), in that
-    operation order.  The stage inputs reuse n1's buffer, and the sum grows
-    in its own buffer as each stage arrives."""
-    e_half = np.exp(0.5 * dt * eps**2 * ws.lap_h)  # one exp per horizontal mode
-    e_full = e_half * e_half
-    x = _advective_rhs(c, ws)  # n1
-    acc = e_full * x
-    x *= 0.5 * dt
-    x += c
-    x *= e_half  # u2 = e_half (c + dt/2 n1)
-    n2 = _advective_rhs(x, ws)
-    np.multiply(e_half, c, out=x)
-    x += 0.5 * dt * n2  # u3 = e_half c + dt/2 n2
-    n3 = _advective_rhs(x, ws)
-    np.multiply(dt * e_half, n3, out=x)
-    n2 += n3
-    np.multiply(e_full, c, out=n3)
-    x += n3  # u4 = e_full c + dt e_half n3
-    del n3
-    n2 *= 2.0 * e_half
-    acc += n2
-    del n2
-    acc += _advective_rhs(x, ws)  # n4
-    acc *= dt / 6.0
-    np.multiply(e_full, c, out=x)
-    x += acc
-    return x
-
-
-def step(state: SimState, dt: float, config: SimConfig) -> SimState:
+def step(state: SimState, dt: float, config: SimConfig,
+         stepper: _Stepper | None = None) -> SimState:
     """Advance one time step of the kept modes (the 2/3 rule within
-    `config.mode_cap`); the state must be zero outside them up to round-off,
-    as every state `samples` yields is.  A new state that is not a finite real
-    field is a blow-up."""
+    `config.mode_cap`) in the buffers of `stepper`, a `_Stepper` of the
+    config's grid and truncation (default: a new one); the state must be zero
+    outside the kept modes up to round-off, as every state `samples` yields
+    is.  A new state that is not a finite real field is a blow-up."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    ws = _workspace(config.grid, config.mode_cap)
-    c = state.theta.coeffs
-    if config.integrator == "rk4":
-        out = _rk4_step(c, dt, config.epsilon, ws)
-    else:
-        out = _ifrk4_step(c, dt, config.epsilon, ws)
+    if stepper is None:
+        stepper = _Stepper(config.grid, config.mode_cap)
+    advance = stepper.rk4 if config.integrator == "rk4" else stepper.ifrk4
+    out = advance(state.theta.coeffs, dt, config.epsilon)
     out[0, 0, :] = 0.0
     try:
         theta = SpectralField._wrap(config.grid, out)
@@ -398,7 +408,9 @@ def samples(config: SimConfig, theta0: SpectralField | None = None) -> Iterator[
     `has_zero_horizontal_mean`); otherwise a ValueError names the rule.
 
     The time step is `config.dt`, or under "auto" the CFL step of `theta0`,
-    shortened so that a whole number of steps ends at t_end.
+    shortened so that a whole number of steps ends at t_end.  Every step runs
+    in one `_Stepper`, built after the t = 0 state is yielded and dropped
+    before the last state is.
     """
     if theta0 is None:
         theta0 = initial_state(config)
@@ -414,8 +426,11 @@ def samples(config: SimConfig, theta0: SpectralField | None = None) -> Iterator[
         dt = config.t_end / n_steps
 
     yield state
+    stepper = _Stepper(config.grid, config.mode_cap)
     for i in range(1, n_steps + 1):
-        state = step(state, dt, config)
+        state = step(state, dt, config, stepper)
+        if i == n_steps:
+            del stepper  # the consumer of the last state may allocate: free the buffers first
         if i % config.diagnostics_every == 0 or i == n_steps:
             yield state
 

@@ -29,6 +29,7 @@ from .evolution import (
     SimState,
     _check_mode,
     _truncate,
+    _workspace,
     build_initial,
     cfl_dt,
     initial_state,
@@ -162,6 +163,8 @@ def _stream(configs, theta0s, reference, measure):
     run, each of these threads transforms with one FFT worker
     (`grid.set_fft_workers`).  Under `taskset -c 0`, `grid.WORKERS` is 1: no
     helper is submitted, so no thread starts, and the runs go in serial order.
+    Each distinct workspace of the runs (`evolution._workspace`) is built on
+    the calling thread before any helper starts, so no two threads build it.
     A failing run records its error and drains the iterator, so no member that
     has not started starts.  Once the executor's shutdown has joined the
     helpers, the error of the lowest run index is raised: every member below
@@ -178,6 +181,8 @@ def _stream(configs, theta0s, reference, measure):
     cond = threading.Condition()
     closed = False  # the reference has published its last part
     helpers = min(_grid.WORKERS, len(runs)) - 1
+    for key in {(cfg.grid, cfg.mode_cap) for cfg in configs}:
+        _workspace(*key)  # here, once: threads that miss the cache together would each build it
 
     def lead(_):
         nonlocal closed

@@ -10,15 +10,20 @@ kz = 0 and kz = nz/2).  Reality is checked once, in `SpectralField`:
 those two planes must be Hermitian, which the inverse transform would
 otherwise enforce silently.
 
-The batched transforms of fields with at least `THREADED_MIN_POINTS` points
-run on every CPU the process may use (`WORKERS`); pocketfft splits independent
-1-D transforms across its threads, so results are bitwise independent of the
-thread count.  `to_physical` consumes its input: it transforms the caller's
-stack in place.  Both transforms make the 1-D passes of `irfftn` and `rfftn`
-bit for bit, and given `planes` run the complex (x, y) pass on the kz planes
-below it only, for callers whose spectra are zero above them (the tendency's
-kept modes): `to_physical` leaves those zero planes as they are, and
-`to_spectral` leaves them holding the z pass alone.
+The batched transforms make the 1-D passes of `irfftn` and `rfftn` bit for
+bit.  Their complex (x, y) pass runs on `scipy.fft`, in place, and on fields
+with at least `THREADED_MIN_POINTS` points on every CPU the process may use
+(`WORKERS`); pocketfft splits independent 1-D transforms across its threads,
+so results are bitwise independent of the thread count.  Their real z pass
+runs on `numpy.fft` (numpy >= 2.0), with one thread, and writes into the
+caller's `out` array when given one, so a caller that owns its buffers (the
+stepper of each trajectory in `evolution`) takes no fresh memory; numpy's
+pocketfft gives the bits of scipy's.  `to_physical` consumes its input: it
+transforms the caller's stack in place.  Given `planes`, both transforms run
+the complex pass on the kz planes below it only, for callers whose spectra
+are zero above them (the tendency's kept modes): `to_physical` leaves those
+zero planes as they are, and `to_spectral` leaves them holding the z pass
+alone.
 
 `set_fft_workers` alone sets a thread's own FFT worker count, used in place
 of `WORKERS`.  It starts the executor threads of `evolution.run` (its report
@@ -41,11 +46,11 @@ from scipy import fft as sfft
 
 TWO_PI = 2.0 * np.pi
 DOMAIN_VOLUME = TWO_PI**3
-# FFT threads: the CPUs this process may run on (`taskset` caps them), for
-# fields of at least THREADED_MIN_POINTS points.  On smaller fields a second
-# thread costs more than it saves: on a 2-vCPU machine an IF-RK4 step took
-# 1.26x as long with two threads at 24^3 and 1.11x at 40^3, but 0.89x at 48^3
-# and 0.77x at 64^3.
+# FFT threads of the complex (x, y) pass: the CPUs this process may run on
+# (`taskset` caps them), for fields of at least THREADED_MIN_POINTS points.
+# On smaller fields a second thread costs more than it saves: on a 2-vCPU
+# machine an IF-RK4 step took 1.26x as long with two threads at 24^3 and
+# 1.11x at 40^3, but 0.89x at 48^3 and 0.77x at 64^3.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 THREADED_MIN_POINTS = 2**16
@@ -214,9 +219,10 @@ def _workers(nx: int, ny: int, nz: int) -> int:
 
 
 def to_spectral(values: np.ndarray, planes: int | None = None,
-                scale: float = 1.0) -> np.ndarray:
+                scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
     """`scale` times the half spectra of a batch of real fields on the last
-    three axes, exact on the first `planes` kz planes (default: all).
+    three axes, exact on the first `planes` kz planes (default: all), written
+    into `out` (default: a new array) and returned.
 
     The same 1-D passes as `rfftn` (the real transform over z, then the
     complex one over x and y), with the 1/(nx ny nz) scaling, times `scale`,
@@ -224,17 +230,19 @@ def to_spectral(values: np.ndarray, planes: int | None = None,
     runs in place on planes kz < `planes` only: the planes above hold the z
     pass alone, and the caller must discard them.
     """
-    workers = _workers(*values.shape[-3:])
-    out = sfft.rfft(values, axis=-1, workers=workers)
+    out = np.fft.rfft(values, axis=-1, out=out)
     # pocketfft's own 1/N: the reciprocal in long double, rounded once to double
     out *= scale * float(1 / np.longdouble(math.prod(values.shape[-3:])))
-    sfft.fftn(out[..., :planes], axes=(-3, -2), overwrite_x=True, workers=workers)
+    sfft.fftn(out[..., :planes], axes=(-3, -2), overwrite_x=True,
+              workers=_workers(*values.shape[-3:]))
     return out
 
 
-def to_physical(coeffs: np.ndarray, planes: int | None = None) -> np.ndarray:
+def to_physical(coeffs: np.ndarray, planes: int | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Real fields of a batch of half spectra that are zero on every kz plane
-    from `planes` on (default: none); overwrites `coeffs`.
+    from `planes` on (default: none), written into `out` (default: a new
+    array) and returned; overwrites `coeffs`.
 
     The same 1-D passes as `irfftn` (complex inverse over x and y, then the
     real inverse over z; nz is even, so it is twice the last index), but the
@@ -243,10 +251,9 @@ def to_physical(coeffs: np.ndarray, planes: int | None = None) -> np.ndarray:
     themselves.
     """
     nx, ny, nz = coeffs.shape[-3], coeffs.shape[-2], 2 * (coeffs.shape[-1] - 1)
-    workers = _workers(nx, ny, nz)
     sfft.ifftn(coeffs[..., :planes], axes=(-3, -2), norm="forward", overwrite_x=True,
-               workers=workers)
-    return sfft.irfft(coeffs, n=nz, axis=-1, norm="forward", workers=workers)
+               workers=_workers(nx, ny, nz))
+    return np.fft.irfft(coeffs, n=nz, axis=-1, norm="forward", out=out)
 
 
 def forward_transform(f: PhysicalField) -> SpectralField:

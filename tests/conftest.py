@@ -47,9 +47,9 @@ def to_physical_calls(monkeypatch):
     calls = []
     original = rotconv.grid.to_physical
 
-    def counting(coeffs, *args):
+    def counting(coeffs, *args, **kwargs):
         calls.append(coeffs.copy())
-        return original(coeffs, *args)
+        return original(coeffs, *args, **kwargs)
 
     monkeypatch.setattr(rotconv.grid, "to_physical", counting)
     return calls

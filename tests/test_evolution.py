@@ -1,4 +1,5 @@
 import re
+import resource
 import sys
 import threading
 import tracemalloc
@@ -170,7 +171,7 @@ def test_tendency_is_the_tendency_of_the_kept_modes(grid16):
 def test_tendency_xy_passes_run_on_the_kept_planes(grid16, monkeypatch, mode_cap, planes):
     # every complex (x, y) pass of a tendency, its six inverses and its one
     # forward, sees the kz planes that hold the kept modes and no more
-    ws = rotconv.evolution._workspace(grid16, mode_cap)
+    stepper = rotconv.evolution._Stepper(grid16, mode_cap)
     c = dealias(random_band_limited(grid16, 4)).coeffs
     passes = []
     for name in ("ifftn", "fftn"):
@@ -179,8 +180,8 @@ def test_tendency_xy_passes_run_on_the_kept_planes(grid16, monkeypatch, mode_cap
             return _original(x, *args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, name, recording)
-    rotconv.evolution._rhs(c, 0.2, ws)
-    assert ws.planes == planes
+    stepper.rhs(c, 0.2, np.empty_like(c))
+    assert stepper.ws.planes == planes
     assert passes == [("ifftn", (16, 16, planes))] * 6 + [("fftn", (16, 16, planes))]
 
 
@@ -266,8 +267,8 @@ def test_step_keeps_the_integrator_output(grid16, monkeypatch):
         outputs.append(original(*args))
         return outputs[-1]
 
-    original = rotconv.evolution._ifrk4_step
-    monkeypatch.setattr(rotconv.evolution, "_ifrk4_step", recording)
+    original = rotconv.evolution._Stepper.ifrk4
+    monkeypatch.setattr(rotconv.evolution._Stepper, "ifrk4", recording)
     new = step(state, 0.01, config)
     assert new.theta.coeffs is outputs[0]
     assert not new.theta.coeffs.flags.writeable
@@ -277,12 +278,12 @@ def test_step_rejects_output_breaking_reality(grid16, monkeypatch):
     config = single_mode_config(grid16)
     state = SimState(0.0, build_initial(grid16, config.initial, True))
 
-    def unpaired(c, *args):
+    def unpaired(stepper, c, *args):
         out = np.zeros_like(c)
         out[1, 2, 0] = 1.0  # its partner at (-1, -2, 0) stays zero
         return out
 
-    monkeypatch.setattr(rotconv.evolution, "_ifrk4_step", unpaired)
+    monkeypatch.setattr(rotconv.evolution._Stepper, "ifrk4", unpaired)
     with pytest.raises(BlowUpError, match="reality") as info:
         step(state, 0.01, config)
     assert info.value.last_state is state
@@ -422,8 +423,9 @@ def test_build_initial_rejects_turning_off_the_two_thirds_rule(grid16):
 @pytest.mark.parametrize("integrator", ["rk4", "if-rk4"])
 def test_step_memory_budget(grid32, integrator):
     # one step allocates at most 10 half-spectrum fields at once: the stage
-    # inputs, the growing RK sum and the stages are formed in place, and the
-    # tendency transforms one factor at a time
+    # inputs, the growing RK sum, the stages and the transforms' real outputs
+    # live in the 4 half-spectrum and 4 real buffers of its one-off stepper,
+    # and only the new state is a fresh array
     config = SimConfig(grid=grid32, epsilon=0.1, dt=0.01, integrator=integrator)
     state = SimState(0.0, build_initial(grid32, config.initial))
     step(state, 0.01, config)  # fills the caches and the FFT plans
@@ -434,6 +436,33 @@ def test_step_memory_budget(grid32, integrator):
     finally:
         tracemalloc.stop()
     assert peak <= 10 * state.theta.coeffs.nbytes
+
+
+@pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="no per-thread rusage")
+@pytest.mark.parametrize("integrator", ["rk4", "if-rk4"])
+def test_trajectory_steps_in_its_own_buffers(grid32, integrator):
+    # after warm-up the steps of one `samples` trajectory take no fresh pages
+    # from the kernel, and allocate about 2 half-spectrum fields at once: the
+    # state the caller holds and the next one, plus the O(nx ny) reality
+    # check of the next one; everything else is reused
+    config = SimConfig(grid=grid32, epsilon=0.1, dt=1e-3, t_end=1.0, integrator=integrator)
+    states = samples(config)
+    for _ in range(5):
+        state = next(states)
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    for _ in range(10):
+        state = next(states)
+    faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            state = next(states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        states.close()
+    assert faults < 50
+    assert peak <= 3 * state.theta.coeffs.nbytes
 
 
 def _run_config(grid):
@@ -561,11 +590,11 @@ def test_run_blow_up_while_a_report_is_pending(grid16, monkeypatch, report_fails
         finished.append(state.t)
         return original_report(state, epsilon)
 
-    def failing_step(state, dt, config):
+    def failing_step(state, dt, config, *args):
         if state.t + dt > 0.12:
             failed.set()
             raise BlowUpError(f"injected at t = {state.t + dt:.2f}", state)
-        return original_step(state, dt, config)
+        return original_step(state, dt, config, *args)
 
     original_report = rotconv.invariants.compute_report
     original_step = rotconv.evolution.step

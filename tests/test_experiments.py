@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import time
 import weakref
 from collections import defaultdict
 from dataclasses import replace
@@ -185,10 +186,10 @@ def test_members_stream_against_the_stored_reference(grid16, monkeypatch, experi
 def _failing_step(fail_at):
     """`step` raising BlowUpError from the state at time >= fail_at[eps] of a
     run with that eps."""
-    def step(state, dt, config):
+    def step(state, dt, config, *args):
         if state.t >= fail_at.get(config.epsilon, np.inf) - 1e-12:
             raise BlowUpError(f"injected at eps = {config.epsilon}", state)
-        return original(state, dt, config)
+        return original(state, dt, config, *args)
 
     original = rotconv.evolution.step
     return step
@@ -292,6 +293,29 @@ def test_concurrent_members_match_the_serial_path(grid16, monkeypatch, experimen
         sys.setswitchinterval(interval)
     assert results[1] == results[0]
     assert results[2] == results[0]
+
+
+@pytest.mark.parametrize("experiment, keys", [
+    (lambda cfg: sweep_epsilon(cfg, [0.5, 0.25, 0.125]), 1),
+    (lambda cfg: sweep_resolution(cfg, [2, 3, 4, 5]), 4),
+    (lambda cfg: twin_run(cfg, 1e-6), 1),
+], ids=["sweep-epsilon", "sweep-resolution", "twin"])
+def test_stream_builds_each_workspace_once(grid16, monkeypatch, experiment, keys):
+    # a slow symbol build holds a cold cache miss open while every thread
+    # reaches it; still each (grid, mode_cap) workspace is built once
+    builds = []
+
+    def slow_laplacian(grid):
+        builds.append(grid)
+        time.sleep(0.05)
+        return original(grid)
+
+    original = rotconv.evolution.horizontal_laplacian_symbol
+    monkeypatch.setattr(rotconv.evolution, "horizontal_laplacian_symbol", slow_laplacian)
+    monkeypatch.setattr(rotconv.grid, "WORKERS", 4)
+    rotconv.evolution._workspace.cache_clear()
+    experiment(random_config(grid16))
+    assert len(builds) == keys
 
 
 def test_eps_scaled_perturbation_lies_inside_the_truncation(grid16, monkeypatch):

@@ -7,7 +7,7 @@ weight on either self-conjugate plane fails a test.  The batched
 transforms are checked bit for bit against `scipy.fft.irfftn` and `rfftn` on
 random half spectra of unequal sizes, with one FFT thread and with one per CPU,
 and so are their pruned forms, which run the (x, y) pass on the first kz
-planes only.
+planes only, and their forms that write into the caller's array.
 """
 
 import os
@@ -110,10 +110,11 @@ def test_batched_transforms_are_scipy_transforms(nx, ny, nz, batch, seed, worker
 
 @given(nx=even_sizes, ny=even_sizes, nz=even_sizes, batch=st.sampled_from([(), (1,), (3,)]),
        planes=st.integers(1, 11), seed=seeds,
-       workers=st.sampled_from(sorted({1, os.cpu_count() or 1})))
-def test_pruned_transforms_are_scipy_transforms(nx, ny, nz, batch, planes, seed, workers):
+       workers=st.sampled_from(sorted({1, os.cpu_count() or 1})), into=st.booleans())
+def test_pruned_transforms_are_scipy_transforms(nx, ny, nz, batch, planes, seed, workers, into):
     # the tendency's passes: an inverse of spectra that are zero from kz
-    # plane `planes` on, and a negated forward read below that plane
+    # plane `planes` on, and a negated forward read below that plane, each
+    # written into the caller's array if `into`
     planes = min(planes, nz // 2 + 1)
     rng = np.random.default_rng(seed)
     shape = batch + (nx, ny, nz // 2 + 1)
@@ -121,11 +122,17 @@ def test_pruned_transforms_are_scipy_transforms(nx, ny, nz, batch, planes, seed,
     coeffs[..., planes:] = 0.0
     values = rng.standard_normal(batch + (nx, ny, nz))
     spectra = scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
+    physical_out = np.empty(values.shape) if into else None
+    spectral_out = np.empty(shape, dtype=np.complex128) if into else None
     with mock.patch.multiple(rotconv.grid, WORKERS=workers, THREADED_MIN_POINTS=0):
-        assert np.array_equal(to_physical(coeffs.copy(), planes), to_physical(coeffs.copy()))
+        physical = to_physical(coeffs.copy(), planes, physical_out)
+        assert np.array_equal(physical, to_physical(coeffs.copy()))
         assert np.array_equal(to_spectral(values), spectra)
-        negated = to_spectral(values, planes, -1.0)
+        negated = to_spectral(values, planes, -1.0, spectral_out)
+    assert np.array_equal(physical, scipy.fft.irfftn(coeffs, axes=(-3, -2, -1), norm="forward"))
     assert np.array_equal(negated[..., :planes], -spectra[..., :planes])
+    if into:
+        assert physical is physical_out and negated is spectral_out
 
 
 def test_forward_scaling_is_rfftn_scaling():
