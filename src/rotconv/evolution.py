@@ -26,7 +26,6 @@ from .grid import (
     PhysicalField,
     SpectralField,
     _is_number,
-    _lattice,
     dealias,
     derivative_symbol,
     forward_transform,
@@ -157,19 +156,21 @@ class _Workspace(NamedTuple):
     lap_h: np.ndarray  # -kh2 on its (nx, ny, 1) base: constant in kz, it broadcasts
     drop: np.ndarray  # zeroed modes: the mean sector, and all outside the 2/3 rule and `mode_cap`
     planes: int  # the kz planes kz < planes hold every kept mode
+    boxes: tuple  # the index tuples of four boxes whose union is `drop`
 
 
 @lru_cache(maxsize=32)
 def _workspace(grid: Grid, mode_cap: int | None) -> _Workspace:
-    lat = _lattice(grid.nx, grid.ny, grid.nz)
     mu, mv, mw, _, _ = velocity_symbols(grid)
-    drop = ~lat.dealias
-    if mode_cap is not None:
-        drop |= np.maximum(np.maximum(np.abs(lat.kx), np.abs(lat.ky)), lat.kz) > mode_cap
-    drop[0, 0, :] = True
-    kz_max = grid.nz // 3 if mode_cap is None else min(grid.nz // 3, mode_cap)
+    cap = max(grid.shape) if mode_cap is None else mode_cap
+    mx, my, mz = (min(n // 3, cap) for n in grid.shape)  # kept: every |k_i| <= m_i
+    boxes = ((slice(mx + 1, grid.nx - mx),), (slice(None), slice(my + 1, grid.ny - my)),
+             (slice(None), slice(None), slice(mz + 1, None)), (0, 0))
+    drop = np.zeros(grid.spectral_shape, dtype=bool)
+    for box in boxes:
+        drop[box] = True
     return _Workspace(mu, mv, mw, derivative_symbol(grid, 0), derivative_symbol(grid, 1),
-                      horizontal_laplacian_symbol(grid)[:, :, :1], drop, kz_max + 1)
+                      horizontal_laplacian_symbol(grid)[:, :, :1], drop, mz + 1, boxes)
 
 
 class _Stepper:
@@ -218,7 +219,8 @@ class _Stepper:
         w_p *= dtz
         nl += w_p
         to_spectral(nl, ws.planes, -1.0, out)
-        np.copyto(out, 0.0, where=ws.drop)
+        for box in ws.boxes:  # zero `ws.drop`
+            out[box] = 0.0
         return out
 
     def rhs(self, c: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:

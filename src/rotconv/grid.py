@@ -11,19 +11,22 @@ those two planes must be Hermitian, which the inverse transform would
 otherwise enforce silently.
 
 The batched transforms make the 1-D passes of `irfftn` and `rfftn` bit for
-bit.  Their complex (x, y) pass runs on `scipy.fft`, in place, and on fields
-with at least `THREADED_MIN_POINTS` points on every CPU the process may use
-(`WORKERS`); pocketfft splits independent 1-D transforms across its threads,
-so results are bitwise independent of the thread count.  Their real z pass
-runs on `numpy.fft` (numpy >= 2.0), with one thread, and writes into the
-caller's `out` array when given one, so a caller that owns its buffers (the
-stepper of each trajectory in `evolution`) takes no fresh memory; numpy's
-pocketfft gives the bits of scipy's.  `to_physical` consumes its input: it
-transforms the caller's stack in place.  Given `planes`, both transforms run
-the complex pass on the kz planes below it only, for callers whose spectra
-are zero above them (the tendency's kept modes): `to_physical` leaves those
-zero planes as they are, and `to_spectral` leaves them holding the z pass
-alone.
+bit: they call the pocketfft binding that `scipy.fft` ends in
+(`scipy.fft._pocketfft.pypocketfft`, here `_pf`) directly, with the
+arguments `scipy.fft` would pass, which skips its Python dispatch and
+releases the GIL for the whole transform, so trajectories stepping on
+different threads transform side by side.  Their complex (x, y) pass runs in
+place, and on fields with at least `THREADED_MIN_POINTS` points on every CPU
+the process may use (`WORKERS`); pocketfft splits independent 1-D transforms
+across its threads, so results are bitwise independent of the thread count.
+Their real z pass runs on one thread and writes into the caller's `out`
+array when given one, so a caller that owns its buffers (the stepper of each
+trajectory in `evolution`) takes no fresh memory.  `to_physical` consumes
+its input: it transforms the caller's stack in place.  Given `planes`, both
+transforms run the complex pass on the kz planes below it only, for callers
+whose spectra are zero above them (the tendency's kept modes): `to_physical`
+leaves those zero planes as they are, and `to_spectral` leaves them holding
+the z pass alone.
 
 `set_fft_workers` alone sets a thread's own FFT worker count, used in place
 of `WORKERS`.  It starts the executor threads of `evolution.run` (its report
@@ -43,6 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import fft as sfft
+from scipy.fft._pocketfft import pypocketfft as _pf
 
 TWO_PI = 2.0 * np.pi
 DOMAIN_VOLUME = TWO_PI**3
@@ -230,11 +234,11 @@ def to_spectral(values: np.ndarray, planes: int | None = None,
     runs in place on planes kz < `planes` only: the planes above hold the z
     pass alone, and the caller must discard them.
     """
-    out = np.fft.rfft(values, axis=-1, out=out)
+    out = _pf.r2c(values, (-1,), True, 0, out, 1)
     # pocketfft's own 1/N: the reciprocal in long double, rounded once to double
     out *= scale * float(1 / np.longdouble(math.prod(values.shape[-3:])))
-    sfft.fftn(out[..., :planes], axes=(-3, -2), overwrite_x=True,
-              workers=_workers(*values.shape[-3:]))
+    view = out[..., :planes]
+    _pf.c2c(view, (-3, -2), True, 0, view, _workers(*values.shape[-3:]))
     return out
 
 
@@ -251,9 +255,9 @@ def to_physical(coeffs: np.ndarray, planes: int | None = None,
     themselves.
     """
     nx, ny, nz = coeffs.shape[-3], coeffs.shape[-2], 2 * (coeffs.shape[-1] - 1)
-    sfft.ifftn(coeffs[..., :planes], axes=(-3, -2), norm="forward", overwrite_x=True,
-               workers=_workers(nx, ny, nz))
-    return np.fft.irfft(coeffs, n=nz, axis=-1, norm="forward", out=out)
+    view = coeffs[..., :planes]
+    _pf.c2c(view, (-3, -2), False, 0, view, _workers(nx, ny, nz))
+    return _pf.c2r(coeffs, (-1,), nz, False, 0, out, 1)
 
 
 def forward_transform(f: PhysicalField) -> SpectralField:

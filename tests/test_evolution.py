@@ -3,6 +3,7 @@ import resource
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -170,19 +171,72 @@ def test_tendency_is_the_tendency_of_the_kept_modes(grid16):
 @pytest.mark.parametrize("mode_cap, planes", [(None, 6), (3, 4)])
 def test_tendency_xy_passes_run_on_the_kept_planes(grid16, monkeypatch, mode_cap, planes):
     # every complex (x, y) pass of a tendency, its six inverses and its one
-    # forward, sees the kz planes that hold the kept modes and no more
+    # forward, runs in place on the kz planes that hold the kept modes and no
+    # more, and every real z pass writes into one of the stepper's buffers
     stepper = rotconv.evolution._Stepper(grid16, mode_cap)
     c = dealias(random_band_limited(grid16, 4)).coeffs
-    passes = []
-    for name in ("ifftn", "fftn"):
-        def recording(x, *args, _original=getattr(scipy.fft, name), _name=name, **kwargs):
-            passes.append((_name, x.shape))
-            return _original(x, *args, **kwargs)
+    pf = rotconv.grid._pf
+    xy, z = [], []
 
-        monkeypatch.setattr(scipy.fft, name, recording)
-    stepper.rhs(c, 0.2, np.empty_like(c))
+    def c2c(a, axes, forward, inorm, out, nthreads):
+        assert out is a
+        xy.append((forward, a.shape))
+        return pf.c2c(a, axes, forward, inorm, out, nthreads)
+
+    def c2r(a, axes, lastsize, forward, inorm, out, nthreads):
+        z.append(out)
+        return pf.c2r(a, axes, lastsize, forward, inorm, out, nthreads)
+
+    def r2c(a, axes, forward, inorm, out, nthreads):
+        z.append(out)
+        return pf.r2c(a, axes, forward, inorm, out, nthreads)
+
+    monkeypatch.setattr(rotconv.grid, "_pf", types.SimpleNamespace(c2c=c2c, c2r=c2r, r2c=r2c))
+    stepper.rhs(c, 0.2, stepper.spec[0])
     assert stepper.ws.planes == planes
-    assert passes == [("ifftn", (16, 16, planes))] * 6 + [("fftn", (16, 16, planes))]
+    assert xy == [(False, (16, 16, planes))] * 6 + [(True, (16, 16, planes))]
+    assert len(z) == 7
+    assert all(any(out is buf for buf in stepper.real + stepper.spec) for out in z)
+
+
+@pytest.mark.parametrize("shape, mode_cap", [
+    ((16, 16, 16), None), ((16, 16, 16), 3), ((32, 32, 32), None),
+    ((24, 20, 18), 4), ((8, 12, 16), 1), ((48, 48, 48), 20),
+])
+def test_workspace_drops_the_modes_outside_the_rule(shape, mode_cap):
+    # `drop` is the mean sector and every mode outside the 2/3 rule or
+    # `mode_cap`, and the tendency's four box fills zero exactly it
+    grid = Grid(*shape)
+    ws = rotconv.evolution._workspace(grid, mode_cap)
+    lat = rotconv.grid._lattice(*shape)
+    rule = ~lat.dealias
+    if mode_cap is not None:
+        rule = rule | (np.maximum(np.maximum(np.abs(lat.kx), np.abs(lat.ky)), lat.kz) > mode_cap)
+    rule = rule | ((lat.kx == 0) & (lat.ky == 0))
+    assert np.array_equal(ws.drop, rule)
+    filled = np.ones(grid.spectral_shape, dtype=bool)
+    for box in ws.boxes:
+        filled[box] = False
+    assert np.array_equal(~filled, rule)
+
+
+def test_transforms_run_on_no_gil_holding_fft(grid16, monkeypatch):
+    # the public FFTs that hold the GIL, or add Python dispatch, are never
+    # reached: not by stepping, the tendency, or the batched transforms
+    def refuse(*args, **kwargs):
+        raise AssertionError("rotconv called a public FFT function")
+
+    for module, names in ((np.fft, ("rfft", "irfft")),
+                          (scipy.fft, ("fftn", "ifftn", "rfftn", "irfftn"))):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+    config = SimConfig(grid=grid16, epsilon=0.1, dt=0.01, t_end=0.03, integrator="rk4")
+    assert len(list(samples(config))) == 4
+    tendency(initial_state(config), 0.1)
+    coeffs = np.stack([initial_state(config).coeffs] * 2)
+    values = rotconv.grid.to_physical(coeffs.copy())
+    assert values.shape == (2, 16, 16, 16)
+    assert np.allclose(rotconv.grid.to_spectral(values), coeffs, rtol=0, atol=1e-15)
 
 
 def test_step_rejects_bad_dt(grid16):
