@@ -21,7 +21,6 @@ from .grid import (
     _lattice,
     forward_transform,
     parseval_sum,
-    project_zero_horizontal_mean,
     spectral_l2,
 )
 from .evolution import (
@@ -334,7 +333,7 @@ def twin_run(
         raise ValueError(f"delta_amp must be a finite number, got {delta_amp!r}")
     _check_mode("delta_mode", delta_mode, base.grid, base.mode_cap)
 
-    pert = _perturbation_field(base.grid, delta_mode, delta_amp)
+    pert = _perturbation_field(base, delta_mode, delta_amp)
     theta0 = initial_state(base)
     theta0s = [theta0] + [
         SpectralField(base.grid, theta0.coeffs + a * pert.coeffs) for a in (1.0, 0.5)
@@ -362,11 +361,15 @@ def _separation(theta_p: SpectralField, theta_r: SpectralField) -> tuple[float, 
     return spectral_l2(diff), dual_norm(diff)
 
 
-def _perturbation_field(grid: Grid, mode, amplitude: float) -> SpectralField:
-    """Single-mode real perturbation with unit-L2-per-amplitude normalization."""
+def _perturbation_field(config: SimConfig, mode, amplitude: float) -> SpectralField:
+    """Single-mode real perturbation with unit-L2-per-amplitude normalization,
+    zero on the modes `step` drops (the mean sector among them), so that no
+    twin member starts with the transform's round-off there."""
+    grid = config.grid
     X, Y, Z = grid.meshgrid()
     k1, k2, k3 = mode
     values = np.cos(k1 * X + k2 * Y + k3 * Z)
-    F = project_zero_horizontal_mean(forward_transform(PhysicalField(grid, values)))
+    F = forward_transform(PhysicalField(grid, values))
+    F = SpectralField(grid, np.where(_workspace(grid, config.mode_cap).drop, 0.0, F.coeffs))
     n = spectral_l2(F)
     return SpectralField(grid, F.coeffs * (amplitude / n))

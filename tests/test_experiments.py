@@ -445,3 +445,14 @@ def test_twin_accepts_the_outermost_capped_mode(grid16):
 def test_twin_accepts_the_outermost_resolved_mode(grid16):
     rep = twin_run(random_config(grid16, t_end=0.1), 1e-6, (5, 0, 5))
     assert rep.err_l2[0] == pytest.approx(1e-6)
+
+
+@pytest.mark.parametrize("mode_cap, delta_mode", [(None, (1, 1, 1)), (2, (2, -2, 1))])
+def test_twin_perturbation_is_zero_on_the_dropped_modes(grid32, mode_cap, delta_mode):
+    # the forward transform of the single mode leaves round-off on every
+    # mode; the twin members start exactly zero on those `step` drops
+    config = random_config(grid32, mode_cap=mode_cap)
+    pert = rotconv.experiments._perturbation_field(config, delta_mode, 1e-6)
+    drop = rotconv.evolution._workspace(grid32, mode_cap).drop
+    assert not np.any(pert.coeffs[drop])
+    assert spectral_l2(pert) == pytest.approx(1e-6, rel=1e-14)
