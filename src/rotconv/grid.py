@@ -15,18 +15,20 @@ bit: they call the pocketfft binding that `scipy.fft` ends in
 (`scipy.fft._pocketfft.pypocketfft`, here `_pf`) directly, with the
 arguments `scipy.fft` would pass, which skips its Python dispatch and
 releases the GIL for the whole transform, so trajectories stepping on
-different threads transform side by side.  Their complex (x, y) pass runs in
-place, and on fields with at least `THREADED_MIN_POINTS` points on every CPU
-the process may use (`WORKERS`); pocketfft splits independent 1-D transforms
-across its threads, so results are bitwise independent of the thread count.
-Their real z pass runs on one thread and writes into the caller's `out`
-array when given one, so a caller that owns its buffers (the stepper of each
-trajectory in `evolution`) takes no fresh memory.  `to_physical` consumes
-its input: it transforms the caller's stack in place.  Given `planes`, both
-transforms run the complex pass on the kz planes below it only, for callers
-whose spectra are zero above them (the tendency's kept modes): `to_physical`
-leaves those zero planes as they are, and `to_spectral` leaves them holding
-the z pass alone.
+different threads transform side by side.  The binding is private to scipy:
+the property tests compare both transforms with the public `scipy.fft` bit
+for bit, so a release that changes it fails them.  Their complex (x, y) pass
+runs in place, and on fields with at least `THREADED_MIN_POINTS` points on
+every CPU the process may use (`WORKERS`); pocketfft splits independent 1-D
+transforms across its threads, so results are bitwise independent of the
+thread count.  Their real z pass runs on one thread and writes into the
+caller's `out` array when given one, so a caller that owns its buffers (the
+stepper of each trajectory in `evolution`) takes no fresh memory.
+`to_physical` consumes its input: it transforms the caller's stack in place.
+Given `planes`, both transforms run the complex pass on the kz planes below
+it only, for callers whose spectra are zero above them (the tendency's kept
+modes): `to_physical` leaves those zero planes as they are, and
+`to_spectral` leaves them holding the z pass alone.
 
 `set_fft_workers` alone sets a thread's own FFT worker count, used in place
 of `WORKERS`.  It starts the executor threads of `evolution.run` (its report
@@ -224,9 +226,9 @@ def _workers(nx: int, ny: int, nz: int) -> int:
 
 def to_spectral(values: np.ndarray, planes: int | None = None,
                 scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
-    """`scale` times the half spectra of a batch of real fields on the last
-    three axes, exact on the first `planes` kz planes (default: all), written
-    into `out` (default: a new array) and returned.
+    """`scale` times the half spectra of a batch of real float64 fields on the
+    last three axes, exact on the first `planes` kz planes (default: all),
+    written into `out` (default: a new array) and returned.
 
     The same 1-D passes as `rfftn` (the real transform over z, then the
     complex one over x and y), with the 1/(nx ny nz) scaling, times `scale`,
@@ -234,6 +236,7 @@ def to_spectral(values: np.ndarray, planes: int | None = None,
     runs in place on planes kz < `planes` only: the planes above hold the z
     pass alone, and the caller must discard them.
     """
+    # the binding's arguments: (a, axes, forward, inorm = 0 for no scaling, out, nthreads)
     out = _pf.r2c(values, (-1,), True, 0, out, 1)
     # pocketfft's own 1/N: the reciprocal in long double, rounded once to double
     out *= scale * float(1 / np.longdouble(math.prod(values.shape[-3:])))
@@ -244,7 +247,7 @@ def to_spectral(values: np.ndarray, planes: int | None = None,
 
 def to_physical(coeffs: np.ndarray, planes: int | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Real fields of a batch of half spectra that are zero on every kz plane
+    """Real fields of a batch of complex128 half spectra, zero on every kz plane
     from `planes` on (default: none), written into `out` (default: a new
     array) and returned; overwrites `coeffs`.
 
