@@ -4,6 +4,7 @@ Galerkin resolution sweep, and the continuous-dependence twin run."""
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -155,15 +156,19 @@ def _stream(configs, theta0s, reference, measure):
     stored.
 
     The calling thread runs the reference and publishes each part as soon as
-    it is stored, while `min(grid.WORKERS, len(configs)) - 1` helpers, the
-    workers of one executor, and then the caller, draw member indices in order
-    from one shared iterator.  A member waits only for the part of the sample
-    it measures, and stops if the reference closes without it.  While helpers
-    run, each of these threads transforms with one FFT worker
-    (`grid.set_fft_workers`).  Under `taskset -c 0`, `grid.WORKERS` is 1: no
-    helper is submitted, so no thread starts, and the runs go in serial order.
-    Each distinct workspace of the runs (`evolution._workspace`) is built on
-    the calling thread before any helper starts, so no two threads build it.
+    it is stored, while helpers, the workers of one executor, and then the
+    caller, draw member indices in order from one shared iterator.  When
+    `grid.WORKERS > 1` and the runs do not divide evenly by it, every member
+    gets a helper (`len(configs) - 1`), so that no CPU idles while another
+    steps two trajectories in turn; otherwise there are
+    `min(grid.WORKERS, len(configs)) - 1` helpers.  A member waits only for
+    the part of the sample it measures, and stops if the reference closes
+    without it.  While helpers run, each of these threads transforms with one
+    FFT worker (`grid.set_fft_workers`).  Under `taskset -c 0`,
+    `grid.WORKERS` is 1: no helper is submitted, so no thread starts, and the
+    runs go in serial order.  Each distinct workspace of the runs
+    (`evolution._workspace`) is built on the calling thread before any helper
+    starts, so no two threads build it.
     A failing run records its error and drains the iterator, so no member that
     has not started starts.  Once the executor's shutdown has joined the
     helpers, the error of the lowest run index is raised: every member below
@@ -179,7 +184,8 @@ def _stream(configs, theta0s, reference, measure):
     members = iter(range(len(rows)))
     cond = threading.Condition()
     closed = False  # the reference has published its last part
-    helpers = min(_grid.WORKERS, len(runs)) - 1
+    uneven = _grid.WORKERS > 1 and len(runs) % _grid.WORKERS
+    helpers = (len(runs) if uneven else min(_grid.WORKERS, len(runs))) - 1
     for key in {(cfg.grid, cfg.mode_cap) for cfg in configs}:
         _workspace(*key)  # here, once: threads that miss the cache together would each build it
 
@@ -271,6 +277,8 @@ def sweep_epsilon(
 ) -> SweepResult:
     """Vanishing-diffusivity sweep against the eps = 0 reference run."""
     eps_list = list(eps_list)
+    if not eps_list:
+        raise ValueError("eps list must not be empty")
     if any(e <= 0 or e > 1 for e in eps_list):
         raise ValueError("eps values must lie in (0, 1]")
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
@@ -298,6 +306,11 @@ def sweep_epsilon(
 def sweep_resolution(base: SimConfig, mode_counts) -> SweepResult:
     """Galerkin truncation sweep; the finest truncation is the reference."""
     mode_counts = list(mode_counts)
+    if not mode_counts:
+        raise ValueError("mode counts must not be empty")
+    # a fractional count would run its floor but report itself as the parameter
+    if not all(_is_number(m, numbers.Integral) for m in mode_counts):
+        raise ValueError(f"mode counts must be integers, got {mode_counts!r}")
     if any(a >= b for a, b in zip(mode_counts, mode_counts[1:])):
         raise ValueError(f"mode counts must be strictly increasing, got {mode_counts!r}")
     # the finest truncation is the reference: it runs first, and its stored
@@ -331,6 +344,8 @@ def twin_run(
     """
     if not (_is_number(delta_amp) and math.isfinite(delta_amp)):
         raise ValueError(f"delta_amp must be a finite number, got {delta_amp!r}")
+    if delta_amp == 0:  # the twins would coincide, leaving no separation to fit
+        raise ValueError(f"delta_amp must be nonzero, got {delta_amp!r}")
     _check_mode("delta_mode", delta_mode, base.grid, base.mode_cap)
 
     pert = _perturbation_field(base, delta_mode, delta_amp)

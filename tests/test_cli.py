@@ -151,6 +151,7 @@ def test_twin_command(tmp_path, config_path):
     ("--delta-mode", "1,1", "delta_mode must be a tuple of three integers"),
     ("--delta-mode", "8,0,0", r"delta_mode \(8, 0, 0\) is not resolved"),
     ("--delta-amp", "nan", "delta_amp must be a finite number"),
+    ("--delta-amp", "0", "delta_amp must be nonzero"),
 ])
 def test_twin_command_rejects_bad_perturbations(tmp_path, config_path, option, value, message):
     out = tmp_path / "twin"

@@ -67,11 +67,24 @@ def test_sweep_epsilon_validation(grid16):
         sweep_epsilon(cfg, [0.5, 0.25, 0.25])
     with pytest.raises(ValueError):
         sweep_epsilon(cfg, [0.5, 0.25], "sideways")
+    with pytest.raises(ValueError, match="eps list must not be empty"):
+        sweep_epsilon(cfg, [])
 
 
 @pytest.mark.parametrize("modes", [[8, 4], [4, 4, 6], [4, 6, 6]])
 def test_sweep_resolution_validation(grid16, modes):
     with pytest.raises(ValueError, match="mode counts must be strictly increasing"):
+        sweep_resolution(random_config(grid16), modes)
+
+
+@pytest.mark.parametrize("modes, message", [
+    ([], "mode counts must not be empty"),
+    # would run mode_cap 2 but fit the slope at 2.5
+    ([2.5, 3], "mode counts must be integers"),
+    ([2, 3.0], "mode counts must be integers"),
+])
+def test_sweep_resolution_rejects_malformed_mode_counts(grid16, modes, message):
+    with pytest.raises(ValueError, match=message):
         sweep_resolution(random_config(grid16), modes)
 
 
@@ -131,12 +144,14 @@ def test_sweep_members_share_the_reference_time_grid(grid16):
     (lambda cfg: twin_run(cfg, 1e-6), 2),
 ], ids=["sweep-epsilon", "sweep-epsilon-scaled", "sweep-resolution", "twin"])
 def test_members_stream_against_the_stored_reference(grid16, monkeypatch, experiment, n_members):
-    # members run beside the reference, on one helper thread and then on the
-    # caller.  Whenever a run steps, in its thread: of its own samples only the
-    # one being stepped is alive, no state of a run whose thread has moved on
-    # to another run is alive, and no difference field that thread measured is
-    # alive.  Once the experiment returns, no sampled state is alive: the
-    # stored reference parts are the only trajectory held
+    # members run beside the reference: 3 runs do not divide evenly over 2
+    # CPUs, so each member steps on a helper of its own; 4 runs do, so the
+    # members run on one helper and then on the caller.  Whenever a run
+    # steps, in its thread: of its own samples only the one being stepped is
+    # alive, no state of a run whose thread has moved on to another run is
+    # alive, and no difference field that thread measured is alive.  Once the
+    # experiment returns, no sampled state is alive: the stored reference
+    # parts are the only trajectory held
     runs = []  # weakrefs to the states of each `samples` call
     first = {}  # thread id -> the weakrefs of its first run: the caller's is the reference
     current = {}  # thread id -> the weakrefs of the run it is stepping
@@ -178,7 +193,10 @@ def test_members_stream_against_the_stored_reference(grid16, monkeypatch, experi
     experiment(random_config(grid16, t_end=0.15, diagnostics_every=1))
     assert len(runs) == 1 + n_members
     assert sorted(member for member, _ in alive) == [False] * 3 + [True] * 3 * n_members
-    assert len(current) == 2 and finished  # two threads, and one moved on
+    if (1 + n_members) % 2:
+        assert len(current) == 1 + n_members and not finished  # a thread per run
+    else:
+        assert len(current) == 2 and finished  # two threads, and one moved on
     assert {counts for _, counts in alive} == {(0, 1, 0)}
     assert sum(r() is not None for run_ in runs for r in run_) == 0
 
@@ -196,12 +214,15 @@ def _failing_step(fail_at):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("fail_at, failing_eps", [
-    ({0.0: 0.1}, 0.0),
+@pytest.mark.parametrize("eps_list, fail_at, failing_eps", [
+    ([0.5, 0.25, 0.125], {0.0: 0.1}, 0.0),
     # the later member fails first, but the error is the one serial order meets
-    ({0.25: 0.2, 0.125: 0.0}, 0.25),
-], ids=["reference", "members"])
-def test_stream_errors_reach_the_caller(grid16, monkeypatch, workers, fail_at, failing_eps):
+    ([0.5, 0.25, 0.125], {0.25: 0.2, 0.125: 0.0}, 0.25),
+    # likewise when 3 runs give each member a helper of its own
+    ([0.5, 0.25], {0.5: 0.2, 0.25: 0.0}, 0.5),
+], ids=["reference", "members", "three-runs"])
+def test_stream_errors_reach_the_caller(grid16, monkeypatch, workers, eps_list, fail_at,
+                                        failing_eps):
     monkeypatch.setattr(rotconv.grid, "WORKERS", workers)
     monkeypatch.setattr(rotconv.evolution, "step", _failing_step(fail_at))
     before = set(threading.enumerate())
@@ -209,7 +230,7 @@ def test_stream_errors_reach_the_caller(grid16, monkeypatch, workers, fail_at, f
 
     def call():
         try:
-            sweep_epsilon(random_config(grid16), [0.5, 0.25, 0.125])
+            sweep_epsilon(random_config(grid16), eps_list)
         except BlowUpError as err:
             outcome["error"] = str(err)
         outcome["workers set"] = hasattr(rotconv.grid._thread, "workers")
@@ -222,8 +243,10 @@ def test_stream_errors_reach_the_caller(grid16, monkeypatch, workers, fail_at, f
     assert set(threading.enumerate()) == before
 
 
-def test_helper_start_failure_reaches_the_caller(grid16, monkeypatch):
-    # the first helper starts and waits on the reference; the second cannot start
+def _second_helper_fails_to_start(monkeypatch, workers, experiment):
+    """Run `experiment` on `workers` CPUs where the first helper starts and
+    waits on the reference and the second cannot start: the error reaches the
+    caller, the started helper is joined and the caller's FFT count cleared."""
     def start(thread):
         if len(started) == 1:
             raise RuntimeError("can't start new thread")
@@ -232,12 +255,56 @@ def test_helper_start_failure_reaches_the_caller(grid16, monkeypatch):
 
     started = []
     original_start = threading.Thread.start
-    monkeypatch.setattr(rotconv.grid, "WORKERS", 4)
+    monkeypatch.setattr(rotconv.grid, "WORKERS", workers)
     monkeypatch.setattr(threading.Thread, "start", start)
     with pytest.raises(RuntimeError, match="can't start new thread"):
-        sweep_epsilon(random_config(grid16), [0.5, 0.25, 0.125])
+        experiment()
     assert not started[0].is_alive()
     assert not hasattr(rotconv.grid._thread, "workers")
+
+
+def test_helper_start_failure_reaches_the_caller(grid16, monkeypatch):
+    _second_helper_fails_to_start(
+        monkeypatch, 4, lambda: sweep_epsilon(random_config(grid16), [0.5, 0.25, 0.125]))
+
+
+def test_twin_helper_start_failure_reaches_the_caller(grid16, monkeypatch):
+    # 3 runs on 2 CPUs ask for two helpers
+    _second_helper_fails_to_start(monkeypatch, 2, lambda: twin_run(random_config(grid16), 1e-6))
+
+
+@pytest.mark.parametrize("experiment, threads", [
+    (lambda cfg: twin_run(cfg, 1e-6), {1: 1, 2: 3, 4: 3}),
+    (lambda cfg: sweep_epsilon(cfg, [0.5, 0.25, 0.125]), {1: 1, 2: 2, 4: 4}),
+], ids=["twin", "sweep-epsilon"])
+def test_runs_get_a_thread_each_when_they_split_unevenly(grid16, monkeypatch, experiment, threads):
+    # per CPU count, the threads that step a run: 3 runs do not divide evenly
+    # over 2 CPUs, so each gets a thread; 4 runs do, and keep one thread per
+    # CPU.  Every thread but the caller is a started helper, and the results
+    # do not depend on the count
+    def recording_samples(*args, **kwargs):
+        stepping.add(threading.get_ident())
+        return original_samples(*args, **kwargs)
+
+    def counting_start(thread):
+        starts.append(thread)
+        original_start(thread)
+
+    stepping, starts, counts, results = set(), [], {}, []
+    original_samples = rotconv.experiments.samples
+    original_start = threading.Thread.start
+    monkeypatch.setattr(rotconv.experiments, "samples", recording_samples)
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    for workers in threads:
+        monkeypatch.setattr(rotconv.grid, "WORKERS", workers)
+        stepping.clear()
+        starts.clear()
+        results.append(experiment(random_config(grid16, t_end=0.2)))
+        counts[workers] = len(stepping)
+        assert len(starts) == len(stepping) - 1
+    assert counts == threads
+    assert results[1] == results[0]
+    assert results[2] == results[0]
 
 
 @pytest.mark.parametrize("fail_at, started", [({0.0: 0.1}, 1), ({0.5: 0.1}, 2)],
@@ -397,10 +464,14 @@ def test_sweep_resolution_monotone(grid32):
         sweep_resolution(cfg, [8, 4])
 
 
-def test_twin_zero_perturbation(grid16):
-    rep = twin_run(random_config(grid16, t_end=0.2), 0.0)
-    assert max(rep.err_l2) == 0.0
-    assert max(rep.err_dual) == 0.0
+def test_twin_rejects_a_zero_perturbation(grid16):
+    # identical twins leave no separation to fit a rate to; a negative
+    # amplitude is a perturbation of the opposite sign
+    for delta_amp in (0.0, -0.0, 0):
+        with pytest.raises(ValueError, match="delta_amp must be nonzero"):
+            twin_run(random_config(grid16, t_end=0.2), delta_amp)
+    rep = twin_run(random_config(grid16, t_end=0.2), -1e-6)
+    assert rep.err_l2[0] == pytest.approx(1e-6)
 
 
 def test_twin_linear_response(grid16):
