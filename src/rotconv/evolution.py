@@ -440,11 +440,10 @@ def samples(config: SimConfig, theta0: SpectralField | None = None) -> Iterator[
 def run(config: SimConfig, theta0: SpectralField | None = None) -> Trajectory:
     """The invariant report of every state `samples(config, theta0)` yields.
 
-    Each sample's report is computed on one report thread per call, a
-    single-worker executor whose thread transforms with one FFT worker
-    (`grid.set_fft_workers`), while the calling thread steps to the next
-    sample.  At most one report is in flight: its result is taken before the
-    next sample is submitted, so the reports come in sample order.  Under
+    Each sample's report is computed on one report thread per call, the
+    worker of a single-worker executor, while the calling thread steps to the
+    next sample.  At most one report is in flight: its result is taken before
+    the next sample is submitted, so the reports come in sample order.  Under
     `taskset -c 0`, `grid.WORKERS` is 1: no thread starts, and the caller
     computes each report in turn.  The pending report's result is taken on
     the way out too, so its error is raised in place of any error of a later
@@ -459,7 +458,7 @@ def run(config: SimConfig, theta0: SpectralField | None = None) -> Trajectory:
             times.append(state.t)
             reports.append(compute_report(state, config.epsilon))
         return Trajectory(times, reports, state)
-    with ThreadPoolExecutor(1, initializer=_grid.set_fft_workers, initargs=(1,)) as pool:
+    with ThreadPoolExecutor(1) as pool:
         futures = []
         try:
             for state in samples(config, theta0):

@@ -163,12 +163,10 @@ def _stream(configs, theta0s, reference, measure):
     steps two trajectories in turn; otherwise there are
     `min(grid.WORKERS, len(configs)) - 1` helpers.  A member waits only for
     the part of the sample it measures, and stops if the reference closes
-    without it.  While helpers run, each of these threads transforms with one
-    FFT worker (`grid.set_fft_workers`).  Under `taskset -c 0`,
-    `grid.WORKERS` is 1: no helper is submitted, so no thread starts, and the
-    runs go in serial order.  Each distinct workspace of the runs
-    (`evolution._workspace`) is built on the calling thread before any helper
-    starts, so no two threads build it.
+    without it.  Under `taskset -c 0`, `grid.WORKERS` is 1: no helper is
+    submitted, so no thread starts, and the runs go in serial order.  Each
+    distinct workspace of the runs (`evolution._workspace`) is built on the
+    calling thread before any helper starts, so no two threads build it.
     A failing run records its error and drains the iterator, so no member that
     has not started starts.  Once the executor's shutdown has joined the
     helpers, the error of the lowest run index is raised: every member below
@@ -232,16 +230,9 @@ def _stream(configs, theta0s, reference, measure):
         while (k := draw()) is not None:
             attempt(k, member)
 
-    if helpers:
-        _grid.set_fft_workers(1)
-    try:
-        with ThreadPoolExecutor(max(helpers, 1), initializer=_grid.set_fft_workers,
-                                initargs=(1,)) as pool:
-            attempt(-1, lead)
-            work()
-    finally:
-        if helpers:
-            _grid.set_fft_workers(None)
+    with ThreadPoolExecutor(max(helpers, 1)) as pool:
+        attempt(-1, lead)
+        work()
     if errors:
         raise errors[min(errors)]
     return times, parts, rows
@@ -279,8 +270,10 @@ def sweep_epsilon(
     eps_list = list(eps_list)
     if not eps_list:
         raise ValueError("eps list must not be empty")
+    if not all(_is_number(e) for e in eps_list):
+        raise ValueError(f"eps values must be numbers, got {eps_list!r}")
     if any(e <= 0 or e > 1 for e in eps_list):
-        raise ValueError("eps values must lie in (0, 1]")
+        raise ValueError(f"eps values must lie in (0, 1], got {eps_list!r}")
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError(f"eps list must be strictly decreasing, got {eps_list!r}")
     if init_perturbation not in ("matched", "eps-scaled"):
@@ -306,8 +299,10 @@ def sweep_epsilon(
 def sweep_resolution(base: SimConfig, mode_counts) -> SweepResult:
     """Galerkin truncation sweep; the finest truncation is the reference."""
     mode_counts = list(mode_counts)
-    if not mode_counts:
-        raise ValueError("mode counts must not be empty")
+    # a single count is the reference alone, which would be compared with itself
+    if len(mode_counts) < 2:
+        raise ValueError("mode counts must not be empty or a single count (the reference"
+                         f" alone), got {mode_counts!r}")
     # a fractional count would run its floor but report itself as the parameter
     if not all(_is_number(m, numbers.Integral) for m in mode_counts):
         raise ValueError(f"mode counts must be integers, got {mode_counts!r}")

@@ -17,23 +17,16 @@ arguments `scipy.fft` would pass, which skips its Python dispatch and
 releases the GIL for the whole transform, so trajectories stepping on
 different threads transform side by side.  The binding is private to scipy:
 the property tests compare both transforms with the public `scipy.fft` bit
-for bit, so a release that changes it fails them.  Their complex (x, y) pass
-runs in place, and on fields with at least `THREADED_MIN_POINTS` points on
-every CPU the process may use (`WORKERS`); pocketfft splits independent 1-D
-transforms across its threads, so results are bitwise independent of the
-thread count.  Their real z pass runs on one thread and writes into the
-caller's `out` array when given one, so a caller that owns its buffers (the
-stepper of each trajectory in `evolution`) takes no fresh memory.
-`to_physical` consumes its input: it transforms the caller's stack in place.
-Given `planes`, both transforms run the complex pass on the kz planes below
-it only, for callers whose spectra are zero above them (the tendency's kept
-modes): `to_physical` leaves those zero planes as they are, and
-`to_spectral` leaves them holding the z pass alone.
-
-`set_fft_workers` alone sets a thread's own FFT worker count, used in place
-of `WORKERS`.  It starts the executor threads of `evolution.run` (its report
-thread) and `experiments._stream` (its member helpers) at 1, and `_stream`
-sets the caller's count to 1 while helpers run and clears it afterwards.
+for bit, so a release that changes it fails them.  Every pass runs on one
+FFT thread: the CPUs go to the trajectories and reports that transform side
+by side.  Their complex (x, y) pass runs in place, and their real z pass
+writes into the caller's `out` array when given one, so a caller that owns
+its buffers (the stepper of each trajectory in `evolution`) takes no fresh
+memory.  `to_physical` consumes its input: it transforms the caller's stack
+in place.  Given `planes`, both transforms run the complex pass on the kz
+planes below it only, for callers whose spectra are zero above them (the
+tendency's kept modes): `to_physical` leaves those zero planes as they are,
+and `to_spectral` leaves them holding the z pass alone.
 """
 
 from __future__ import annotations
@@ -41,7 +34,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple
@@ -52,16 +44,10 @@ from scipy.fft._pocketfft import pypocketfft as _pf
 
 TWO_PI = 2.0 * np.pi
 DOMAIN_VOLUME = TWO_PI**3
-# FFT threads of the complex (x, y) pass: the CPUs this process may run on
-# (`taskset` caps them), for fields of at least THREADED_MIN_POINTS points.
-# On smaller fields a second thread costs more than it saves: on a 2-vCPU
-# machine an IF-RK4 step took 1.26x as long with two threads at 24^3 and
-# 1.11x at 40^3, but 0.89x at 48^3 and 0.77x at 64^3.
+# the CPUs this process may run on (`taskset` caps them): they size the report
+# thread of `evolution.run` and the member helpers of `experiments._stream`
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
-THREADED_MIN_POINTS = 2**16
-# per-thread settings: `workers`, when set, is this thread's FFT worker count
-_thread = threading.local()
 
 
 def _is_number(x, kind=numbers.Real) -> bool:
@@ -210,20 +196,6 @@ class SpectralField(_Frozen):
         return float(np.max(np.abs(self.coeffs[0, 0, :]))) <= tol * scale
 
 
-def set_fft_workers(n: int | None) -> None:
-    """Transform with n FFT workers in this thread, or with `WORKERS` again for None."""
-    if n is not None:
-        _thread.workers = n
-    elif hasattr(_thread, "workers"):
-        del _thread.workers
-
-
-def _workers(nx: int, ny: int, nz: int) -> int:
-    if nx * ny * nz < THREADED_MIN_POINTS:
-        return 1
-    return getattr(_thread, "workers", WORKERS)
-
-
 def to_spectral(values: np.ndarray, planes: int | None = None,
                 scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
     """`scale` times the half spectra of a batch of real float64 fields on the
@@ -241,7 +213,7 @@ def to_spectral(values: np.ndarray, planes: int | None = None,
     # pocketfft's own 1/N: the reciprocal in long double, rounded once to double
     out *= scale * float(1 / np.longdouble(math.prod(values.shape[-3:])))
     view = out[..., :planes]
-    _pf.c2c(view, (-3, -2), True, 0, view, _workers(*values.shape[-3:]))
+    _pf.c2c(view, (-3, -2), True, 0, view, 1)
     return out
 
 
@@ -257,10 +229,9 @@ def to_physical(coeffs: np.ndarray, planes: int | None = None,
     and only on planes kz < `planes`: it maps the zero planes above to
     themselves.
     """
-    nx, ny, nz = coeffs.shape[-3], coeffs.shape[-2], 2 * (coeffs.shape[-1] - 1)
     view = coeffs[..., :planes]
-    _pf.c2c(view, (-3, -2), False, 0, view, _workers(nx, ny, nz))
-    return _pf.c2r(coeffs, (-1,), nz, False, 0, out, 1)
+    _pf.c2c(view, (-3, -2), False, 0, view, 1)
+    return _pf.c2r(coeffs, (-1,), 2 * (coeffs.shape[-1] - 1), False, 0, out, 1)
 
 
 def forward_transform(f: PhysicalField) -> SpectralField:

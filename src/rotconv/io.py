@@ -28,14 +28,21 @@ def write_snapshot(path, name: str, field: PhysicalField) -> None:
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
+def _read_exactly(fh, n: int, part: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError(f"snapshot ends inside its {part}: {len(data)} of {n} bytes")
+    return data
+
+
 def read_snapshot(path) -> tuple[str, PhysicalField]:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
-        nx, ny, nz = struct.unpack("<3I", fh.read(12))
-        (nlen,) = struct.unpack("<I", fh.read(4))
-        name = fh.read(nlen).decode("utf-8")
+        nx, ny, nz = struct.unpack("<3I", _read_exactly(fh, 12, "grid dims"))
+        (nlen,) = struct.unpack("<I", _read_exactly(fh, 4, "name length"))
+        name = _read_exactly(fh, nlen, "field name").decode("utf-8")
         payload = fh.read()
     if len(payload) != 8 * nx * ny * nz:
         raise ValueError(f"snapshot payload is {len(payload)} bytes, expected "

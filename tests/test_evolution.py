@@ -172,22 +172,25 @@ def test_tendency_is_the_tendency_of_the_kept_modes(grid16):
 def test_tendency_xy_passes_run_on_the_kept_planes(grid16, monkeypatch, mode_cap, planes):
     # every complex (x, y) pass of a tendency, its six inverses and its one
     # forward, runs in place on the kz planes that hold the kept modes and no
-    # more, and every real z pass writes into one of the stepper's buffers
+    # more, and every real z pass writes into one of the stepper's buffers;
+    # every pass runs on one FFT thread
     stepper = rotconv.evolution._Stepper(grid16, mode_cap)
     c = dealias(random_band_limited(grid16, 4)).coeffs
     pf = rotconv.grid._pf
     xy, z = [], []
 
     def c2c(a, axes, forward, inorm, out, nthreads):
-        assert out is a
+        assert out is a and nthreads == 1
         xy.append((forward, a.shape))
         return pf.c2c(a, axes, forward, inorm, out, nthreads)
 
     def c2r(a, axes, lastsize, forward, inorm, out, nthreads):
+        assert nthreads == 1
         z.append(out)
         return pf.c2r(a, axes, lastsize, forward, inorm, out, nthreads)
 
     def r2c(a, axes, forward, inorm, out, nthreads):
+        assert nthreads == 1
         z.append(out)
         return pf.r2c(a, axes, forward, inorm, out, nthreads)
 
@@ -536,16 +539,16 @@ def test_runs_of_one_config_compare_equal(grid16):
 
 def test_threaded_run_matches_the_serial_path(grid16, monkeypatch):
     # WORKERS = 1 computes every report in the caller and starts no thread;
-    # otherwise one started thread, not the caller, computes every report with
-    # one FFT worker while the caller steps with its own count, left unset
-    reports, steps, started = [], [], []  # (thread id, FFT workers at 64^3) per call
+    # otherwise one started thread, not the caller, computes every report
+    # while the caller steps
+    reports, steps, started = [], [], []  # thread id per call
 
     def recording_report(state, epsilon):
-        reports.append((threading.get_ident(), rotconv.grid._workers(64, 64, 64)))
+        reports.append(threading.get_ident())
         return original_report(state, epsilon)
 
     def recording_step(*args, **kwargs):
-        steps.append((threading.get_ident(), rotconv.grid._workers(64, 64, 64)))
+        steps.append(threading.get_ident())
         return original_step(*args, **kwargs)
 
     def counting_start(thread):
@@ -569,15 +572,14 @@ def test_threaded_run_matches_the_serial_path(grid16, monkeypatch):
                 record.clear()
             results.append(run(_run_config(grid16)))
             assert len(reports) == 7 and len(steps) == 6
-            assert set(steps) == {(caller, workers)}
+            assert set(steps) == {caller}
             if workers == 1:
                 assert not started
-                assert set(reports) == {(caller, 1)}
+                assert set(reports) == {caller}
             else:
                 assert len(started) == 1
-                assert set(reports) == {(started[0].ident, 1)}
+                assert set(reports) == {started[0].ident}
                 assert started[0].ident != caller
-            assert not hasattr(rotconv.grid._thread, "workers")
     finally:
         sys.setswitchinterval(interval)
     assert results[1] == results[0]
@@ -586,7 +588,7 @@ def test_threaded_run_matches_the_serial_path(grid16, monkeypatch):
 
 def _outcome_of(call):
     """How `call` ended, run in a thread of its own so that a hang fails the
-    test: its error, and whether that thread's FFT worker count was left set."""
+    test: its error."""
     outcome = {}
 
     def target():
@@ -594,7 +596,6 @@ def _outcome_of(call):
             call()
         except Exception as err:
             outcome["error"] = f"{type(err).__name__}: {err}"
-        outcome["workers set"] = hasattr(rotconv.grid._thread, "workers")
 
     runner = threading.Thread(target=target, daemon=True)
     runner.start()
@@ -618,7 +619,7 @@ def test_run_report_error_reaches_the_caller(grid16, monkeypatch, workers):
     monkeypatch.setattr(rotconv.grid, "WORKERS", workers)
     monkeypatch.setattr(rotconv.invariants, "compute_report", failing_report)
     outcome = _outcome_of(lambda: run(_run_config(grid16)))
-    assert outcome == {"error": "ValueError: injected at t = 0.10", "workers set": False}
+    assert outcome == {"error": "ValueError: injected at t = 0.10"}
     assert len(started) == 3
 
 
@@ -652,7 +653,7 @@ def test_run_blow_up_while_a_report_is_pending(grid16, monkeypatch, report_fails
     monkeypatch.setattr(rotconv.invariants, "compute_report", waiting_report)
     monkeypatch.setattr(rotconv.evolution, "step", failing_step)
     outcome = _outcome_of(lambda: run(_run_config(grid16)))
-    assert outcome == {"error": error, "workers set": False}
+    assert outcome == {"error": error}
     assert len(finished) == (2 if report_fails else 3)
 
 

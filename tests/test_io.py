@@ -58,6 +58,17 @@ def test_snapshot_rejects_wrong_payload_length(tmp_path, grid16, edit):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("size, part", [
+    (4 + 7, "grid dims"), (4 + 12 + 2, "name length"), (4 + 12 + 4 + 5, "field name"),
+], ids=["inside-dims", "inside-name-length", "inside-name"])
+def test_snapshot_rejects_truncated_header(tmp_path, grid16, size, part):
+    path = tmp_path / "state.rcs"
+    write_snapshot(path, "theta_prime", PhysicalField(grid16, np.ones(grid16.shape)))
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(ValueError, match=f"snapshot ends inside its {part}"):
+        read_snapshot(path)
+
+
 def test_series_csv_columns_and_determinism(tmp_path, grid16):
     traj = small_run(grid16)
     env = gronwall_envelopes(traj.reports)

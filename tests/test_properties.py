@@ -5,19 +5,15 @@ rule and with its horizontal-mean sector removed.  Parseval is also checked
 on the raw field, whose kz = nz/2 plane is not empty, so a wrong Parseval
 weight on either self-conjugate plane fails a test.  The batched
 transforms are checked bit for bit against `scipy.fft.irfftn` and `rfftn` on
-random half spectra of unequal sizes, with one FFT thread and with one per CPU,
-and so are their pruned forms, which run the (x, y) pass on the first kz
-planes only, and their forms that write into the caller's array.
+random half spectra of unequal sizes, and so are their pruned forms, which
+run the (x, y) pass on the first kz planes only, and their forms that write
+into the caller's array.
 """
-
-import os
-from unittest import mock
 
 import numpy as np
 import scipy.fft
 from hypothesis import given, strategies as st
 
-import rotconv.grid
 from rotconv.evolution import SimConfig, SimState, step, tendency
 from rotconv.grid import (
     Grid,
@@ -92,26 +88,22 @@ def test_step_keeps_mean_sector_zero(seed, amplitude, eps, integrator):
 even_sizes = st.integers(min_value=2, max_value=10).map(lambda h: 2 * h)
 
 
-@given(nx=even_sizes, ny=even_sizes, nz=even_sizes, batch=st.integers(1, 9), seed=seeds,
-       workers=st.sampled_from(sorted({1, os.cpu_count() or 1})))
-def test_batched_transforms_are_scipy_transforms(nx, ny, nz, batch, seed, workers):
+@given(nx=even_sizes, ny=even_sizes, nz=even_sizes, batch=st.integers(1, 9), seed=seeds)
+def test_batched_transforms_are_scipy_transforms(nx, ny, nz, batch, seed):
     rng = np.random.default_rng(seed)
     shape = (batch, nx, ny, nz // 2 + 1)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     expected = scipy.fft.irfftn(coeffs, axes=(-3, -2, -1), norm="forward")
-    # threads on every size, so that small examples exercise them too
-    with mock.patch.multiple(rotconv.grid, WORKERS=workers, THREADED_MIN_POINTS=0):
-        values = to_physical(coeffs.copy())
-        spectra = to_spectral(values)
+    values = to_physical(coeffs.copy())
+    spectra = to_spectral(values)
     assert values.shape == (batch, nx, ny, nz)
     assert np.array_equal(values, expected)
     assert np.array_equal(spectra, scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward"))
 
 
 @given(nx=even_sizes, ny=even_sizes, nz=even_sizes, batch=st.sampled_from([(), (1,), (3,)]),
-       planes=st.integers(1, 11), seed=seeds,
-       workers=st.sampled_from(sorted({1, os.cpu_count() or 1})), into=st.booleans())
-def test_pruned_transforms_are_scipy_transforms(nx, ny, nz, batch, planes, seed, workers, into):
+       planes=st.integers(1, 11), seed=seeds, into=st.booleans())
+def test_pruned_transforms_are_scipy_transforms(nx, ny, nz, batch, planes, seed, into):
     # the tendency's passes: an inverse of spectra that are zero from kz
     # plane `planes` on, and a negated forward read below that plane, each
     # written into the caller's array if `into`
@@ -124,11 +116,10 @@ def test_pruned_transforms_are_scipy_transforms(nx, ny, nz, batch, planes, seed,
     spectra = scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
     physical_out = np.empty(values.shape) if into else None
     spectral_out = np.empty(shape, dtype=np.complex128) if into else None
-    with mock.patch.multiple(rotconv.grid, WORKERS=workers, THREADED_MIN_POINTS=0):
-        physical = to_physical(coeffs.copy(), planes, physical_out)
-        assert np.array_equal(physical, to_physical(coeffs.copy()))
-        assert np.array_equal(to_spectral(values), spectra)
-        negated = to_spectral(values, planes, -1.0, spectral_out)
+    physical = to_physical(coeffs.copy(), planes, physical_out)
+    assert np.array_equal(physical, to_physical(coeffs.copy()))
+    assert np.array_equal(to_spectral(values), spectra)
+    negated = to_spectral(values, planes, -1.0, spectral_out)
     assert np.array_equal(physical, scipy.fft.irfftn(coeffs, axes=(-3, -2, -1), norm="forward"))
     assert np.array_equal(negated[..., :planes], -spectra[..., :planes])
     if into:
