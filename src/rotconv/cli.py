@@ -12,16 +12,10 @@ from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from .evolution import InitialSpec, SimConfig, SimState, initial_state, run
-from .grid import Grid, inverse_transform_batch
+from .grid import Grid
 from .invariants import gronwall_envelopes
-from .meanstate import mean_profile
-from .velocity import (
-    CATALOG,
-    empirical_lp_ratio,
-    hypothesis_check,
-    lattice_sup,
-    velocity_symbols,
-)
+from .meanstate import _physical_mean_gradient, mean_profile
+from .velocity import CATALOG, empirical_lp_ratio, hypothesis_check, lattice_sup
 
 
 def load_config(path) -> SimConfig:
@@ -54,9 +48,8 @@ def cmd_run(args) -> int:
     traj = run(config, theta0=theta0)
     env = gronwall_envelopes(traj.reports)
     write_series_csv(out / "series.csv", traj.reports, env)
-    mw = velocity_symbols(config.grid)[2]
     for state in (SimState(0.0, theta0), traj.final_state):
-        theta_p, w_p = inverse_transform_batch(state.theta, [(), (mw,)])
+        theta_p, w_p, _ = _physical_mean_gradient(state.theta)
         write_profile_csv(out / f"profile_{state.t:.6f}.csv",
                           mean_profile(theta_p, w_p))
         write_snapshot(out / f"theta_{state.t:.6f}.rcs", "theta_prime", theta_p)

@@ -26,10 +26,10 @@ from .grid import (
     PhysicalField,
     SpectralField,
     _is_number,
+    _lattice,
     dealias,
     derivative_symbol,
     forward_transform,
-    horizontal_laplacian_symbol,
     inverse_transform,
     inverse_transform_batch,
     lp_norm,
@@ -47,6 +47,17 @@ class BlowUpError(RuntimeError):
     def __init__(self, message: str, last_state: "SimState"):
         super().__init__(message)
         self.last_state = last_state
+
+
+def _is_time_step(dt) -> bool:
+    """dt is a positive finite number and not a bool."""
+    return _is_number(dt) and 0 < dt < math.inf
+
+
+def _check_grid(theta: SpectralField, config: SimConfig) -> None:
+    """Raise a ValueError naming both grids unless `theta` lies on `config.grid`."""
+    if theta.grid != config.grid:
+        raise ValueError(f"the state lies on {theta.grid}, but the config's grid is {config.grid}")
 
 
 def _is_ints(x, n: int) -> bool:
@@ -127,7 +138,7 @@ class SimConfig:
                 and self.diagnostics_every >= 1):
             raise ValueError("diagnostics_every must be a positive integer,"
                              f" got {self.diagnostics_every!r}")
-        if self.dt != "auto" and not (_is_number(self.dt) and 0 < self.dt < math.inf):
+        if self.dt != "auto" and not _is_time_step(self.dt):
             raise ValueError(f'dt must be "auto" or a positive finite number, got {self.dt!r}')
         if not (_is_number(self.safety) and 0 < self.safety <= 1):
             raise ValueError(f"safety must be a number in (0, 1], got {self.safety!r}")
@@ -170,7 +181,7 @@ def _workspace(grid: Grid, mode_cap: int | None) -> _Workspace:
     for box in boxes:
         drop[box] = True
     return _Workspace(mu, mv, mw, derivative_symbol(grid, 0), derivative_symbol(grid, 1),
-                      horizontal_laplacian_symbol(grid)[:, :, :1], drop, mz + 1, boxes)
+                      -_lattice(*grid.shape).kh2, drop, mz + 1, boxes)
 
 
 class _Stepper:
@@ -293,11 +304,13 @@ def step(state: SimState, dt: float, config: SimConfig,
          stepper: _Stepper | None = None) -> SimState:
     """Advance one time step of the kept modes (the 2/3 rule within
     `config.mode_cap`) in the buffers of `stepper`, a `_Stepper` of the
-    config's grid and truncation (default: a new one); the state must be zero
-    outside the kept modes up to round-off, as every state `samples` yields
-    is.  A new state that is not a finite real field is a blow-up."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    config's grid and truncation (default: a new one); the state must lie on
+    that grid, zero outside the kept modes up to round-off, as every state
+    `samples` yields does.  A new state that is not a finite real field is a
+    blow-up."""
+    if not _is_time_step(dt):
+        raise ValueError(f"dt must be a positive finite number, got {dt!r}")
+    _check_grid(state.theta, config)
     if stepper is None:
         stepper = _Stepper(config.grid, config.mode_cap)
     advance = stepper.rk4 if config.integrator == "rk4" else stepper.ifrk4
@@ -314,6 +327,7 @@ def cfl_dt(state: SimState, safety: float, config: SimConfig) -> float:
     """Advective CFL time step with an explicit-diffusion cap for rk4."""
     if not (0.0 < safety <= 1.0):
         raise ValueError("safety must lie in (0, 1]")
+    _check_grid(state.theta, config)
     grid = config.grid
     default_cap = 0.1
     caps = [default_cap]
@@ -405,17 +419,19 @@ def samples(config: SimConfig, theta0: SpectralField | None = None) -> Iterator[
     yield the t = 0 state, every `diagnostics_every`-th state and the last one.
 
     `step` acts on the kept modes only: those of the 2/3 rule within
-    `mode_cap`.  So `theta0` must have zero horizontal mean and no content
-    outside the kept modes beyond round-off (the tolerance of
-    `has_zero_horizontal_mean`); otherwise a ValueError names the rule.
+    `mode_cap`.  So `theta0` must lie on `config.grid`, with zero horizontal
+    mean and no content outside the kept modes beyond round-off (the
+    tolerance of `has_zero_horizontal_mean`); otherwise a ValueError names
+    the grids or the rule.
 
     The time step is `config.dt`, or under "auto" the CFL step of `theta0`,
     shortened so that a whole number of steps ends at t_end.  Every step runs
-    in one `_Stepper`, built after the t = 0 state is yielded and dropped
-    before the last state is.
+    in one `_Stepper`, built after the t = 0 state is yielded if there is a
+    step, and dropped before the last state is.
     """
     if theta0 is None:
         theta0 = initial_state(config)
+    _check_grid(theta0, config)
     _check_initial(config, theta0)
     state = SimState(0.0, theta0)
 
@@ -428,7 +444,7 @@ def samples(config: SimConfig, theta0: SpectralField | None = None) -> Iterator[
         dt = config.t_end / n_steps
 
     yield state
-    stepper = _Stepper(config.grid, config.mode_cap)
+    stepper = _Stepper(config.grid, config.mode_cap) if n_steps else None
     for i in range(1, n_steps + 1):
         state = step(state, dt, config, stepper)
         if i == n_steps:

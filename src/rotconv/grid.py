@@ -269,11 +269,6 @@ def derivative_symbol(grid: Grid, axis: int) -> np.ndarray:
     return np.where(np.abs(k) == grid.shape[axis] // 2, 0.0, 1j * k.astype(np.float64))
 
 
-def horizontal_laplacian_symbol(grid: Grid) -> np.ndarray:
-    kh2 = _lattice(grid.nx, grid.ny, grid.nz).kh2
-    return np.broadcast_to(-kh2, grid.spectral_shape)
-
-
 def horizontal_power_symbol(grid: Grid, s: float) -> np.ndarray:
     """Symbol of A^s = (-horizontal Laplacian)^s, zero on the horizontal-mean sector."""
     kh2 = _lattice(grid.nx, grid.ny, grid.nz).kh2

@@ -10,8 +10,8 @@ import numpy as np
 from .grid import (
     TWO_PI,
     SpectralField,
+    _lattice,
     derivative_symbol,
-    horizontal_laplacian_symbol,
     horizontal_power_symbol,
     inverse_transform_batch,
     lp_norm,
@@ -81,7 +81,7 @@ def compute_report(state, epsilon: float) -> InvariantReport:
     w_max = float(np.max(np.abs(w_p)))
     del theta_p, w, w_p
 
-    grad2 = parseval_sum(grid, -horizontal_laplacian_symbol(grid) * np.abs(theta.coeffs) ** 2)
+    grad2 = parseval_sum(grid, _lattice(*grid.shape).kh2 * np.abs(theta.coeffs) ** 2)
     gx, gy = (f.values for f in inverse_transform_batch(theta, [(dx,), (dy,)]))
     grad_mag = np.sqrt(gx**2 + gy**2)
     grad_l3 = float((np.sum(grad_mag**3) * dV) ** (1.0 / 3.0))
@@ -165,9 +165,6 @@ def integrated_budget_residual(times, l2_series, diss_total) -> float:
 
 @dataclass(frozen=True)
 class EnvelopeSeries:
-    env_l3: np.ndarray  # bounds on l3^3
-    env_l6: np.ndarray  # bounds on l6^6
-    env_grad: np.ndarray  # bounds on grad_l3^3
     pass_l3: np.ndarray
     pass_l6: np.ndarray
     pass_grad: np.ndarray
@@ -208,9 +205,6 @@ def gronwall_envelopes(reports: list[InvariantReport], slack: float = 10.0) -> E
 
     tol = 1e-12
     return EnvelopeSeries(
-        env_l3=env3,
-        env_l6=env6,
-        env_grad=envg,
         pass_l3=l3**3 <= env3 * (1.0 + tol) + tol,
         pass_l6=l6**6 <= env6 * (1.0 + tol) + tol,
         pass_grad=g3**3 <= envg * (1.0 + tol) + tol,

@@ -238,11 +238,27 @@ def test_transforms_run_on_no_gil_holding_fft(grid16, monkeypatch):
     assert np.allclose(rotconv.grid.to_spectral(values), coeffs, rtol=0, atol=1e-15)
 
 
-def test_step_rejects_bad_dt(grid16):
+@pytest.mark.parametrize("dt", [0.0, -0.05, float("nan"), float("inf"), True, "0.1", None])
+def test_step_rejects_bad_dt(grid16, dt):
+    # the rule of SimConfig's dt: a positive finite number, not a bool
     config = single_mode_config(grid16)
     state = SimState(0.0, build_initial(grid16, config.initial, True))
-    with pytest.raises(ValueError):
-        step(state, 0.0, config)
+    with pytest.raises(ValueError, match=f"dt must be a positive finite number, got {dt!r}$"):
+        step(state, dt, config)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda state, config: step(state, 0.05, config),
+    lambda state, config: next(samples(config, state.theta)),
+    lambda state, config: run(config, state.theta),
+    lambda state, config: cfl_dt(state, 0.5, config),
+], ids=["step", "samples", "run", "cfl_dt"])
+def test_entry_points_reject_a_state_on_another_grid(grid16, grid32, entry):
+    config = single_mode_config(grid16, dt=0.05, t_end=0.1)
+    state = SimState(0.0, build_initial(grid32, config.initial, True))
+    named = re.escape(f"on {grid32}, but the config's grid is {grid16}")
+    with pytest.raises(ValueError, match=named):
+        entry(state, config)
 
 
 def test_blow_up_reported(grid16):
@@ -340,6 +356,21 @@ def test_step_rejects_output_breaking_reality(grid16, monkeypatch):
     with pytest.raises(BlowUpError, match="reality") as info:
         step(state, 0.01, config)
     assert info.value.last_state is state
+
+
+@pytest.mark.parametrize("t_end, builds", [(0.0, 0), (0.1, 1)])
+def test_samples_builds_a_stepper_only_to_step(grid16, monkeypatch, t_end, builds):
+    built = []
+
+    class Counting(rotconv.evolution._Stepper):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(rotconv.evolution, "_Stepper", Counting)
+    states = list(samples(single_mode_config(grid16, dt=0.05, t_end=t_end)))
+    assert len(states) == 1 + 2 * builds
+    assert len(built) == builds
 
 
 def test_run_t_end_zero(grid16):

@@ -364,13 +364,14 @@ def test_stream_builds_each_workspace_once(grid16, monkeypatch, experiment, keys
     # reaches it; still each (grid, mode_cap) workspace is built once
     builds = []
 
-    def slow_laplacian(grid):
+    def slow_velocity_symbols(grid):
         builds.append(grid)
         time.sleep(0.05)
         return original(grid)
 
-    original = rotconv.evolution.horizontal_laplacian_symbol
-    monkeypatch.setattr(rotconv.evolution, "horizontal_laplacian_symbol", slow_laplacian)
+    # `_workspace` calls it once per build; these configs' fixed dt keeps `cfl_dt` from calling it
+    original = rotconv.evolution.velocity_symbols
+    monkeypatch.setattr(rotconv.evolution, "velocity_symbols", slow_velocity_symbols)
     monkeypatch.setattr(rotconv.grid, "WORKERS", 4)
     rotconv.evolution._workspace.cache_clear()
     experiment(random_config(grid16))

@@ -1,0 +1,29 @@
+"""Every module of the package uses each name it imports.  The project
+depends on no linter, so the module sources are walked as syntax trees."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import rotconv
+
+PACKAGE = Path(rotconv.__file__).parent
+# the names a module imports only for others to rebind through it
+REBOUND = {"experiments": {"solve_velocity"}}  # bench/test_bench.py rebinds it
+
+
+# the package's __init__ imports the public names for its callers
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.stem)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", "") != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - REBOUND.get(path.stem, set())) == []
