@@ -54,6 +54,12 @@ def _is_time_step(dt) -> bool:
     return _is_number(dt) and 0 < dt < math.inf
 
 
+def _check_safety(safety) -> None:
+    """Raise a ValueError naming `safety` unless it is a number in (0, 1], not a bool."""
+    if not (_is_number(safety) and 0 < safety <= 1):
+        raise ValueError(f"safety must be a number in (0, 1], got {safety!r}")
+
+
 def _check_grid(theta: SpectralField, config: SimConfig) -> None:
     """Raise a ValueError naming both grids unless `theta` lies on `config.grid`."""
     if theta.grid != config.grid:
@@ -140,8 +146,7 @@ class SimConfig:
                              f" got {self.diagnostics_every!r}")
         if self.dt != "auto" and not _is_time_step(self.dt):
             raise ValueError(f'dt must be "auto" or a positive finite number, got {self.dt!r}')
-        if not (_is_number(self.safety) and 0 < self.safety <= 1):
-            raise ValueError(f"safety must be a number in (0, 1], got {self.safety!r}")
+        _check_safety(self.safety)
         cap_max = max(self.grid.shape) // 2
         if self.mode_cap is not None and not (
             _is_number(self.mode_cap, numbers.Integral) and 1 <= self.mode_cap <= cap_max
@@ -172,7 +177,7 @@ class _Workspace(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _workspace(grid: Grid, mode_cap: int | None) -> _Workspace:
-    mu, mv, mw, _, _ = velocity_symbols(grid)
+    mu, mv, mw = velocity_symbols(grid)
     cap = max(grid.shape) if mode_cap is None else mode_cap
     mx, my, mz = (min(n // 3, cap) for n in grid.shape)  # kept: every |k_i| <= m_i
     boxes = ((slice(mx + 1, grid.nx - mx),), (slice(None), slice(my + 1, grid.ny - my)),
@@ -325,8 +330,7 @@ def step(state: SimState, dt: float, config: SimConfig,
 
 def cfl_dt(state: SimState, safety: float, config: SimConfig) -> float:
     """Advective CFL time step with an explicit-diffusion cap for rk4."""
-    if not (0.0 < safety <= 1.0):
-        raise ValueError("safety must lie in (0, 1]")
+    _check_safety(safety)
     _check_grid(state.theta, config)
     grid = config.grid
     default_cap = 0.1

@@ -45,7 +45,7 @@ from .velocity import solve_velocity, velocity_symbols  # noqa: F401
 def _h2h_symbols(grid: Grid) -> tuple[np.ndarray, ...]:
     """|symbols| mapping the temperature difference to lap_h of (u, v, w)."""
     kh2 = _lattice(grid.nx, grid.ny, grid.nz).kh2
-    return tuple(kh2 * np.abs(m) for m in velocity_symbols(grid)[:3])
+    return tuple(kh2 * np.abs(m) for m in velocity_symbols(grid))
 
 
 def h2h_bound_constant(grid: Grid) -> float:

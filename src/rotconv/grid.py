@@ -307,10 +307,10 @@ def project_zero_horizontal_mean(F: SpectralField) -> SpectralField:
 
 def lp_norm(f: PhysicalField, p: float) -> float:
     """Collocation quadrature of the L^p norm over [0, 2pi]^3; p=inf is grid max."""
+    if not (_is_number(p) and p >= 1):
+        raise ValueError(f"p must be a real number >= 1 or inf, got {p!r}")
     if p == np.inf:
         return float(np.max(np.abs(f.values)))
-    if p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
     return float(
         (np.sum(np.abs(f.values) ** p) * f.grid.cell_volume) ** (1.0 / p)
     )

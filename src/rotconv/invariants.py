@@ -9,6 +9,7 @@ import numpy as np
 
 from .grid import (
     TWO_PI,
+    PhysicalField,
     SpectralField,
     _lattice,
     derivative_symbol,
@@ -38,6 +39,21 @@ def _slice_lp(values: np.ndarray, p: float) -> np.ndarray:
     return (np.sum(np.abs(values) ** p, axis=(0, 1)) * w2) ** (1.0 / p)
 
 
+def _theta_w_norms(theta: SpectralField):
+    """||theta'||_3, ||theta'||_6, ||w||_6, max|w|, the level-wise maxima of
+    ||w||_{L^3_h} and ||w||_{L^6_h}, and the mean gradient, from one pass
+    whose fields this scope drops on return."""
+    theta_p, w, dtz = _physical_mean_gradient(theta)
+    return (lp_norm(theta_p, 3.0), lp_norm(theta_p, 6.0), lp_norm(w, 6.0), lp_norm(w, np.inf),
+            *(float(np.max(_slice_lp(w.values, p))) for p in (3.0, 6.0)), dtz)
+
+
+def _magnitude(theta: SpectralField, chains) -> PhysicalField:
+    """|(a, b)| of the two fields that a pair of symbol chains makes of theta."""
+    a, b = (f.values for f in inverse_transform_batch(theta, chains))
+    return PhysicalField._wrap(theta.grid, np.sqrt(a**2 + b**2))
+
+
 @dataclass(frozen=True)
 class InvariantReport:
     """Per-sample record of norms, budget terms and embedding ratios."""
@@ -60,44 +76,24 @@ def compute_report(state, epsilon: float) -> InvariantReport:
     The nine physical fields they need are inverse-transformed a pair at a
     time, and each pair is reduced and dropped before the next one is formed:
     (theta', w), (d_x theta', d_y theta'), (u, v), (d_x u, d_x v), then d_x w.
+    Every physical-space norm is `lp_norm` of a field or of a pair's
+    magnitude, or `_slice_lp` of w level by level.
     """
     theta = state.theta
     grid = theta.grid
     if not theta.has_zero_horizontal_mean():
         raise ValueError("diagnostic solve requires zero horizontal mean")
-    mu, mv, mw, _, _ = velocity_symbols(grid)
+    mu, mv, mw = velocity_symbols(grid)
     dx = derivative_symbol(grid, 0)
     dy = derivative_symbol(grid, 1)
-    dV = grid.cell_volume
     l2 = spectral_l2(theta)
 
-    theta_p, w, dtz = _physical_mean_gradient(theta)
-    l3 = lp_norm(theta_p, 3.0)
-    l6 = lp_norm(theta_p, 6.0)
-    w_p = w.values
-    w3_max = float(np.max(_slice_lp(w_p, 3.0)))
-    w6_max = float(np.max(_slice_lp(w_p, 6.0)))
-    l6_w = float((np.sum(np.abs(w_p) ** 6) * dV) ** (1.0 / 6.0))
-    w_max = float(np.max(np.abs(w_p)))
-    del theta_p, w, w_p
-
+    l3, l6, l6_w, w_max, w3_max, w6_max, dtz = _theta_w_norms(theta)
     grad2 = parseval_sum(grid, _lattice(*grid.shape).kh2 * np.abs(theta.coeffs) ** 2)
-    gx, gy = (f.values for f in inverse_transform_batch(theta, [(dx,), (dy,)]))
-    grad_mag = np.sqrt(gx**2 + gy**2)
-    grad_l3 = float((np.sum(grad_mag**3) * dV) ** (1.0 / 3.0))
-    del gx, gy, grad_mag
-
-    u_p, v_p = (f.values for f in inverse_transform_batch(theta, [(mu,), (mv,)]))
-    uv_mag = np.sqrt(u_p**2 + v_p**2)
-    l6_uv = float((np.sum(uv_mag**6) * dV) ** (1.0 / 6.0))
-    del u_p, v_p, uv_mag
-
-    dxu, dxv = (f.values for f in inverse_transform_batch(theta, [(mu, dx), (mv, dx)]))
-    dxuv_max = float(np.max(np.sqrt(dxu**2 + dxv**2)))
-    del dxu, dxv
-
-    (dxw,) = inverse_transform_batch(theta, [(mw, dx)])
-    dxw_max = float(np.max(np.abs(dxw.values)))
+    grad_l3 = lp_norm(_magnitude(theta, [(dx,), (dy,)]), 3.0)
+    l6_uv = lp_norm(_magnitude(theta, [(mu,), (mv,)]), 6.0)
+    dxuv_max = lp_norm(_magnitude(theta, [(mu, dx), (mv, dx)]), np.inf)
+    dxw_max = lp_norm(inverse_transform_batch(theta, [(mw, dx)])[0], np.inf)
 
     ratios = {}
     if l2 > 0:

@@ -12,6 +12,7 @@ with the horizontal-mean sector (k1 = k2 = 0) excluded throughout.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +23,7 @@ from .grid import (
     Grid,
     PhysicalField,
     SpectralField,
+    _is_number,
     _lattice,
     dealias,
     forward_transform,
@@ -45,45 +47,37 @@ class VelocityDiagnostics:
     omega: SpectralField
 
 
+def _diagnostic_symbol(grid: Grid, numerator: np.ndarray) -> np.ndarray:
+    """numerator / D, D = k3^2 + (k1^2+k2^2)^3, zero on the horizontal-mean sector and on
+    the Nyquist planes, whose modes have no conjugate partner under the real transform."""
+    lat = _lattice(grid.nx, grid.ny, grid.nz)
+    denom = lat.kz.astype(np.float64) ** 2 + lat.kh2**3
+    keep = (lat.kh2 > 0) & ~lat.nyquist
+    return np.where(keep, numerator / np.maximum(denom, _TINY), 0.0)
+
+
 @lru_cache(maxsize=32)
 def velocity_symbols(grid: Grid):
-    """Per-mode multipliers (mu, mv, mw, mpsi, momega) on the grid lattice.
-
-    Nyquist planes are zeroed: those modes have no conjugate partner under the
-    real transform, so odd symbols are ill-defined there.
-    """
+    """Per-mode multipliers (mu, mv, mw) of the velocity on the grid lattice."""
     lat = _lattice(grid.nx, grid.ny, grid.nz)
     kxf, kyf, kzf = (k.astype(np.float64) for k in (lat.kx, lat.ky, lat.kz))
-    kh2 = lat.kh2
-    denom = kzf**2 + kh2**3
-    keep = np.broadcast_to((kh2 > 0) & ~lat.nyquist, grid.spectral_shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu = np.where(keep, -kyf * kzf / np.maximum(denom, _TINY), 0.0)
-        mv = np.where(keep, kxf * kzf / np.maximum(denom, _TINY), 0.0)
-        mw = np.where(keep, kh2**2 / np.maximum(denom, _TINY), 0.0)
-        mpsi = np.where(keep, -1j * kzf / np.maximum(denom, _TINY), 0.0)
-        momega = np.where(
-            keep, 1j * kzf * kh2 / np.maximum(denom, _TINY), 0.0
-        )
-    for m in (mu, mv, mw, mpsi, momega):
+    symbols = tuple(_diagnostic_symbol(grid, m) for m in (-kyf * kzf, kxf * kzf, lat.kh2**2))
+    for m in symbols:
         m.setflags(write=False)
-    return mu, mv, mw, mpsi, momega
+    return symbols
 
 
 def solve_velocity(theta: SpectralField) -> VelocityDiagnostics:
     """Solve the linear diagnostic equations exactly, mode by mode."""
     if not theta.has_zero_horizontal_mean():
         raise ValueError("diagnostic solve requires zero horizontal mean")
-    mu, mv, mw, mpsi, momega = velocity_symbols(theta.grid)
-    c = theta.coeffs
-    g = theta.grid
-    return VelocityDiagnostics(
-        u=SpectralField(g, mu * c),
-        v=SpectralField(g, mv * c),
-        w=SpectralField(g, mw * c),
-        psi=SpectralField(g, mpsi * c),
-        omega=SpectralField(g, momega * c),
-    )
+    g, c = theta.grid, theta.coeffs
+    lat = _lattice(g.nx, g.ny, g.nz)
+    kzf = lat.kz.astype(np.float64)
+    # only this solve reads psi and omega: their symbols are built per call, not cached
+    mpsi, momega = (_diagnostic_symbol(g, m) for m in (-1j * kzf, 1j * kzf * lat.kh2))
+    return VelocityDiagnostics(*(SpectralField(g, m * c)
+                                 for m in (*velocity_symbols(g), mpsi, momega)))
 
 
 def residual_check(
@@ -180,8 +174,10 @@ def empirical_lp_ratio(spec: MultiplierSpec, p: float, trials: int, seed: int) -
     A numerical lower bound for the multiplier's L^p operator norm; reported
     for regression tracking, nothing is asserted about tightness.
     """
-    if not (1.0 < p < np.inf):
-        raise ValueError(f"p must lie in (1, inf), got {p}")
+    if not (_is_number(p) and 1.0 < p < np.inf):
+        raise ValueError(f"p must lie in (1, inf), got {p!r}")
+    if not (_is_number(trials, numbers.Integral) and trials >= 1):
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     grid = Grid(32, 32, 32)
     rng = np.random.default_rng(seed)
     sym = multiplier_array(spec, grid)

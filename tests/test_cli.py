@@ -100,6 +100,12 @@ def test_check_multipliers_command(tmp_path):
     assert len(lines) == 7  # six catalog entries
     for line in lines[1:]:
         assert line.split(",")[1] == "1"  # every hypothesis holds
+    # a trial count below 1 fails before any row is written
+    for trials in ("0", "-2"):
+        bad = tmp_path / f"trials{trials}.csv"
+        with pytest.raises(ValueError, match=f"trials must be a positive integer, got {trials}"):
+            main(["check-multipliers", "--K", "16", "--trials", trials, "--out", str(bad)])
+        assert not bad.exists()
 
 
 def _reloaded_echo(tmp_path, payload):

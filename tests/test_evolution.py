@@ -277,6 +277,14 @@ def test_cfl_zero_state_default_cap(grid16):
     assert cfl_dt(SimState(0.0, theta), 0.5, config) == pytest.approx(0.05)
 
 
+@pytest.mark.parametrize("safety", [True, "0.5", None, float("nan"), 0, 1.5])
+def test_cfl_rejects_bad_safety(grid16, safety):
+    theta = SpectralField(grid16, np.zeros(grid16.spectral_shape, dtype=complex))
+    config = SimConfig(grid=grid16, epsilon=0.0)
+    with pytest.raises(ValueError, match=re.escape(f"safety must be a number in (0, 1], got {safety!r}")):
+        cfl_dt(SimState(0.0, theta), safety, config)
+
+
 def test_cfl_advection_limited(grid32):
     # theta = A sin(x) cos(z) has |v|_max = A/2, |u| = 0
     X, _, Z = grid32.meshgrid()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -211,8 +213,10 @@ def test_lp_norm_sin_x():
 
 def test_lp_norm_rejects_small_p(grid16):
     f = PhysicalField(grid16, np.ones(grid16.shape))
-    with pytest.raises(ValueError):
-        lp_norm(f, 0.5)
+    # p below 1, and any p that is not a real number >= 1 or inf
+    for p in (0.5, -np.inf, float("nan"), True, "3", None):
+        with pytest.raises(ValueError, match=re.escape(f"p must be a real number >= 1 or inf, got {p!r}")):
+            lp_norm(f, p)
 
 
 def test_pad_to_grid_preserves_field(grid32):

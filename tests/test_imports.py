@@ -27,3 +27,16 @@ def test_module_uses_every_name_it_imports(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - REBOUND.get(path.stem, set())) == []
+
+
+def test_every_private_definition_is_used():
+    # a private top-level function or class that no module of the package
+    # names, as a variable or an attribute, is dead code
+    trees = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")]
+    private = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    assert sorted(private - used) == []

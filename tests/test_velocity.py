@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -118,7 +120,12 @@ def test_outputs_stay_real(grid16):
 
 
 def test_symbol_parity(grid16):
-    mu, mv, mw, mpsi, momega = velocity_symbols(grid16)
+    mu, mv, mw = velocity_symbols(grid16)
+    # solved from the unit field on the non-mean modes, psi and omega are their symbols
+    ones = np.ones(grid16.spectral_shape)
+    ones[0, 0, :] = 0.0
+    d = solve_velocity(SpectralField(grid16, ones))
+    mpsi, momega = d.psi.coeffs, d.omega.coeffs
     # on the half lattice index k is k3 = k; u is odd under k2 -> -k2, v under
     # k1 -> -k1, w is even in both, and every symbol is zero at k3 = 0 but w
     for (i, j, k) in [(1, 2, 3), (2, 1, 1), (3, 2, 2)]:
@@ -176,8 +183,12 @@ def test_empirical_ratio_deterministic():
     a = empirical_lp_ratio(spec, 3.0, 5, 42)
     b = empirical_lp_ratio(spec, 3.0, 5, 42)
     assert a == b
-    with pytest.raises(ValueError):
-        empirical_lp_ratio(spec, 1.0, 5, 42)
+    for p in (1.0, "3", None):
+        with pytest.raises(ValueError, match=re.escape(f"p must lie in (1, inf), got {p!r}")):
+            empirical_lp_ratio(spec, p, 5, 42)
+    for trials in (0, -2, 2.5, True, "5"):
+        with pytest.raises(ValueError, match=re.escape(f"trials must be a positive integer, got {trials!r}")):
+            empirical_lp_ratio(spec, 3.0, trials, 42)
 
 
 def test_catalog_hypotheses():
