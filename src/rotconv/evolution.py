@@ -26,14 +26,14 @@ from .grid import (
     PhysicalField,
     SpectralField,
     _is_number,
+    _keep,
+    _kept,
     _lattice,
-    dealias,
     derivative_symbol,
     forward_transform,
     inverse_transform,
     inverse_transform_batch,
     lp_norm,
-    project_zero_horizontal_mean,
     to_physical,
     to_spectral,
 )
@@ -82,10 +82,11 @@ def _check_mode(name: str, mode, grid: Grid | None = None, mode_cap: int | None 
                          f" with k1 or k2 nonzero, got {mode!r}")
     if grid is None:
         return
-    if any(3 * abs(k) > n for k, n in zip(mode, grid.shape)):
+    rule, kept = (_kept(grid, cap).m for cap in (None, mode_cap))
+    if any(abs(k) > m for k, m in zip(mode, rule)):
         raise ValueError(f"{name} {mode!r} is not resolved on the {grid.shape} grid:"
-                         f" it needs |k_i| <= {tuple(n // 3 for n in grid.shape)}")
-    if mode_cap is not None and max(map(abs, mode)) > mode_cap:
+                         f" it needs |k_i| <= {rule}")
+    if any(abs(k) > m for k, m in zip(mode, kept)):
         raise ValueError(f"{name} {mode!r} lies outside the Galerkin truncation"
                          f" mode_cap = {mode_cap}: it needs |k_i| <= {mode_cap}")
 
@@ -162,7 +163,7 @@ class SimState:
 
 
 class _Workspace(NamedTuple):
-    """The symbols and the dropped modes of one tendency, cached per grid and truncation."""
+    """The symbols and the kept modes of one tendency, cached per grid and truncation."""
 
     mu: np.ndarray
     mv: np.ndarray
@@ -170,23 +171,16 @@ class _Workspace(NamedTuple):
     ikx: np.ndarray
     iky: np.ndarray
     lap_h: np.ndarray  # -kh2 on its (nx, ny, 1) base: constant in kz, it broadcasts
-    drop: np.ndarray  # zeroed modes: the mean sector, and all outside the 2/3 rule and `mode_cap`
     planes: int  # the kz planes kz < planes hold every kept mode
-    boxes: tuple  # the index tuples of four boxes whose union is `drop`
+    boxes: tuple  # the boxes of `grid._kept`: their union is every mode the tendency zeroes
 
 
 @lru_cache(maxsize=32)
 def _workspace(grid: Grid, mode_cap: int | None) -> _Workspace:
     mu, mv, mw = velocity_symbols(grid)
-    cap = max(grid.shape) if mode_cap is None else mode_cap
-    mx, my, mz = (min(n // 3, cap) for n in grid.shape)  # kept: every |k_i| <= m_i
-    boxes = ((slice(mx + 1, grid.nx - mx),), (slice(None), slice(my + 1, grid.ny - my)),
-             (slice(None), slice(None), slice(mz + 1, None)), (0, 0))
-    drop = np.zeros(grid.spectral_shape, dtype=bool)
-    for box in boxes:
-        drop[box] = True
+    kept = _kept(grid, mode_cap)
     return _Workspace(mu, mv, mw, derivative_symbol(grid, 0), derivative_symbol(grid, 1),
-                      -_lattice(*grid.shape).kh2, drop, mz + 1, boxes)
+                      -_lattice(*grid.shape).kh2, kept.m[2] + 1, kept.boxes)
 
 
 class _Stepper:
@@ -235,7 +229,7 @@ class _Stepper:
         w_p *= dtz
         nl += w_p
         to_spectral(nl, ws.planes, -1.0, out)
-        for box in ws.boxes:  # zero `ws.drop`
+        for box in ws.boxes:  # zero every mode outside the kept ones
             out[box] = 0.0
         return out
 
@@ -300,9 +294,9 @@ def tendency(theta: SpectralField, epsilon: float) -> SpectralField:
     the tendency of theta's modes kept by the rule, which `step` advances."""
     if not theta.has_zero_horizontal_mean(tol=1e-10):
         raise ValueError("tendency requires a zero-horizontal-mean field")
-    stepper = _Stepper(theta.grid, None)
-    c = np.where(stepper.ws.drop, 0.0, theta.coeffs)
-    return SpectralField._wrap(theta.grid, stepper.rhs(c, epsilon, np.empty_like(c)))
+    c = _keep(theta).coeffs
+    out = _Stepper(theta.grid, None).rhs(c, epsilon, np.empty_like(c))
+    return SpectralField._wrap(theta.grid, out)
 
 
 def step(state: SimState, dt: float, config: SimConfig,
@@ -363,7 +357,7 @@ def build_initial(grid: Grid, spec: InitialSpec, dealias_field: bool = True) -> 
         kmax_abs = np.maximum(np.maximum(np.abs(kx), np.abs(ky)), np.abs(kz))
         band = (kmax_abs >= spec.band[0]) & (kmax_abs <= spec.band[1])
         F = SpectralField(grid, np.where(band, F.coeffs, 0.0))
-    F = dealias(project_zero_horizontal_mean(F))
+    F = _keep(F)
     if spec.kind == "random-band-limited":
         l6 = lp_norm(inverse_transform(F), 6.0)
         if l6 == 0:
@@ -395,12 +389,11 @@ def _truncate(config: SimConfig, theta: SpectralField, what: str) -> SpectralFie
     `what` if it keeps none of them."""
     if config.mode_cap is None:
         return theta
-    ws = _workspace(config.grid, config.mode_cap)
-    capped = np.where(ws.drop, 0.0, theta.coeffs)
+    capped = _keep(theta, config.mode_cap)
     # relative to the uncapped field: a capped single mode leaves round-off
-    if np.max(np.abs(capped)) <= 1e-12 * np.max(np.abs(theta.coeffs)):
+    if np.max(np.abs(capped.coeffs)) <= 1e-12 * np.max(np.abs(theta.coeffs)):
         raise ValueError(f"mode_cap {config.mode_cap} removes every mode of the {what}")
-    return SpectralField(config.grid, capped)
+    return capped
 
 
 def _check_initial(config: SimConfig, theta: SpectralField) -> None:
@@ -412,7 +405,7 @@ def _check_initial(config: SimConfig, theta: SpectralField) -> None:
     tol = 1e-12 * max(np.max(size), 1.0)
     if np.max(size[0, 0, :]) > tol:
         raise ValueError("initial state must have zero horizontal mean")
-    if np.max(size, where=_workspace(config.grid, config.mode_cap).drop, initial=0.0) > tol:
+    if max(np.max(size[box]) for box in _kept(config.grid, config.mode_cap).boxes) > tol:
         cap = "" if config.mode_cap is None else f" and mode_cap = {config.mode_cap}"
         raise ValueError("initial state has modes outside those kept by the 2/3 rule"
                          f" |k_i| <= n_i/3{cap}")

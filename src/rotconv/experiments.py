@@ -19,6 +19,7 @@ from .grid import (
     PhysicalField,
     SpectralField,
     _is_number,
+    _keep,
     _lattice,
     forward_transform,
     parseval_sum,
@@ -35,7 +36,7 @@ from .evolution import (
     initial_state,
     samples,
 )
-from .invariants import dual_norm
+from .invariants import _slice_lp, dual_norm
 from .meanstate import _physical_mean_gradient, profile_l2
 # solve_velocity is unused here but bench/test_bench.py rebinds it through this module
 from .velocity import solve_velocity, velocity_symbols  # noqa: F401
@@ -55,24 +56,19 @@ def h2h_bound_constant(grid: Grid) -> float:
     return float(sum(np.max(m) for m in _h2h_symbols(grid)))
 
 
-def _rms_h_sup(values: np.ndarray) -> float:
-    """sup over z of the horizontal root-mean-square."""
-    return float(np.sqrt(np.max(np.mean(values**2, axis=(0, 1)))))
-
-
 class _Reference(NamedTuple):
     """What every member's errors at one sample need of the reference sample."""
 
     theta: SpectralField
     dtheta_dz: np.ndarray  # mean temperature gradient profile
-    theta_rms_sup: float  # sup over z of rms_h(theta)
+    theta_l2h_sup: float  # sup over z of ||theta||_{L^2_h}
 
 
 def _sweep_reference(theta: SpectralField) -> _Reference:
     """The reference part of `_sweep_errors`: one inverse transform of
     (theta, w), run once per reference sample whatever the number of members."""
     theta_p, _, dtz = _physical_mean_gradient(theta)
-    return _Reference(theta, dtz, _rms_h_sup(theta_p.values))
+    return _Reference(theta, dtz, float(np.max(_slice_lp(theta_p.values, 2.0))))
 
 
 def _sweep_errors(theta: SpectralField, ref: _Reference):
@@ -97,9 +93,10 @@ def _sweep_errors(theta: SpectralField, ref: _Reference):
     w_diff_l2 = np.sqrt(parseval_sum(grid, velocity_symbols(grid)[2] ** 2 * c2))
     _, w_p, dtz = _physical_mean_gradient(theta)
     err = profile_l2(dtz - ref.dtheta_dz)
-    # |mean_h(D w_e)| <= rms_h(D) rms_h(w_e) level-wise; sum over z and pull
-    # out the sup_z factor
-    bound = (_rms_h_sup(w_p.values) * d_l2 + ref.theta_rms_sup * w_diff_l2) / (2.0 * np.pi)
+    # |mean_h(D w_e)| <= rms_h(D) rms_h(w_e) level-wise, rms_h = ||.||_{L^2_h} / (2 pi);
+    # sum over z and pull out the sup_z factor
+    w_l2h_sup = float(np.max(_slice_lp(w_p.values, 2.0)))
+    bound = (w_l2h_sup * d_l2 + ref.theta_l2h_sup * w_diff_l2) / (2.0 * np.pi) ** 2
     return d_l2, vel_h2, err, float(bound)
 
 
@@ -379,7 +376,6 @@ def _perturbation_field(config: SimConfig, mode, amplitude: float) -> SpectralFi
     X, Y, Z = grid.meshgrid()
     k1, k2, k3 = mode
     values = np.cos(k1 * X + k2 * Y + k3 * Z)
-    F = forward_transform(PhysicalField(grid, values))
-    F = SpectralField(grid, np.where(_workspace(grid, config.mode_cap).drop, 0.0, F.coeffs))
+    F = _keep(forward_transform(PhysicalField(grid, values)), config.mode_cap)
     n = spectral_l2(F)
     return SpectralField(grid, F.coeffs * (amplitude / n))

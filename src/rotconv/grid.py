@@ -108,7 +108,7 @@ class _Lattice(NamedTuple):
     kz: np.ndarray
     kh2: np.ndarray  # kx^2 + ky^2 as floats
     nyquist: np.ndarray  # any |k_i| = n_i/2
-    dealias: np.ndarray  # kept by the 2/3 rule
+    retained: np.ndarray  # kh2 > 0 off the Nyquist planes: the modes of the diagnostic solve
     weight: np.ndarray  # Parseval weight
 
 
@@ -120,11 +120,23 @@ def _lattice(nx: int, ny: int, nz: int) -> _Lattice:
     kh2 = (kx**2 + ky**2).astype(np.float64)
     # Nyquist planes: the unpaired mode |k| = n/2 of the real transform.
     nyquist = (np.abs(kx) == nx // 2) | (np.abs(ky) == ny // 2) | (kz == nz // 2)
-    dealias = (
-        (np.abs(kx) <= nx // 3) & (np.abs(ky) <= ny // 3) & (kz <= nz // 3)
-    )
     weight = np.where((kz == 0) | (kz == nz // 2), 1.0, 2.0)
-    return _Lattice(kx, ky, kz, kh2, nyquist, dealias, weight)
+    return _Lattice(kx, ky, kz, kh2, nyquist, (kh2 > 0) & ~nyquist, weight)
+
+
+class _Kept(NamedTuple):
+    """The modes a step keeps on one grid under the Galerkin truncation
+    `mode_cap`: every |k_i| <= m_i, outside the horizontal-mean sector."""
+
+    m: tuple  # m_i = min(n_i // 3, mode_cap): the 2/3 rule within the cap
+    boxes: tuple  # index tuples of boxes whose union is every other mode, the mean sector last
+
+
+@lru_cache(maxsize=32)
+def _kept(grid: Grid, mode_cap: int | None) -> _Kept:
+    mx, my, mz = m = tuple(min(n // 3, mode_cap or n) for n in grid.shape)
+    return _Kept(m, ((slice(mx + 1, grid.nx - mx),), (slice(None), slice(my + 1, grid.ny - my)),
+                     (slice(None), slice(None), slice(mz + 1, None)), (0, 0)))
 
 
 class _Frozen:
@@ -278,8 +290,16 @@ def horizontal_power_symbol(grid: Grid, s: float) -> np.ndarray:
 
 def dealias(F: SpectralField) -> SpectralField:
     """2/3-rule truncation: zero every mode with any |k_i| > n_i/3."""
-    mask = _lattice(F.grid.nx, F.grid.ny, F.grid.nz).dealias
-    return SpectralField(F.grid, np.where(mask, F.coeffs, 0.0))
+    return _keep(F, mean=True)
+
+
+def _keep(F: SpectralField, mode_cap: int | None = None, mean: bool = False) -> SpectralField:
+    """F zeroed outside the modes a step keeps under `mode_cap` (`_kept`),
+    on the horizontal-mean sector too unless `mean`."""
+    c = F.coeffs.copy()
+    for box in _kept(F.grid, mode_cap).boxes[:3 if mean else 4]:
+        c[box] = 0.0
+    return SpectralField._wrap(F.grid, c)
 
 
 def pad_to_grid(F: SpectralField, target: Grid) -> SpectralField:
@@ -297,12 +317,6 @@ def pad_to_grid(F: SpectralField, target: Grid) -> SpectralField:
     iy = np.mod(lat.ky.ravel(), target.ny)
     out[np.ix_(ix, iy, lat.kz.ravel())] = src
     return SpectralField(target, out)
-
-
-def project_zero_horizontal_mean(F: SpectralField) -> SpectralField:
-    c = F.coeffs.copy()
-    c[0, 0, :] = 0.0
-    return SpectralField(F.grid, c)
 
 
 def lp_norm(f: PhysicalField, p: float) -> float:

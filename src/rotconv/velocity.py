@@ -24,13 +24,12 @@ from .grid import (
     PhysicalField,
     SpectralField,
     _is_number,
+    _keep,
     _lattice,
-    dealias,
     forward_transform,
     inverse_transform_batch,
     lp_norm,
     parseval_sum,
-    project_zero_horizontal_mean,
 )
 
 _TINY = 1e-300
@@ -52,8 +51,7 @@ def _diagnostic_symbol(grid: Grid, numerator: np.ndarray) -> np.ndarray:
     the Nyquist planes, whose modes have no conjugate partner under the real transform."""
     lat = _lattice(grid.nx, grid.ny, grid.nz)
     denom = lat.kz.astype(np.float64) ** 2 + lat.kh2**3
-    keep = (lat.kh2 > 0) & ~lat.nyquist
-    return np.where(keep, numerator / np.maximum(denom, _TINY), 0.0)
+    return np.where(lat.retained, numerator / np.maximum(denom, _TINY), 0.0)
 
 
 @lru_cache(maxsize=32)
@@ -93,10 +91,9 @@ def residual_check(
             raise ValueError("grid mismatch between theta and diagnostics")
     grid = theta.grid
     lat = _lattice(grid.nx, grid.ny, grid.nz)
-    keep = (lat.kh2 > 0) & ~lat.nyquist
     res1 = 1j * lat.kz * d.psi.coeffs - theta.coeffs + lat.kh2 * d.w.coeffs
     res2 = -1j * lat.kz * d.w.coeffs + lat.kh2 * d.omega.coeffs
-    n_theta, r1, r2 = (np.sqrt(parseval_sum(grid, np.where(keep, np.abs(c) ** 2, 0.0)))
+    n_theta, r1, r2 = (np.sqrt(parseval_sum(grid, np.where(lat.retained, np.abs(c) ** 2, 0.0)))
                        for c in (theta.coeffs, res1, res2))
     denom = max(n_theta, 1e-30)
     return float(r1 / denom), float(r2 / denom)
@@ -184,9 +181,8 @@ def empirical_lp_ratio(spec: MultiplierSpec, p: float, trials: int, seed: int) -
     best = 0.0
     for _ in range(trials):
         f = rng.standard_normal(grid.shape)
-        F = dealias(forward_transform(PhysicalField(grid, f)))
-        # the family is zero on the horizontal-mean sector
-        F = project_zero_horizontal_mean(F)
+        # the 2/3 rule, and no horizontal mean: the family is zero there
+        F = _keep(forward_transform(PhysicalField(grid, f)))
         f_p, mf_p = inverse_transform_batch(F, [(), (sym,)])
         denom = lp_norm(f_p, p)
         if denom > 0.0:

@@ -30,6 +30,16 @@ def random_band_limited(grid, seed, kmin=1, kmax=6, rng=None):
     return SpectralField(grid, c)
 
 
+def kept_modes(grid, mode_cap=None, mean=False):
+    """The modes a step keeps, written out on the lattice: every |k_i| <=
+    n_i // 3 and <= `mode_cap`, off the horizontal-mean sector unless `mean`."""
+    k = grid.wavenumbers()
+    keep = np.ones(grid.spectral_shape, dtype=bool)
+    for k_i, n_i in zip(k, grid.shape):
+        keep &= (np.abs(k_i) <= n_i // 3) & (mode_cap is None or np.abs(k_i) <= mode_cap)
+    return keep if mean else keep & ((k[0] != 0) | (k[1] != 0))
+
+
 @pytest.fixture(autouse=True)
 def no_thread_left():
     """Fail a test that leaves more threads alive than it started with."""

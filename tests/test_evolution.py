@@ -10,6 +10,7 @@ import pytest
 import scipy.fft
 
 import rotconv.evolution
+import rotconv.experiments
 import rotconv.grid
 import rotconv.invariants
 from rotconv.evolution import (
@@ -36,7 +37,7 @@ from rotconv.grid import (
     spectral_l2,
 )
 
-from conftest import random_band_limited
+from conftest import kept_modes, random_band_limited
 
 
 def single_mode_config(grid, amplitude=1.0, **kw):
@@ -204,19 +205,60 @@ def test_tendency_xy_passes_run_on_the_kept_planes(grid16, monkeypatch, mode_cap
 
 @pytest.mark.parametrize("shape, mode_cap", [
     ((16, 16, 16), None), ((16, 16, 16), 3), ((32, 32, 32), None),
-    ((24, 20, 18), 4), ((8, 12, 16), 1), ((48, 48, 48), 20),
+    ((24, 20, 18), 4), ((8, 12, 16), 1), ((48, 48, 48), 20), ((4, 4, 4), None),
 ])
 def test_workspace_drops_the_modes_outside_the_rule(shape, mode_cap):
-    # `drop`, the union of the four boxes the tendency fills with zeros, is
-    # the mean sector and every mode outside the 2/3 rule or `mode_cap`
+    # the union of the four boxes the tendency fills with zeros is the mean
+    # sector and every mode outside the 2/3 rule or `mode_cap`
     grid = Grid(*shape)
-    ws = rotconv.evolution._workspace(grid, mode_cap)
-    lat = rotconv.grid._lattice(*shape)
-    rule = ~lat.dealias
-    if mode_cap is not None:
-        rule = rule | (np.maximum(np.maximum(np.abs(lat.kx), np.abs(lat.ky)), lat.kz) > mode_cap)
-    rule = rule | ((lat.kx == 0) & (lat.ky == 0))
-    assert np.array_equal(ws.drop, rule)
+    dropped = np.zeros(grid.spectral_shape, dtype=bool)
+    for box in rotconv.evolution._workspace(grid, mode_cap).boxes:
+        dropped[box] = True
+    assert np.array_equal(dropped, ~kept_modes(grid, mode_cap))
+
+
+@pytest.mark.parametrize("shape, mode_cap", [
+    ((24, 20, 18), None), ((24, 20, 18), 4), ((8, 12, 16), None), ((8, 12, 16), 2),
+    ((4, 4, 4), None),
+])
+def test_every_truncation_zeroes_exactly_the_modes_outside_the_box(shape, mode_cap):
+    # a generic field keeps every mode of the box and none outside it; the
+    # 2/3 rule alone for the readers that take no `mode_cap`, with the mean
+    # sector for `dealias`
+    grid = Grid(*shape)
+    rule, kept = kept_modes(grid), kept_modes(grid, mode_cap)
+    config = SimConfig(grid=grid, mode_cap=mode_cap, initial=InitialSpec(band=(0, max(shape))))
+    full = forward_transform(PhysicalField(grid, np.random.default_rng(7).standard_normal(shape)))
+    theta = build_initial(grid, config.initial)
+    assert np.array_equal(dealias(full).coeffs != 0, kept_modes(grid, mean=True))
+    assert np.array_equal(theta.coeffs != 0, rule)
+    assert np.array_equal(tendency(theta, 0.3).coeffs != 0, rule)
+    assert np.array_equal(rotconv.evolution._truncate(config, theta, "band").coeffs != 0, kept)
+    pert = rotconv.experiments._perturbation_field(config, (1, 1, 1), 1e-6)
+    assert not np.any(pert.coeffs[~kept]) and pert.coeffs[1, 1, 1] != 0
+
+
+# the 2/3 rule keeps |k_i| <= (8, 6, 6) on the 24 x 20 x 18 grid: a cap of 4
+# binds on every axis, a cap of 7 on x only
+UNRESOLVED = "is not resolved on the (24, 20, 18) grid: it needs |k_i| <= (8, 6, 6)"
+
+
+@pytest.mark.parametrize("mode_cap, axis, m, message", [
+    (None, 0, 8, UNRESOLVED), (None, 2, 6, UNRESOLVED),
+    (4, 1, 4, "lies outside the Galerkin truncation mode_cap = 4: it needs |k_i| <= 4"),
+    (7, 0, 7, "lies outside the Galerkin truncation mode_cap = 7: it needs |k_i| <= 7"),
+    (7, 1, 6, UNRESOLVED),
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_check_mode_accepts_the_outermost_kept_mode_and_no_further(mode_cap, axis, m, message,
+                                                                   sign):
+    grid = Grid(24, 20, 18)
+    mode = [1, 1, 1]
+    mode[axis] = sign * m
+    rotconv.evolution._check_mode("mode", tuple(mode), grid, mode_cap)
+    mode[axis] = sign * (m + 1)
+    with pytest.raises(ValueError, match=re.escape(f"mode {tuple(mode)!r} {message}") + "$"):
+        rotconv.evolution._check_mode("mode", tuple(mode), grid, mode_cap)
 
 
 def test_transforms_run_on_no_gil_holding_fft(grid16, monkeypatch):

@@ -2,6 +2,8 @@
 depends on no linter, so the module sources are walked as syntax trees."""
 
 import ast
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,16 @@ def test_every_private_definition_is_used():
             for tree in trees for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))}
     assert sorted(private - used) == []
+
+
+def test_the_two_thirds_rule_is_written_once():
+    # the kept modes are defined once, in `grid._kept`: outside its comments,
+    # no other module spells the 2/3 rule as `// 3` or `3 * abs(`
+    def spellings(path):
+        with path.open("rb") as fh:
+            code = " ".join(t.string for t in tokenize.tokenize(fh.readline)
+                            if t.type != tokenize.COMMENT)
+        return len(re.findall(r"//\s*3\b|\b3\s*\*\s*abs\s*\(", code))
+
+    spelled = {p.stem: spellings(p) for p in PACKAGE.glob("*.py")}
+    assert {stem: n for stem, n in spelled.items() if n} == {"grid": 1}
