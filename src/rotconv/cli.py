@@ -14,7 +14,7 @@ from pathlib import Path
 from .evolution import InitialSpec, SimConfig, SimState, initial_state, run
 from .grid import Grid
 from .invariants import gronwall_envelopes
-from .meanstate import _physical_mean_gradient, mean_profile
+from .meanstate import _physical_theta_w, mean_profile
 from .velocity import CATALOG, empirical_lp_ratio, hypothesis_check, lattice_sup
 
 
@@ -49,7 +49,7 @@ def cmd_run(args) -> int:
     env = gronwall_envelopes(traj.reports)
     write_series_csv(out / "series.csv", traj.reports, env)
     for state in (SimState(0.0, theta0), traj.final_state):
-        theta_p, w_p, _ = _physical_mean_gradient(state.theta)
+        theta_p, w_p = _physical_theta_w(state.theta)
         write_profile_csv(out / f"profile_{state.t:.6f}.csv",
                           mean_profile(theta_p, w_p))
         write_snapshot(out / f"theta_{state.t:.6f}.rcs", "theta_prime", theta_p)

@@ -14,8 +14,7 @@ import numbers
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -162,40 +161,27 @@ class SimState:
     theta: SpectralField
 
 
-class _Workspace(NamedTuple):
-    """The symbols and the kept modes of one tendency, cached per grid and truncation."""
-
-    mu: np.ndarray
-    mv: np.ndarray
-    mw: np.ndarray
-    ikx: np.ndarray
-    iky: np.ndarray
-    lap_h: np.ndarray  # -kh2 on its (nx, ny, 1) base: constant in kz, it broadcasts
-    planes: int  # the kz planes kz < planes hold every kept mode
-    boxes: tuple  # the boxes of `grid._kept`: their union is every mode the tendency zeroes
-
-
-@lru_cache(maxsize=32)
-def _workspace(grid: Grid, mode_cap: int | None) -> _Workspace:
-    mu, mv, mw = velocity_symbols(grid)
-    kept = _kept(grid, mode_cap)
-    return _Workspace(mu, mv, mw, derivative_symbol(grid, 0), derivative_symbol(grid, 1),
-                      -_lattice(*grid.shape).kh2, kept.m[2] + 1, kept.boxes)
-
-
 class _Stepper:
     """The buffers of one trajectory's steps: 4 half-spectrum fields `spec` and
-    4 real fields `real`, with the workspace of its grid and truncation.
+    4 real fields `real`, with the tables of its grid and truncation read from
+    their owners: the velocity symbols (`velocity_symbols`), the kept modes
+    (`grid._kept`), the derivative symbols (`derivative_symbol`) and the
+    horizontal Laplacian (`grid._lattice`).
 
-    Every step of a trajectory runs in them, so stepping allocates no field
-    but each new state; the real z passes of the transforms write into them.
-    Each method keeps the operation order its docstring gives, so a step is
-    the same to the bit whichever buffer holds what.  A stepper serves one
-    thread.
+    Every step of a trajectory runs in the buffers, so stepping allocates no
+    field but each new state; the real z passes of the transforms write into
+    them.  Each method keeps the operation order its docstring gives, so a
+    step is the same to the bit whichever buffer holds what.  A stepper
+    serves one thread.
     """
 
     def __init__(self, grid: Grid, mode_cap: int | None):
-        self.ws = _workspace(grid, mode_cap)
+        self.mu, self.mv, self.mw = velocity_symbols(grid)
+        self.ikx, self.iky = derivative_symbol(grid, 0), derivative_symbol(grid, 1)
+        self.lap_h = -_lattice(*grid.shape).kh2  # constant in kz: its (nx, ny, 1) base broadcasts
+        kept = _kept(grid, mode_cap)
+        self.planes = kept.m[2] + 1  # the kz planes kz < planes hold every kept mode
+        self.boxes = kept.boxes  # their union is every mode the tendency zeroes
         self.spec = tuple(np.empty(grid.spectral_shape, dtype=np.complex128) for _ in range(4))
         self.real = tuple(np.empty(grid.shape) for _ in range(4))
 
@@ -207,29 +193,28 @@ class _Stepper:
         inverse-transformed one at a time, each into a real buffer, and
         consumed as they arrive: the flux from theta' w, then
         nl = (u d_x theta' + v d_y theta') + w dtheta_bar/dz.  Every (x, y)
-        pass, inverse and forward, runs on the `ws.planes` kz planes that hold
+        pass, inverse and forward, runs on the `planes` kz planes that hold
         the kept modes only.
         """
-        ws = self.ws
         r0, r1, r2, r3 = self.real
 
         def physical(sym, r):
-            """The real field of sym * c, zero from kz plane `ws.planes` on, in r."""
-            return to_physical(np.multiply(sym, c, out=out), ws.planes, r)
+            """The real field of sym * c, zero from kz plane `planes` on, in r."""
+            return to_physical(np.multiply(sym, c, out=out), self.planes, r)
 
         np.copyto(out, c)
-        theta_p = to_physical(out, ws.planes, r0)
-        w_p = physical(ws.mw, r1)
+        theta_p = to_physical(out, self.planes, r0)
+        w_p = physical(self.mw, r1)
         dtz = mean_gradient(np.mean(np.multiply(theta_p, w_p, out=theta_p), axis=(0, 1)))
-        nl = physical(ws.mu, r0)
-        nl *= physical(ws.ikx, r2)
-        v_p = physical(ws.mv, r2)
-        v_p *= physical(ws.iky, r3)
+        nl = physical(self.mu, r0)
+        nl *= physical(self.ikx, r2)
+        v_p = physical(self.mv, r2)
+        v_p *= physical(self.iky, r3)
         nl += v_p
         w_p *= dtz
         nl += w_p
-        to_spectral(nl, ws.planes, -1.0, out)
-        for box in ws.boxes:  # zero every mode outside the kept ones
+        to_spectral(nl, self.planes, -1.0, out)
+        for box in self.boxes:  # zero every mode outside the kept ones
             out[box] = 0.0
         return out
 
@@ -238,7 +223,7 @@ class _Stepper:
         lap_h theta', written into `out`; `spec[3]` holds the diffusive term."""
         self.advective(c, out)
         if eps != 0.0:
-            out += np.multiply(eps**2 * self.ws.lap_h, c, out=self.spec[3])
+            out += np.multiply(eps**2 * self.lap_h, c, out=self.spec[3])
         return out
 
     def rk4(self, c: np.ndarray, dt: float, eps: float) -> np.ndarray:
@@ -265,7 +250,7 @@ class _Stepper:
         that operation order, as a new array.  The stage inputs reuse n1's
         buffer, and the sum grows in its own buffer as each stage arrives."""
         x, acc, n2, n3 = self.spec
-        e_half = np.exp(0.5 * dt * eps**2 * self.ws.lap_h)  # one exp per horizontal mode
+        e_half = np.exp(0.5 * dt * eps**2 * self.lap_h)  # one exp per horizontal mode
         e_full = e_half * e_half
         self.advective(c, x)  # n1
         np.multiply(e_full, x, out=acc)
@@ -369,9 +354,9 @@ def build_initial(grid: Grid, spec: InitialSpec, dealias_field: bool = True) -> 
 
 @dataclass
 class Trajectory:
-    """Result of one run: the diagnostics of each sampled state and the final state."""
+    """Result of one run: the diagnostics of each sampled state, each holding
+    its time `t`, and the final state."""
 
-    times: list[float]
     reports: list  # InvariantReport, see invariants module
     final_state: SimState
 
@@ -464,22 +449,19 @@ def run(config: SimConfig, theta0: SpectralField | None = None) -> Trajectory:
     """
     from .invariants import compute_report
 
-    times = []
     if _grid.WORKERS == 1:
         reports = []
         for state in samples(config, theta0):
-            times.append(state.t)
             reports.append(compute_report(state, config.epsilon))
-        return Trajectory(times, reports, state)
+        return Trajectory(reports, state)
     with ThreadPoolExecutor(1) as pool:
         futures = []
         try:
             for state in samples(config, theta0):
-                times.append(state.t)
                 if futures:
                     futures[-1].result()
                 futures.append(pool.submit(compute_report, state, config.epsilon))
         finally:
             if futures:
                 futures[-1].result()
-    return Trajectory(times, [f.result() for f in futures], state)
+    return Trajectory([f.result() for f in futures], state)

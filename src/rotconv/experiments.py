@@ -20,6 +20,7 @@ from .grid import (
     SpectralField,
     _is_number,
     _keep,
+    _kept,
     _lattice,
     forward_transform,
     parseval_sum,
@@ -30,7 +31,6 @@ from .evolution import (
     SimState,
     _check_mode,
     _truncate,
-    _workspace,
     build_initial,
     cfl_dt,
     initial_state,
@@ -161,9 +161,10 @@ def _stream(configs, theta0s, reference, measure):
     `min(grid.WORKERS, len(configs)) - 1` helpers.  A member waits only for
     the part of the sample it measures, and stops if the reference closes
     without it.  Under `taskset -c 0`, `grid.WORKERS` is 1: no helper is
-    submitted, so no thread starts, and the runs go in serial order.  Each
-    distinct workspace of the runs (`evolution._workspace`) is built on the
-    calling thread before any helper starts, so no two threads build it.
+    submitted, so no thread starts, and the runs go in serial order.  The
+    tables every stepper reads from a cache, the velocity symbols of each
+    grid and the kept modes of each (grid, mode_cap), are built on the
+    calling thread before any helper starts, so no two threads build one.
     A failing run records its error and drains the iterator, so no member that
     has not started starts.  Once the executor's shutdown has joined the
     helpers, the error of the lowest run index is raised: every member below
@@ -181,8 +182,8 @@ def _stream(configs, theta0s, reference, measure):
     closed = False  # the reference has published its last part
     uneven = _grid.WORKERS > 1 and len(runs) % _grid.WORKERS
     helpers = (len(runs) if uneven else min(_grid.WORKERS, len(runs))) - 1
-    for key in {(cfg.grid, cfg.mode_cap) for cfg in configs}:
-        _workspace(*key)  # here, once: threads that miss the cache together would each build it
+    for grid, cap in {(cfg.grid, cfg.mode_cap) for cfg in configs}:
+        velocity_symbols(grid), _kept(grid, cap)  # threads that miss a cache together each build
 
     def lead(_):
         nonlocal closed
@@ -305,6 +306,11 @@ def sweep_resolution(base: SimConfig, mode_counts) -> SweepResult:
         raise ValueError(f"mode counts must be integers, got {mode_counts!r}")
     if any(a >= b for a, b in zip(mode_counts, mode_counts[1:])):
         raise ValueError(f"mode counts must be strictly increasing, got {mode_counts!r}")
+    # every larger count keeps the same modes as the bound, the largest the 2/3 rule keeps
+    bound = max(_kept(base.grid, None).m)
+    if mode_counts[-1] > bound:
+        raise ValueError(f"mode counts must be at most {bound}, the largest |k_i| the 2/3 rule"
+                         f" keeps on the {base.grid.shape} grid, got {mode_counts!r}")
     # the finest truncation is the reference: it runs first, and its stored
     # samples stand in for its own member row, the last one
     configs = [replace(base, mode_cap=int(m)) for m in mode_counts[-1:] + mode_counts[:-1]]

@@ -43,11 +43,15 @@ def mean_gradient(flux: np.ndarray) -> np.ndarray:
     return flux - np.mean(flux)
 
 
+def _physical_theta_w(theta: SpectralField) -> list[PhysicalField]:
+    """theta and w in physical space, from one inverse transform."""
+    return inverse_transform_batch(theta, [(), (velocity_symbols(theta.grid)[2],)])
+
+
 def _physical_mean_gradient(theta: SpectralField):
     """theta and w in physical space, from one inverse transform, and the
     mean temperature gradient profile of their heat flux."""
-    mw = velocity_symbols(theta.grid)[2]
-    theta_p, w_p = inverse_transform_batch(theta, [(), (mw,)])
+    theta_p, w_p = _physical_theta_w(theta)
     return theta_p, w_p, mean_gradient(heat_flux(theta_p, w_p))
 
 

@@ -140,6 +140,15 @@ def test_sweep_resolution_command(tmp_path, config_path):
     assert len(lines) == 3
 
 
+def test_sweep_resolution_command_rejects_counts_above_the_rule(tmp_path, config_path):
+    # on the N = 16 grid every count from 16 // 3 = 5 on keeps the same modes
+    out = tmp_path / "res"
+    with pytest.raises(ValueError, match=r"mode counts must be at most 5, .*got \[5, 6, 7\]"):
+        main(["sweep-resolution", "--config", str(config_path), "--modes", "5,6,7",
+              "--out", str(out)])
+    assert not out.exists()
+
+
 def test_twin_command(tmp_path, config_path):
     out = tmp_path / "twin"
     code = main([

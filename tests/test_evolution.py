@@ -13,6 +13,7 @@ import rotconv.evolution
 import rotconv.experiments
 import rotconv.grid
 import rotconv.invariants
+import rotconv.velocity
 from rotconv.evolution import (
     BlowUpError,
     InitialSpec,
@@ -197,7 +198,7 @@ def test_tendency_xy_passes_run_on_the_kept_planes(grid16, monkeypatch, mode_cap
 
     monkeypatch.setattr(rotconv.grid, "_pf", types.SimpleNamespace(c2c=c2c, c2r=c2r, r2c=r2c))
     stepper.rhs(c, 0.2, stepper.spec[0])
-    assert stepper.ws.planes == planes
+    assert stepper.planes == planes
     assert xy == [(False, (16, 16, planes))] * 6 + [(True, (16, 16, planes))]
     assert len(z) == 7
     assert all(any(out is buf for buf in stepper.real + stepper.spec) for out in z)
@@ -212,9 +213,18 @@ def test_workspace_drops_the_modes_outside_the_rule(shape, mode_cap):
     # sector and every mode outside the 2/3 rule or `mode_cap`
     grid = Grid(*shape)
     dropped = np.zeros(grid.spectral_shape, dtype=bool)
-    for box in rotconv.evolution._workspace(grid, mode_cap).boxes:
+    for box in rotconv.grid._kept(grid, mode_cap).boxes:
         dropped[box] = True
     assert np.array_equal(dropped, ~kept_modes(grid, mode_cap))
+
+
+@pytest.mark.parametrize("mode_cap", [None, 3])
+def test_stepper_reads_each_table_from_its_owner(grid16, mode_cap):
+    # one owner per table: the stepper holds the owners' cached arrays, not copies
+    stepper = rotconv.evolution._Stepper(grid16, mode_cap)
+    mu, mv, mw = rotconv.velocity.velocity_symbols(grid16)
+    assert stepper.mu is mu and stepper.mv is mv and stepper.mw is mw
+    assert stepper.boxes is rotconv.grid._kept(grid16, mode_cap).boxes
 
 
 @pytest.mark.parametrize("shape, mode_cap", [
@@ -347,7 +357,7 @@ def test_run_from_given_initial_state(grid16):
                        mode_cap=3)
     a = run(config)
     b = run(config, theta0=initial_state(config))
-    assert a.times == b.times and a.reports == b.reports
+    assert [r.t for r in a.reports] == [r.t for r in b.reports] and a.reports == b.reports
     assert np.array_equal(a.final_state.theta.coeffs, b.final_state.theta.coeffs)
     _, _, Z = grid16.meshgrid()
     with pytest.raises(ValueError):
@@ -365,7 +375,8 @@ def test_samples_rejects_modes_outside_the_kept_ones(grid16, mode_cap, mode):
     with pytest.raises(ValueError, match=rule):
         run(config, theta0=forward_transform(PhysicalField(grid16, kept + outside)))
     # the round-off a transform leaves outside the kept modes is accepted
-    assert len(run(config, theta0=forward_transform(PhysicalField(grid16, kept))).times) == 3
+    traj = run(config, theta0=forward_transform(PhysicalField(grid16, kept)))
+    assert [r.t for r in traj.reports] == pytest.approx([0.0, 0.05, 0.1], abs=1e-15)
 
 
 def test_samples_cadence(grid16):
@@ -373,7 +384,7 @@ def test_samples_cadence(grid16):
     config = single_mode_config(grid16, dt=0.05, t_end=0.25, diagnostics_every=2)
     times = [s.t for s in samples(config)]
     assert times == pytest.approx([0.0, 0.1, 0.2, 0.25], abs=1e-15)
-    assert times == run(config).times
+    assert times == [r.t for r in run(config).reports]
 
 
 def test_step_keeps_the_integrator_output(grid16, monkeypatch):
@@ -427,7 +438,7 @@ def test_run_t_end_zero(grid16):
     config = single_mode_config(grid16, t_end=0.0)
     traj = run(config)
     assert traj.final_state.t == 0.0
-    assert len(traj.times) == 1
+    assert [r.t for r in traj.reports] == [0.0]
 
 
 def test_run_steady_state(grid32):

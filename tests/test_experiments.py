@@ -12,6 +12,7 @@ import pytest
 import rotconv.evolution
 import rotconv.experiments
 import rotconv.grid
+import rotconv.velocity
 from rotconv.evolution import (
     BlowUpError,
     InitialSpec,
@@ -89,6 +90,9 @@ def test_sweep_resolution_validation(grid16, modes):
     # would run mode_cap 2 but fit the slope at 2.5
     ([2.5, 3], "mode counts must be integers"),
     ([2, 3.0], "mode counts must be integers"),
+    # every count from n_i // 3 = 5 on keeps the same modes: fake zero errors and slopes
+    ([5, 6, 7], r"mode counts must be at most 5, .* on the \(16, 16, 16\) grid, got \[5, 6, 7\]"),
+    ([3, 6, 8], r"mode counts must be at most 5, .*got \[3, 6, 8\]"),
 ])
 def test_sweep_resolution_rejects_malformed_mode_counts(grid16, modes, message):
     with pytest.raises(ValueError, match=message):
@@ -356,26 +360,30 @@ def test_concurrent_members_match_the_serial_path(grid16, monkeypatch, experimen
 
 @pytest.mark.parametrize("experiment, keys", [
     (lambda cfg: sweep_epsilon(cfg, [0.5, 0.25, 0.125]), 1),
-    (lambda cfg: sweep_resolution(cfg, [2, 3, 4, 5]), 4),
+    # the uncapped rule of the initial states, then the four caps
+    (lambda cfg: sweep_resolution(cfg, [2, 3, 4, 5]), 5),
     (lambda cfg: twin_run(cfg, 1e-6), 1),
 ], ids=["sweep-epsilon", "sweep-resolution", "twin"])
 def test_stream_builds_each_workspace_once(grid16, monkeypatch, experiment, keys):
-    # a slow symbol build holds a cold cache miss open while every thread
-    # reaches it; still each (grid, mode_cap) workspace is built once
-    builds = []
+    # a slow build holds a cold cache miss open while every thread reaches
+    # it; still each table a stepper reads is built once: the velocity
+    # symbols of the grid, and the kept modes of each (grid, mode_cap)
+    def slow(build):
+        def building(*args):
+            time.sleep(0.05)
+            return build(*args)
+        return building
 
-    def slow_velocity_symbols(grid):
-        builds.append(grid)
-        time.sleep(0.05)
-        return original(grid)
-
-    # `_workspace` calls it once per build; these configs' fixed dt keeps `cfl_dt` from calling it
-    original = rotconv.evolution.velocity_symbols
-    monkeypatch.setattr(rotconv.evolution, "velocity_symbols", slow_velocity_symbols)
+    # each velocity-symbol build reads the lattice once, each kept-mode build makes one `_Kept`;
+    # these configs' fixed dt keeps `cfl_dt` from building the symbols first
+    monkeypatch.setattr(rotconv.velocity, "_lattice", slow(rotconv.velocity._lattice))
+    monkeypatch.setattr(rotconv.grid, "_Kept", slow(rotconv.grid._Kept))
     monkeypatch.setattr(rotconv.grid, "WORKERS", 4)
-    rotconv.evolution._workspace.cache_clear()
+    rotconv.velocity.velocity_symbols.cache_clear()
+    rotconv.grid._kept.cache_clear()
     experiment(random_config(grid16))
-    assert len(builds) == keys
+    assert rotconv.velocity.velocity_symbols.cache_info().misses == 1
+    assert rotconv.grid._kept.cache_info().misses == keys
 
 
 def test_eps_scaled_perturbation_lies_inside_the_truncation(grid16, monkeypatch):
