@@ -18,7 +18,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import grid as _grid
 from .grid import (
     TWO_PI,
     Grid,
@@ -147,12 +146,14 @@ class SimConfig:
         if self.dt != "auto" and not _is_time_step(self.dt):
             raise ValueError(f'dt must be "auto" or a positive finite number, got {self.dt!r}')
         _check_safety(self.safety)
-        cap_max = max(self.grid.shape) // 2
-        if self.mode_cap is not None and not (
-            _is_number(self.mode_cap, numbers.Integral) and 1 <= self.mode_cap <= cap_max
-        ):
-            raise ValueError(f"mode_cap must be an integer in 1..{cap_max} (max(n_i)/2)"
-                             f" or None, got {self.mode_cap!r}")
+        if self.mode_cap is None:
+            return
+        # every larger cap keeps the same modes as the bound, the largest the 2/3 rule keeps
+        bound = max(_kept(self.grid, None).m)
+        if not (_is_number(self.mode_cap, numbers.Integral) and 1 <= self.mode_cap <= bound):
+            raise ValueError(f"mode_cap must be an integer in 1..{bound}, the largest |k_i| the"
+                             f" 2/3 rule keeps on the {self.grid.shape} grid, or None,"
+                             f" got {self.mode_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -440,20 +441,14 @@ def run(config: SimConfig, theta0: SpectralField | None = None) -> Trajectory:
 
     Each sample's report is computed on one report thread per call, the
     worker of a single-worker executor, while the calling thread steps to the
-    next sample.  At most one report is in flight: its result is taken before
-    the next sample is submitted, so the reports come in sample order.  Under
-    `taskset -c 0`, `grid.WORKERS` is 1: no thread starts, and the caller
-    computes each report in turn.  The pending report's result is taken on
-    the way out too, so its error is raised in place of any error of a later
-    step, as in the serial order.
+    next sample, on one CPU (`taskset -c 0`) as on many.  At most one report
+    is in flight: its result is taken before the next sample is submitted, so
+    the reports come in sample order.  The pending report's result is taken
+    on the way out too, so its error is raised in place of any error of a
+    later step, as in the serial order.
     """
     from .invariants import compute_report
 
-    if _grid.WORKERS == 1:
-        reports = []
-        for state in samples(config, theta0):
-            reports.append(compute_report(state, config.epsilon))
-        return Trajectory(reports, state)
     with ThreadPoolExecutor(1) as pool:
         futures = []
         try:

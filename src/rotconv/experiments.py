@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -13,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import grid as _grid
 from .grid import (
     Grid,
     PhysicalField,
@@ -40,6 +40,10 @@ from .invariants import _slice_lp, dual_norm
 from .meanstate import _physical_mean_gradient, profile_l2
 # solve_velocity is unused here but bench/test_bench.py rebinds it through this module
 from .velocity import solve_velocity, velocity_symbols  # noqa: F401
+
+# the CPUs this process may run on (`taskset` caps them): they size the helpers of `_stream`
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 
 @lru_cache(maxsize=32)
@@ -154,13 +158,14 @@ def _stream(configs, theta0s, reference, measure):
 
     The calling thread runs the reference and publishes each part as soon as
     it is stored, while helpers, the workers of one executor, and then the
-    caller, draw member indices in order from one shared iterator.  When
-    `grid.WORKERS > 1` and the runs do not divide evenly by it, every member
-    gets a helper (`len(configs) - 1`), so that no CPU idles while another
-    steps two trajectories in turn; otherwise there are
-    `min(grid.WORKERS, len(configs)) - 1` helpers.  A member waits only for
-    the part of the sample it measures, and stops if the reference closes
-    without it.  Under `taskset -c 0`, `grid.WORKERS` is 1: no helper is
+    caller, draw member indices in order from one shared iterator.  With
+    runs = q WORKERS + r, there are `min(runs, WORKERS + r) - 1` helpers: the
+    first WORKERS + r runs start together and share the CPUs (the twin's 3
+    runs on 2, so that no CPU idles while another steps two trajectories in
+    turn), each thread that finishes a run draws the next, and at most
+    2 WORKERS - 1 trajectories are in flight.  A member waits only for the
+    part of the sample it measures, and stops if the reference closes
+    without it.  Under `taskset -c 0`, `WORKERS` is 1: no helper is
     submitted, so no thread starts, and the runs go in serial order.  The
     tables every stepper reads from a cache, the velocity symbols of each
     grid and the kept modes of each (grid, mode_cap), are built on the
@@ -180,8 +185,7 @@ def _stream(configs, theta0s, reference, measure):
     members = iter(range(len(rows)))
     cond = threading.Condition()
     closed = False  # the reference has published its last part
-    uneven = _grid.WORKERS > 1 and len(runs) % _grid.WORKERS
-    helpers = (len(runs) if uneven else min(_grid.WORKERS, len(runs))) - 1
+    helpers = min(len(runs), WORKERS + len(runs) % WORKERS) - 1
     for grid, cap in {(cfg.grid, cfg.mode_cap) for cfg in configs}:
         velocity_symbols(grid), _kept(grid, cap)  # threads that miss a cache together each build
 

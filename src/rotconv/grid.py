@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple
@@ -44,10 +43,6 @@ from scipy.fft._pocketfft import pypocketfft as _pf
 
 TWO_PI = 2.0 * np.pi
 DOMAIN_VOLUME = TWO_PI**3
-# the CPUs this process may run on (`taskset` caps them): they size the report
-# thread of `evolution.run` and the member helpers of `experiments._stream`
-WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-           else os.cpu_count() or 1)
 
 
 def _is_number(x, kind=numbers.Real) -> bool:

@@ -19,6 +19,7 @@ from rotconv.evolution import (
     InitialSpec,
     SimConfig,
     SimState,
+    Trajectory,
     build_initial,
     cfl_dt,
     initial_state,
@@ -37,6 +38,7 @@ from rotconv.grid import (
     lp_norm,
     spectral_l2,
 )
+from rotconv.invariants import compute_report
 
 from conftest import kept_modes, random_band_limited
 
@@ -73,16 +75,17 @@ def test_config_rejects_bad_epsilon_t_end_and_cadence(grid16, field, value):
         SimConfig(grid=grid16, **{field: value})
 
 
-@pytest.mark.parametrize("mode_cap", [0, -1, 9, 2.5, True])
+# the 2/3 rule keeps |k_i| <= 5 on N = 16, so a cap of 6 truncates like no cap
+@pytest.mark.parametrize("mode_cap", [0, -1, 6, 9, 2.5, True])
 def test_config_rejects_mode_cap_outside_grid(grid16, mode_cap):
-    with pytest.raises(ValueError, match="mode_cap must be"):
+    with pytest.raises(ValueError, match="mode_cap must be an integer in 1..5, the largest"):
         SimConfig(grid=grid16, mode_cap=mode_cap)
 
 
 def test_config_accepts_dt_and_mode_cap_limits():
-    grid = Grid(8, 16, 8)
+    grid = Grid(8, 16, 8)  # the 2/3 rule keeps |k_i| <= (2, 5, 2)
     SimConfig(grid=grid, dt=1, mode_cap=1)
-    SimConfig(grid=grid, dt=np.float64(0.05), mode_cap=8)
+    SimConfig(grid=grid, dt=np.float64(0.05), mode_cap=5)
 
 
 def test_tendency_single_horizontal_mode_is_steady(grid32):
@@ -630,9 +633,11 @@ def test_runs_of_one_config_compare_equal(grid16):
 
 
 def test_threaded_run_matches_the_serial_path(grid16, monkeypatch):
-    # WORKERS = 1 computes every report in the caller and starts no thread;
-    # otherwise one started thread, not the caller, computes every report
-    # while the caller steps
+    # one started thread, not the caller, computes every report while the
+    # caller steps, and the reports and final state are the serial order's
+    config = _run_config(grid16)
+    states = list(samples(config))
+    serial = Trajectory([compute_report(s, config.epsilon) for s in states], states[-1])
     reports, steps, started = [], [], []  # thread id per call
 
     def recording_report(state, epsilon):
@@ -653,29 +658,18 @@ def test_threaded_run_matches_the_serial_path(grid16, monkeypatch):
     monkeypatch.setattr(rotconv.invariants, "compute_report", recording_report)
     monkeypatch.setattr(rotconv.evolution, "step", recording_step)
     monkeypatch.setattr(threading.Thread, "start", counting_start)
-    caller = threading.get_ident()
-    results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for workers in (1, 2, 4):
-            monkeypatch.setattr(rotconv.grid, "WORKERS", workers)
-            for record in (reports, steps, started):
-                record.clear()
-            results.append(run(_run_config(grid16)))
-            assert len(reports) == 7 and len(steps) == 6
-            assert set(steps) == {caller}
-            if workers == 1:
-                assert not started
-                assert set(reports) == {caller}
-            else:
-                assert len(started) == 1
-                assert set(reports) == {started[0].ident}
-                assert started[0].ident != caller
+        threaded = run(config)
     finally:
         sys.setswitchinterval(interval)
-    assert results[1] == results[0]
-    assert results[2] == results[0]
+    assert len(reports) == 7 and len(steps) == 6
+    assert set(steps) == {threading.get_ident()}
+    assert len(started) == 1
+    assert set(reports) == {started[0].ident}
+    assert started[0].ident != threading.get_ident()
+    assert threaded == serial
 
 
 def _outcome_of(call):
@@ -696,8 +690,7 @@ def _outcome_of(call):
     return outcome
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_run_report_error_reaches_the_caller(grid16, monkeypatch, workers):
+def test_run_report_error_reaches_the_caller(grid16, monkeypatch):
     # no report starts after the failing one, as in the serial order
     started = []
 
@@ -708,7 +701,6 @@ def test_run_report_error_reaches_the_caller(grid16, monkeypatch, workers):
         return original_report(state, epsilon)
 
     original_report = rotconv.invariants.compute_report
-    monkeypatch.setattr(rotconv.grid, "WORKERS", workers)
     monkeypatch.setattr(rotconv.invariants, "compute_report", failing_report)
     outcome = _outcome_of(lambda: run(_run_config(grid16)))
     assert outcome == {"error": "ValueError: injected at t = 0.10"}
@@ -741,7 +733,6 @@ def test_run_blow_up_while_a_report_is_pending(grid16, monkeypatch, report_fails
 
     original_report = rotconv.invariants.compute_report
     original_step = rotconv.evolution.step
-    monkeypatch.setattr(rotconv.grid, "WORKERS", 2)
     monkeypatch.setattr(rotconv.invariants, "compute_report", waiting_report)
     monkeypatch.setattr(rotconv.evolution, "step", failing_step)
     outcome = _outcome_of(lambda: run(_run_config(grid16)))
@@ -757,7 +748,6 @@ def test_run_report_thread_start_failure_reaches_the_caller(grid16, monkeypatch)
 
     started = []
     before = set(threading.enumerate())
-    monkeypatch.setattr(rotconv.grid, "WORKERS", 2)
     monkeypatch.setattr(threading.Thread, "start", start)
     with pytest.raises(RuntimeError, match="can't start new thread"):
         run(_run_config(grid16))

@@ -197,7 +197,7 @@ def test_members_stream_against_the_stored_reference(grid16, monkeypatch, experi
     original_samples = rotconv.experiments.samples
     original_step = rotconv.evolution.step
     original_l2 = rotconv.experiments.spectral_l2
-    monkeypatch.setattr(rotconv.grid, "WORKERS", 2)
+    monkeypatch.setattr(rotconv.experiments, "WORKERS", 2)
     monkeypatch.setattr(rotconv.experiments, "samples", recording_samples)
     monkeypatch.setattr(rotconv.evolution, "step", checking_step)
     monkeypatch.setattr(rotconv.experiments, "spectral_l2", recording_l2)
@@ -234,7 +234,7 @@ def _failing_step(fail_at):
 ], ids=["reference", "members", "three-runs"])
 def test_stream_errors_reach_the_caller(grid16, monkeypatch, workers, eps_list, fail_at,
                                         failing_eps):
-    monkeypatch.setattr(rotconv.grid, "WORKERS", workers)
+    monkeypatch.setattr(rotconv.experiments, "WORKERS", workers)
     monkeypatch.setattr(rotconv.evolution, "step", _failing_step(fail_at))
     before = set(threading.enumerate())
     outcome = {}
@@ -265,7 +265,7 @@ def _second_helper_fails_to_start(monkeypatch, workers, experiment):
 
     started = []
     original_start = threading.Thread.start
-    monkeypatch.setattr(rotconv.grid, "WORKERS", workers)
+    monkeypatch.setattr(rotconv.experiments, "WORKERS", workers)
     monkeypatch.setattr(threading.Thread, "start", start)
     with pytest.raises(RuntimeError, match="can't start new thread"):
         experiment()
@@ -285,12 +285,15 @@ def test_twin_helper_start_failure_reaches_the_caller(grid16, monkeypatch):
 @pytest.mark.parametrize("experiment, threads", [
     (lambda cfg: twin_run(cfg, 1e-6), {1: 1, 2: 3, 4: 3}),
     (lambda cfg: sweep_epsilon(cfg, [0.5, 0.25, 0.125]), {1: 1, 2: 2, 4: 4}),
-], ids=["twin", "sweep-epsilon"])
+    (lambda cfg: sweep_epsilon(cfg, [0.5, 0.25, 0.125, 0.0625]), {1: 1, 2: 3, 4: 5}),
+], ids=["twin", "sweep-epsilon", "sweep-epsilon-5"])
 def test_runs_get_a_thread_each_when_they_split_unevenly(grid16, monkeypatch, experiment, threads):
-    # per CPU count, the threads that step a run: 3 runs do not divide evenly
-    # over 2 CPUs, so each gets a thread; 4 runs do, and keep one thread per
-    # CPU.  Every thread but the caller is a started helper, and the results
-    # do not depend on the count
+    # per CPU count W, the threads that step a run: runs = q W + r start
+    # min(runs, W + r) of them.  3 runs do not divide evenly over 2 CPUs, so
+    # each gets a thread; 4 runs do, and keep one thread per CPU; 5 runs on 2
+    # start 3, and the two that finish first take the last two runs.  Every
+    # thread but the caller is a started helper, and the results do not
+    # depend on the count
     def recording_samples(*args, **kwargs):
         stepping.add(threading.get_ident())
         return original_samples(*args, **kwargs)
@@ -305,7 +308,7 @@ def test_runs_get_a_thread_each_when_they_split_unevenly(grid16, monkeypatch, ex
     monkeypatch.setattr(rotconv.experiments, "samples", recording_samples)
     monkeypatch.setattr(threading.Thread, "start", counting_start)
     for workers in threads:
-        monkeypatch.setattr(rotconv.grid, "WORKERS", workers)
+        monkeypatch.setattr(rotconv.experiments, "WORKERS", workers)
         stepping.clear()
         starts.clear()
         results.append(experiment(random_config(grid16, t_end=0.2)))
@@ -327,7 +330,7 @@ def test_no_member_starts_after_a_failure(grid16, monkeypatch, fail_at, started)
         return original_samples(*args, **kwargs)
 
     original_samples = rotconv.experiments.samples
-    monkeypatch.setattr(rotconv.grid, "WORKERS", 1)
+    monkeypatch.setattr(rotconv.experiments, "WORKERS", 1)
     monkeypatch.setattr(rotconv.evolution, "step", _failing_step(fail_at))
     monkeypatch.setattr(rotconv.experiments, "samples", counting_samples)
     with pytest.raises(BlowUpError):
@@ -350,7 +353,7 @@ def test_concurrent_members_match_the_serial_path(grid16, monkeypatch, experimen
     sys.setswitchinterval(1e-5)
     try:
         for workers in (1, 2, 4):
-            monkeypatch.setattr(rotconv.grid, "WORKERS", workers)
+            monkeypatch.setattr(rotconv.experiments, "WORKERS", workers)
             results.append(experiment(random_config(grid16)))
     finally:
         sys.setswitchinterval(interval)
@@ -378,7 +381,7 @@ def test_stream_builds_each_workspace_once(grid16, monkeypatch, experiment, keys
     # these configs' fixed dt keeps `cfl_dt` from building the symbols first
     monkeypatch.setattr(rotconv.velocity, "_lattice", slow(rotconv.velocity._lattice))
     monkeypatch.setattr(rotconv.grid, "_Kept", slow(rotconv.grid._Kept))
-    monkeypatch.setattr(rotconv.grid, "WORKERS", 4)
+    monkeypatch.setattr(rotconv.experiments, "WORKERS", 4)
     rotconv.velocity.velocity_symbols.cache_clear()
     rotconv.grid._kept.cache_clear()
     experiment(random_config(grid16))

@@ -55,3 +55,17 @@ def test_the_two_thirds_rule_is_written_once():
 
     spelled = {p.stem: spellings(p) for p in PACKAGE.glob("*.py")}
     assert {stem: n for stem, n in spelled.items() if n} == {"grid": 1}
+
+
+def test_the_cpu_count_is_read_once():
+    # the CPU count sizes the threads of `experiments._stream` and is read
+    # there only: outside comments and strings, no other module names
+    # `WORKERS`, `sched_getaffinity` or `cpu_count`
+    def readers(path):
+        with path.open("rb") as fh:
+            return {t.string for t in tokenize.tokenize(fh.readline) if t.type == tokenize.NAME
+                    and t.string in ("WORKERS", "sched_getaffinity", "cpu_count")}
+
+    read = {p.stem: readers(p) for p in PACKAGE.glob("*.py")}
+    assert {stem: names for stem, names in read.items() if names} == {
+        "experiments": {"WORKERS", "sched_getaffinity", "cpu_count"}}
