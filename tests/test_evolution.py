@@ -690,8 +690,10 @@ def _outcome_of(call):
     return outcome
 
 
-def test_run_report_error_reaches_the_caller(grid16, monkeypatch):
-    # no report starts after the failing one, as in the serial order
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_run_report_error_reaches_the_caller(grid16, monkeypatch, workers):
+    # no report starts after the failing one, as in the serial order, and
+    # run keeps that order whatever CPU count experiments has read
     started = []
 
     def failing_report(state, epsilon):
@@ -701,6 +703,7 @@ def test_run_report_error_reaches_the_caller(grid16, monkeypatch):
         return original_report(state, epsilon)
 
     original_report = rotconv.invariants.compute_report
+    monkeypatch.setattr(rotconv.experiments, "WORKERS", workers)
     monkeypatch.setattr(rotconv.invariants, "compute_report", failing_report)
     outcome = _outcome_of(lambda: run(_run_config(grid16)))
     assert outcome == {"error": "ValueError: injected at t = 0.10"}
