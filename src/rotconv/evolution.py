@@ -163,17 +163,17 @@ class SimState:
 
 
 class _Stepper:
-    """The buffers of one trajectory's steps: 4 half-spectrum fields `spec` and
-    4 real fields `real`, with the tables of its grid and truncation read from
+    """The buffers of one trajectory's steps: 3 half-spectrum fields `spec` and
+    3 real fields `real`, with the tables of its grid and truncation read from
     their owners: the velocity symbols (`velocity_symbols`), the kept modes
     (`grid._kept`), the derivative symbols (`derivative_symbol`) and the
     horizontal Laplacian (`grid._lattice`).
 
-    Every step of a trajectory runs in the buffers, so stepping allocates no
-    field but each new state; the real z passes of the transforms write into
-    them.  Each method keeps the operation order its docstring gives, so a
-    step is the same to the bit whichever buffer holds what.  A stepper
-    serves one thread.
+    Every step of a trajectory runs in the buffers, and its RK sum in the new
+    state's array, so stepping allocates no field but each new state; the
+    real z passes of the transforms write into the buffers.  Each method keeps
+    the operation order its docstring gives, so a step is the same to the bit
+    whichever buffer holds what.  A stepper serves one thread.
     """
 
     def __init__(self, grid: Grid, mode_cap: int | None):
@@ -183,8 +183,8 @@ class _Stepper:
         kept = _kept(grid, mode_cap)
         self.planes = kept.m[2] + 1  # the kz planes kz < planes hold every kept mode
         self.boxes = kept.boxes  # their union is every mode the tendency zeroes
-        self.spec = tuple(np.empty(grid.spectral_shape, dtype=np.complex128) for _ in range(4))
-        self.real = tuple(np.empty(grid.shape) for _ in range(4))
+        self.spec = tuple(np.empty(grid.spectral_shape, dtype=np.complex128) for _ in range(3))
+        self.real = tuple(np.empty(grid.shape) for _ in range(3))
 
     def advective(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz for a `c`
@@ -192,26 +192,26 @@ class _Stepper:
 
         `out` is also the spectral buffer through which the six factors are
         inverse-transformed one at a time, each into a real buffer, and
-        consumed as they arrive: the flux from theta' w, then
-        nl = (u d_x theta' + v d_y theta') + w dtheta_bar/dz.  Every (x, y)
-        pass, inverse and forward, runs on the `planes` kz planes that hold
-        the kept modes only.
+        consumed as they arrive: u d_x theta' + v d_y theta', then the flux
+        theta' w (theta' last, from a copy of `c`), then nl = (u d_x theta' +
+        v d_y theta') + w dtheta_bar/dz.  Every (x, y) pass, inverse and
+        forward, runs on the `planes` kz planes that hold the kept modes only.
         """
-        r0, r1, r2, r3 = self.real
+        r0, r1, r2 = self.real
 
         def physical(sym, r):
             """The real field of sym * c, zero from kz plane `planes` on, in r."""
             return to_physical(np.multiply(sym, c, out=out), self.planes, r)
 
-        np.copyto(out, c)
-        theta_p = to_physical(out, self.planes, r0)
-        w_p = physical(self.mw, r1)
-        dtz = mean_gradient(np.mean(np.multiply(theta_p, w_p, out=theta_p), axis=(0, 1)))
         nl = physical(self.mu, r0)
-        nl *= physical(self.ikx, r2)
-        v_p = physical(self.mv, r2)
-        v_p *= physical(self.iky, r3)
+        nl *= physical(self.ikx, r1)
+        v_p = physical(self.mv, r1)
+        v_p *= physical(self.iky, r2)
         nl += v_p
+        w_p = physical(self.mw, r1)
+        np.copyto(out, c)
+        theta_p = to_physical(out, self.planes, r2)
+        dtz = mean_gradient(np.mean(np.multiply(theta_p, w_p, out=theta_p), axis=(0, 1)))
         w_p *= dtz
         nl += w_p
         to_spectral(nl, self.planes, -1.0, out)
@@ -221,17 +221,17 @@ class _Stepper:
 
     def rhs(self, c: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
         """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz + eps^2
-        lap_h theta', written into `out`; `spec[3]` holds the diffusive term."""
+        lap_h theta', written into `out`; `spec[2]` holds the diffusive term."""
         self.advective(c, out)
         if eps != 0.0:
-            out += np.multiply(eps**2 * self.lap_h, c, out=self.spec[3])
+            out += np.multiply(eps**2 * self.lap_h, c, out=self.spec[2])
         return out
 
     def rk4(self, c: np.ndarray, dt: float, eps: float) -> np.ndarray:
         """c + (dt/6) (k1 + 2 k2 + 2 k3 + k4), in that operation order, as a
-        new array.  The sum grows in k1's buffer as each stage arrives, and the
-        stage inputs share one buffer."""
-        acc, x, k = self.spec[:3]
+        new array, in which the sum grows from k1 as each stage arrives, c
+        added last; the stage inputs share one buffer."""
+        x, k, acc = *self.spec[:2], np.empty_like(c)
         self.rhs(c, eps, acc)  # k1
         np.multiply(0.5 * dt, acc, out=x)
         x += c
@@ -243,14 +243,15 @@ class _Stepper:
             acc += k
         acc += self.rhs(x, eps, k)  # k4
         acc *= dt / 6.0
-        return acc + c
+        acc += c
+        return acc
 
     def ifrk4(self, c: np.ndarray, dt: float, eps: float) -> np.ndarray:
         """Integrating factor for the diffusive term, RK4 on the advective
         remainder: e_full c + (dt/6) (e_full n1 + 2 e_half (n2 + n3) + n4), in
-        that operation order, as a new array.  The stage inputs reuse n1's
-        buffer, and the sum grows in its own buffer as each stage arrives."""
-        x, acc, n2, n3 = self.spec
+        that operation order, as a new array, in which the sum grows as each
+        stage arrives, e_full c added last.  The stage inputs reuse n1's buffer."""
+        x, n2, n3, acc = *self.spec, np.empty_like(c)
         e_half = np.exp(0.5 * dt * eps**2 * self.lap_h)  # one exp per horizontal mode
         e_full = e_half * e_half
         self.advective(c, x)  # n1
@@ -270,9 +271,8 @@ class _Stepper:
         acc += n2
         acc += self.advective(x, n3)  # n4
         acc *= dt / 6.0
-        out = e_full * c
-        out += acc
-        return out
+        acc += np.multiply(e_full, c, out=n3)
+        return acc
 
 
 def tendency(theta: SpectralField, epsilon: float) -> SpectralField:

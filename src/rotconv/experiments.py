@@ -7,9 +7,9 @@ import math
 import numbers
 import os
 import threading
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -46,11 +46,10 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
 
-@lru_cache(maxsize=32)
-def _h2h_symbols(grid: Grid) -> tuple[np.ndarray, ...]:
-    """|symbols| mapping the temperature difference to lap_h of (u, v, w)."""
+def _h2h_symbols(grid: Grid) -> Iterator[np.ndarray]:
+    """|symbols| mapping the temperature difference to lap_h of (u, v, w), one at a time."""
     kh2 = _lattice(grid.nx, grid.ny, grid.nz).kh2
-    return tuple(kh2 * np.abs(m) for m in velocity_symbols(grid))
+    return (kh2 * np.abs(m) for m in velocity_symbols(grid))
 
 
 def h2h_bound_constant(grid: Grid) -> float:
@@ -315,13 +314,17 @@ def sweep_resolution(base: SimConfig, mode_counts) -> SweepResult:
     if mode_counts[-1] > bound:
         raise ValueError(f"mode counts must be at most {bound}, the largest |k_i| the 2/3 rule"
                          f" keeps on the {base.grid.shape} grid, got {mode_counts!r}")
-    # the finest truncation is the reference: it runs first, and its stored
-    # samples stand in for its own member row, the last one
+    # the finest truncation is the reference: it runs first, and its own
+    # member row, the last one, is its zero error against itself
     configs = [replace(base, mode_cap=int(m)) for m in mode_counts[-1:] + mode_counts[:-1]]
     times, refs, rows = _stream(configs, [initial_state(c) for c in configs],
                                 _sweep_reference, _sweep_errors)
-    rows.append([_sweep_errors(r.theta, r) for r in refs])
-    return _compare([float(m) for m in mode_counts], times, refs, rows)
+    rows.append([(0.0, 0.0, 0.0, 0.0)] * len(refs))
+    counts = [float(m) for m in mode_counts]
+    result = _compare(counts, times, refs, rows)
+    # a zero error is no point of the convergence law: fit the other counts only
+    result.slope, result.slope_ci = _fit_slope(counts[:-1], result.err_l2[:-1])
+    return result
 
 
 @dataclass

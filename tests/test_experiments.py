@@ -2,6 +2,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from collections import defaultdict
 from dataclasses import replace
@@ -22,6 +23,7 @@ from rotconv.evolution import (
     samples,
 )
 from rotconv.experiments import (
+    _stream,
     _sweep_errors,
     _sweep_reference,
     h2h_bound_constant,
@@ -466,6 +468,53 @@ def test_sweep_resolution_monotone(grid32):
     assert res.err_l2[2] == 0.0  # the finest member is the reference
     with pytest.raises(ValueError):
         sweep_resolution(cfg, [8, 4])
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "if-rk4"])
+def test_stream_memory_per_trajectory_in_flight(grid32, monkeypatch, integrator):
+    # the traced peak of two runs in flight at once, less that of the same two
+    # runs in turn: one trajectory's 3 half-spectrum and 3 real stepper
+    # buffers, the state it holds and the one it builds, about 8.4
+    # half-spectrum fields with numpy's casting buffer for the real-by-complex
+    # products; a stepper of 4 + 4 buffers takes over 9.3
+    cfg = random_config(grid32, epsilon=0.1, dt=0.01, t_end=0.1, integrator=integrator,
+                        diagnostics_every=1)
+    theta0 = rotconv.evolution.initial_state(cfg)
+
+    def peak(workers):
+        monkeypatch.setattr(rotconv.experiments, "WORKERS", workers)
+        tracemalloc.start()
+        try:
+            _stream([cfg] * 2, [theta0] * 2, lambda theta: None, lambda theta, part: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # fills the caches and the FFT plans
+    per_trajectory = peak(2) - peak(1)
+    assert 5 * theta0.coeffs.nbytes <= per_trajectory <= 8.9 * theta0.coeffs.nbytes
+
+
+def test_sweep_resolution_fits_the_counts_it_measures(grid16, monkeypatch):
+    # the reference's row is its zero error, written without comparing it
+    # with itself, and no point of the slope: the fit runs over the other
+    # counts, and a single other count fits none, as a one-eps sweep does
+    measure = rotconv.experiments._sweep_errors
+
+    def member_errors(theta, ref):
+        assert theta is not ref.theta
+        return measure(theta, ref)
+
+    monkeypatch.setattr(rotconv.experiments, "_sweep_errors", member_errors)
+    cfg = random_config(grid16, t_end=0.2)
+    res = sweep_resolution(cfg, [2, 3, 4, 5])
+    assert res.per_time_l2[-1] == [0.0] * len(res.times)
+    assert all(e > 0.0 for e in res.err_l2[:-1])
+    slope, ci = rotconv.experiments._fit_slope([2.0, 3.0, 4.0], res.err_l2[:-1])
+    assert (res.slope, res.slope_ci) == (slope, ci)
+    assert -20.0 < slope < 0.0
+    two = sweep_resolution(cfg, [3, 5])
+    assert two.err_l2[0] > 0.0 and (two.slope, two.slope_ci) == (None, None)
 
 
 def test_twin_rejects_a_zero_perturbation(grid16):

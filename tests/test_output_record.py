@@ -6,11 +6,13 @@ matched and scaled, `sweep-resolution` and `check-multipliers`.  The bits
 depend on the Python, numpy and scipy builds and on the SIMD code paths numpy
 dispatches to, so the record holds the environment it was made in; on any
 other the test skips, naming each difference.  A change that moves outputs
-on purpose rewrites the record in the same commit:
+on purpose rewrites the record in the same commit, and the rewrite prints
+each output it adds, removes or changes, with its old and new sha256:
 
     PYTHONPATH=src python tests/test_output_record.py
 """
 
+import contextlib
 import hashlib
 import json
 import platform
@@ -74,6 +76,12 @@ def output_hashes(work: Path) -> dict:
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per output that `new` adds, removes or hashes otherwise than `old`."""
+    return [f"{path}: {old.get(path, 'added')} -> {new.get(path, 'removed')}"
+            for path in sorted(old.keys() | new.keys()) if old.get(path) != new.get(path)]
+
+
 def test_outputs_hash_as_recorded(tmp_path, capsys):
     record = json.loads(RECORD.read_text())
     here = environment()
@@ -81,12 +89,17 @@ def test_outputs_hash_as_recorded(tmp_path, capsys):
               for key, value in here.items() if record["environment"].get(key) != value]
     if differ:
         pytest.skip("the output record was made on another environment: " + "; ".join(differ))
-    assert output_hashes(tmp_path) == record["sha256"]
+    moved = changes(record["sha256"], output_hashes(tmp_path))
+    assert not moved, "outputs that do not hash as recorded:\n" + "\n".join(moved)
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as work:
+    # the commands' own messages go to stderr, so stdout holds the changes alone
+    with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(sys.stderr):
         hashes = output_hashes(Path(work))
+    old = json.loads(RECORD.read_text())["sha256"] if RECORD.exists() else {}
+    for line in changes(old, hashes):
+        print(line)
     RECORD.write_text(json.dumps({"environment": environment(), "sha256": hashes},
                                  indent=2) + "\n")
     print(f"{len(hashes)} output hashes written to {RECORD}", file=sys.stderr)
