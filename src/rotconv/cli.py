@@ -12,8 +12,11 @@ from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from .evolution import InitialSpec, SimConfig, SimState, initial_state, run
+from .experiments import sweep_epsilon, sweep_resolution, twin_run
 from .grid import Grid
 from .invariants import gronwall_envelopes
+from .io import (csv_text, write_csv, write_json, write_profile_csv, write_series_csv,
+                 write_snapshot, write_sweep_outputs)
 from .meanstate import _physical_theta_w, mean_profile
 from .velocity import CATALOG, empirical_lp_ratio, hypothesis_check, lattice_sup
 
@@ -39,28 +42,28 @@ def load_config(path) -> SimConfig:
 
 
 def cmd_run(args) -> int:
-    from .io import write_profile_csv, write_series_csv, write_snapshot
-
     config = load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     theta0 = initial_state(config)
     traj = run(config, theta0=theta0)
+    states = {f"{s.t:.6f}": s for s in (SimState(0.0, theta0), traj.final_state)}
+    if len(states) == 1 and traj.final_state.t != 0.0:
+        raise ValueError(f"the initial time 0.0 and the final time {traj.final_state.t!r} would "
+                         "both name their outputs 0.000000: t_end must print as nonzero to 6 "
+                         "decimals")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     env = gronwall_envelopes(traj.reports)
     write_series_csv(out / "series.csv", traj.reports, env)
-    for state in (SimState(0.0, theta0), traj.final_state):
+    for name, state in states.items():
         theta_p, w_p = _physical_theta_w(state.theta)
-        write_profile_csv(out / f"profile_{state.t:.6f}.csv",
-                          mean_profile(theta_p, w_p))
-        write_snapshot(out / f"theta_{state.t:.6f}.rcs", "theta_prime", theta_p)
+        write_profile_csv(out / f"profile_{name}.csv", mean_profile(theta_p, w_p))
+        write_snapshot(out / f"theta_{name}.rcs", "theta_prime", theta_p)
     print(f"run complete: t = {traj.final_state.t:.6g}, "
           f"{len(traj.reports)} samples -> {out}")
     return 0
 
 
 def cmd_check_multipliers(args) -> int:
-    from .io import write_csv
-
     rows = []
     for entry in CATALOG:
         rows.append([
@@ -73,18 +76,11 @@ def cmd_check_multipliers(args) -> int:
     if args.out:
         write_csv(args.out, header, rows)
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(
-                f"{v:.17g}" if isinstance(v, float) else str(v) for v in row
-            ))
+        print(csv_text(header, rows), end="")
     return 0
 
 
 def cmd_sweep_epsilon(args) -> int:
-    from .experiments import sweep_epsilon
-    from .io import write_sweep_outputs
-
     config = load_config(args.config)
     eps = [float(s) for s in args.eps.split(",")]
     mode = {"matched": "matched", "scaled": "eps-scaled"}[args.mode]
@@ -95,9 +91,6 @@ def cmd_sweep_epsilon(args) -> int:
 
 
 def cmd_sweep_resolution(args) -> int:
-    from .experiments import sweep_resolution
-    from .io import write_sweep_outputs
-
     config = load_config(args.config)
     modes = [int(s) for s in args.modes.split(",")]
     result = sweep_resolution(config, modes)
@@ -107,9 +100,6 @@ def cmd_sweep_resolution(args) -> int:
 
 
 def cmd_twin(args) -> int:
-    from .experiments import twin_run
-    from .io import write_csv, write_json
-
     config = load_config(args.config)
     mode = tuple(int(s) for s in args.delta_mode.split(","))
     report = twin_run(config, args.delta_amp, mode)

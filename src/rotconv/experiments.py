@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (
+    TWO_PI,
     Grid,
     PhysicalField,
     SpectralField,
@@ -99,7 +100,7 @@ def _sweep_errors(theta: SpectralField, ref: _Reference):
     # |mean_h(D w_e)| <= rms_h(D) rms_h(w_e) level-wise, rms_h = ||.||_{L^2_h} / (2 pi);
     # sum over z and pull out the sup_z factor
     w_l2h_sup = float(np.max(_slice_lp(w_p.values, 2.0)))
-    bound = (w_l2h_sup * d_l2 + ref.theta_l2h_sup * w_diff_l2) / (2.0 * np.pi) ** 2
+    bound = (w_l2h_sup * d_l2 + ref.theta_l2h_sup * w_diff_l2) / TWO_PI**2
     return d_l2, vel_h2, err, float(bound)
 
 

@@ -114,7 +114,7 @@ def compute_report(state, epsilon: float) -> InvariantReport:
         dual=dual_norm(theta),
         mean_grad_l2=profile_l2(dtz),
         diss_h=float(epsilon**2 * grad2),
-        diss_z=float(4.0 * np.pi**2 * np.sum(dtz**2) * TWO_PI / dtz.size),
+        diss_z=float(TWO_PI**2 * np.sum(dtz**2) * TWO_PI / dtz.size),
         ratios=ratios,
     )
 

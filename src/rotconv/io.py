@@ -60,11 +60,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def csv_text(header: list[str], rows) -> str:
+    """The CSV document of `header` and `rows`, one line each, every value as `_fmt` writes it."""
+    return "".join(",".join(_fmt(v) for v in row) + "\n" for row in (header, *rows))
+
+
 def write_csv(path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(csv_text(header, rows))
 
 
 def write_json(path, payload) -> None:

@@ -26,6 +26,7 @@ from .grid import (
     _is_number,
     _keep,
     _lattice,
+    derivative_symbol,
     forward_transform,
     inverse_transform_batch,
     lp_norm,
@@ -70,10 +71,10 @@ def solve_velocity(theta: SpectralField) -> VelocityDiagnostics:
     if not theta.has_zero_horizontal_mean():
         raise ValueError("diagnostic solve requires zero horizontal mean")
     g, c = theta.grid, theta.coeffs
-    lat = _lattice(g.nx, g.ny, g.nz)
-    kzf = lat.kz.astype(np.float64)
-    # only this solve reads psi and omega: their symbols are built per call, not cached
-    mpsi, momega = (_diagnostic_symbol(g, m) for m in (-1j * kzf, 1j * kzf * lat.kh2))
+    dz = derivative_symbol(g, 2)
+    # only this solve reads psi and omega: their symbols are built per call, not cached;
+    # -i k3 is conj(i k3), which keeps the signs of zero parts that -dz would flip
+    mpsi, momega = (_diagnostic_symbol(g, m) for m in (dz.conj(), dz * _lattice(*g.shape).kh2))
     return VelocityDiagnostics(*(SpectralField(g, m * c)
                                  for m in (*velocity_symbols(g), mpsi, momega)))
 
@@ -91,8 +92,9 @@ def residual_check(
             raise ValueError("grid mismatch between theta and diagnostics")
     grid = theta.grid
     lat = _lattice(grid.nx, grid.ny, grid.nz)
-    res1 = 1j * lat.kz * d.psi.coeffs - theta.coeffs + lat.kh2 * d.w.coeffs
-    res2 = -1j * lat.kz * d.w.coeffs + lat.kh2 * d.omega.coeffs
+    dz = derivative_symbol(grid, 2)
+    res1 = dz * d.psi.coeffs - theta.coeffs + lat.kh2 * d.w.coeffs
+    res2 = dz.conj() * d.w.coeffs + lat.kh2 * d.omega.coeffs
     n_theta, r1, r2 = (np.sqrt(parseval_sum(grid, np.where(lat.retained, np.abs(c) ** 2, 0.0)))
                        for c in (theta.coeffs, res1, res2))
     denom = max(n_theta, 1e-30)

@@ -38,6 +38,24 @@ def test_run_command(tmp_path, config_path, capsys):
     assert "run complete" in capsys.readouterr().out
 
 
+def test_run_command_refuses_a_final_time_named_like_the_initial_one(tmp_path):
+    # t_end = 1e-7 prints as 0.000000, the name of the t = 0 outputs, which the
+    # final state's would overwrite; t_end = 0 has one state and writes it once
+    cfg = {"grid": {"nx": 8, "ny": 8, "nz": 8}, "dt": 1e-7, "t_end": 1e-7,
+           "initial": {"band": [1, 2]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"initial time 0\.0 and the final time 1e-07 would both"
+                                         r" name their outputs 0\.000000"):
+        main(["run", "--config", str(path), "--out", str(out)])
+    assert not out.exists()
+    path.write_text(json.dumps({**cfg, "t_end": 0.0}))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "profile_0.000000.csv", "series.csv", "theta_0.000000.rcs"]
+
+
 def test_load_config_defaults_are_the_dataclass_defaults(tmp_path):
     path = tmp_path / "grid_only.json"
     path.write_text(json.dumps({"grid": {"nx": 16, "ny": 16, "nz": 16}}))
@@ -88,7 +106,7 @@ def test_run_command_deterministic(tmp_path, config_path):
     )
 
 
-def test_check_multipliers_command(tmp_path):
+def test_check_multipliers_command(tmp_path, capsys):
     out = tmp_path / "catalog.csv"
     code = main([
         "check-multipliers", "--K", "16", "--p", "3.0",
@@ -100,6 +118,11 @@ def test_check_multipliers_command(tmp_path):
     assert len(lines) == 7  # six catalog entries
     for line in lines[1:]:
         assert line.split(",")[1] == "1"  # every hypothesis holds
+    # without --out the same CSV goes to stdout, byte for byte
+    capsys.readouterr()
+    assert main(["check-multipliers", "--K", "16", "--p", "3.0", "--seed", "42",
+                 "--trials", "2"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
     # a trial count below 1 fails before any row is written
     for trials in ("0", "-2"):
         bad = tmp_path / f"trials{trials}.csv"

@@ -2,7 +2,11 @@
 depends on no linter, so the module sources are walked as syntax trees."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tokenize
 from pathlib import Path
 
@@ -44,28 +48,70 @@ def test_every_private_definition_is_used():
     assert sorted(private - used) == []
 
 
-def test_the_two_thirds_rule_is_written_once():
-    # the kept modes are defined once, in `grid._kept`: outside its comments,
-    # no other module spells the 2/3 rule as `// 3` or `3 * abs(`
-    def spellings(path):
-        with path.open("rb") as fh:
-            code = " ".join(t.string for t in tokenize.tokenize(fh.readline)
-                            if t.type != tokenize.COMMENT)
-        return len(re.findall(r"//\s*3\b|\b3\s*\*\s*abs\s*\(", code))
-
-    spelled = {p.stem: spellings(p) for p in PACKAGE.glob("*.py")}
-    assert {stem: n for stem, n in spelled.items() if n} == {"grid": 1}
+def _tokens(path):
+    """The tokens of a module's source, comments included."""
+    with path.open("rb") as fh:
+        return list(tokenize.tokenize(fh.readline))
 
 
-def test_the_cpu_count_is_read_once():
-    # the CPU count sizes the threads of `experiments._stream` and is read
-    # there only: outside comments and strings, no other module names
-    # `WORKERS`, `sched_getaffinity` or `cpu_count`
-    def readers(path):
-        with path.open("rb") as fh:
-            return {t.string for t in tokenize.tokenize(fh.readline) if t.type == tokenize.NAME
-                    and t.string in ("WORKERS", "sched_getaffinity", "cpu_count")}
+def _two_thirds_rule(tokens):
+    # outside comments, the rule spelled as `// 3` or `3 * abs(`
+    code = " ".join(t.string for t in tokens if t.type != tokenize.COMMENT)
+    return len(re.findall(r"//\s*3\b|\b3\s*\*\s*abs\s*\(", code))
 
-    read = {p.stem: readers(p) for p in PACKAGE.glob("*.py")}
-    assert {stem: names for stem, names in read.items() if names} == {
-        "experiments": {"WORKERS", "sched_getaffinity", "cpu_count"}}
+
+def _cpu_count(tokens):
+    # outside comments and strings, the names that read or hold the CPU count
+    return {t.string for t in tokens if t.type == tokenize.NAME
+            and t.string in ("WORKERS", "sched_getaffinity", "cpu_count")}
+
+
+def _i_and_pi(tokens):
+    # imaginary literals (i k) and the name `pi` (2 pi), outside comments and strings
+    return sorted(t.string for t in tokens if (t.type == tokenize.NUMBER and t.string[-1] in "jJ")
+                  or (t.type == tokenize.NAME and t.string == "pi"))
+
+
+def _float_format(tokens):
+    # the `.17g` format of a written float, in string tokens (f-string parts since 3.12)
+    kinds = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
+    return sum(t.string.count(".17g") for t in tokens if t.type in kinds)
+
+
+@pytest.mark.parametrize("spelled, owners", [
+    # the kept modes are defined once, in `grid._kept`
+    (_two_thirds_rule, {"grid": 1}),
+    # the CPU count sizes the threads of `experiments._stream` and is read there only
+    (_cpu_count, {"experiments": {"WORKERS", "sched_getaffinity", "cpu_count"}}),
+    # i k is `grid.derivative_symbol` and 2 pi is `grid.TWO_PI`; meanstate's one `1j`
+    # divides the spectrum of a z-profile, not of a field on the lattice
+    (_i_and_pi, {"grid": ["1j", "pi"], "meanstate": ["1j"]}),
+    # a float is written to a CSV file or to stdout as `io._fmt` writes it
+    (_float_format, {"io": 1}),
+], ids=["two-thirds-rule", "cpu-count", "i-and-pi", "float-format"])
+def test_written_once(spelled, owners):
+    found = {p.stem: spelled(_tokens(p)) for p in PACKAGE.glob("*.py")}
+    assert {stem: n for stem, n in found.items() if n} == owners
+
+
+def test_no_run_imports_scipy_integrate():
+    # importing `scipy.integrate` takes 150-200 ms and raises peak RSS from 56 to
+    # 80 MB (2-vCPU VM, scipy 1.17), so only `integrated_budget_residual` imports
+    # it: a fresh interpreter that imports the package and runs `rotconv run` never does
+    script = textwrap.dedent("""
+        import json, sys, tempfile
+        from pathlib import Path
+        import rotconv
+        from rotconv.cli import main
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps({"grid": {"nx": 8, "ny": 8, "nz": 8}, "dt": 0.05,
+                                       "t_end": 0.1, "initial": {"band": [1, 2]}}))
+            main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+        print("scipy.integrate" in sys.modules)
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True, timeout=300)
+    assert result.stdout.splitlines()[-1] == "False"
