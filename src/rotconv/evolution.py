@@ -179,7 +179,7 @@ class _Stepper:
     def __init__(self, grid: Grid, mode_cap: int | None):
         self.mu, self.mv, self.mw = velocity_symbols(grid)
         self.ikx, self.iky = derivative_symbol(grid, 0), derivative_symbol(grid, 1)
-        self.lap_h = -_lattice(*grid.shape).kh2  # constant in kz: its (nx, ny, 1) base broadcasts
+        self.lap_h = -_lattice(grid).kh2  # constant in kz: its (nx, ny, 1) base broadcasts
         kept = _kept(grid, mode_cap)
         self.planes = kept.m[2] + 1  # the kz planes kz < planes hold every kept mode
         self.boxes = kept.boxes  # their union is every mode the tendency zeroes

@@ -49,7 +49,7 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 def _h2h_symbols(grid: Grid) -> Iterator[np.ndarray]:
     """|symbols| mapping the temperature difference to lap_h of (u, v, w), one at a time."""
-    kh2 = _lattice(grid.nx, grid.ny, grid.nz).kh2
+    kh2 = _lattice(grid).kh2
     return (kh2 * np.abs(m) for m in velocity_symbols(grid))
 
 

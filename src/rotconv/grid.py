@@ -4,11 +4,11 @@ Fields live on a uniform collocation grid.  Spectral coefficients are the
 half spectrum (nx, ny, nz//2+1) of `scipy.fft.rfftn` with norm="forward":
 kx, ky in FFT order, kz = 0..nz/2, coeff(0,0,0) = domain mean, so multiplier
 formulas act coefficient-exactly on integer wavenumbers.  This module owns the
-format: the lattice, the batched transforms and the Parseval weight (2 for a
-stored mode and its implied partner at -k, 1 on the self-conjugate planes
-kz = 0 and kz = nz/2).  Reality is checked once, in `SpectralField`:
-those two planes must be Hermitian, which the inverse transform would
-otherwise enforce silently.
+format: the lattice (integer arithmetic, cached per `Grid`), every FFT call
+of the package and the Parseval weight (2 for a stored mode and its implied
+partner at -k, 1 on the self-conjugate planes kz = 0 and kz = nz/2).  Reality
+is checked once, in `SpectralField`: those two planes must be Hermitian,
+which the inverse transform would otherwise enforce silently.
 
 The batched transforms make the 1-D passes of `irfftn` and `rfftn` bit for
 bit: they call the pocketfft binding that `scipy.fft` ends in
@@ -16,7 +16,7 @@ bit: they call the pocketfft binding that `scipy.fft` ends in
 arguments `scipy.fft` would pass, which skips its Python dispatch and
 releases the GIL for the whole transform, so trajectories stepping on
 different threads transform side by side.  The binding is private to scipy:
-the property tests compare both transforms with the public `scipy.fft` bit
+the property tests compare every transform with the public `scipy.fft` bit
 for bit, so a release that changes it fails them.  Every pass runs on one
 FFT thread: the CPUs go to the trajectories and reports that transform side
 by side.  Their complex (x, y) pass runs in place, and their real z pass
@@ -38,7 +38,6 @@ from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
-from scipy import fft as sfft
 from scipy.fft._pocketfft import pypocketfft as _pf
 
 TWO_PI = 2.0 * np.pi
@@ -91,7 +90,7 @@ class Grid:
 
     def wavenumbers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Integer wavenumbers of the half lattice, broadcastable to `spectral_shape`."""
-        lat = _lattice(self.nx, self.ny, self.nz)
+        lat = _lattice(self)
         return lat.kx, lat.ky, lat.kz
 
 
@@ -108,9 +107,10 @@ class _Lattice(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _lattice(nx: int, ny: int, nz: int) -> _Lattice:
-    kx = np.rint(sfft.fftfreq(nx) * nx).astype(np.int64).reshape(nx, 1, 1)
-    ky = np.rint(sfft.fftfreq(ny) * ny).astype(np.int64).reshape(1, ny, 1)
+def _lattice(grid: Grid) -> _Lattice:
+    nx, ny, nz = grid.shape
+    kx = ((np.arange(nx) + nx // 2) % nx - nx // 2).reshape(nx, 1, 1)
+    ky = ((np.arange(ny) + ny // 2) % ny - ny // 2).reshape(1, ny, 1)
     kz = np.arange(nz // 2 + 1, dtype=np.int64).reshape(1, 1, -1)
     kh2 = (kx**2 + ky**2).astype(np.float64)
     # Nyquist planes: the unpaired mode |k| = n/2 of the real transform.
@@ -278,7 +278,7 @@ def derivative_symbol(grid: Grid, axis: int) -> np.ndarray:
 
 def horizontal_power_symbol(grid: Grid, s: float) -> np.ndarray:
     """Symbol of A^s = (-horizontal Laplacian)^s, zero on the horizontal-mean sector."""
-    kh2 = _lattice(grid.nx, grid.ny, grid.nz).kh2
+    kh2 = _lattice(grid).kh2
     with np.errstate(divide="ignore"):
         return np.broadcast_to(np.where(kh2 > 0, kh2 ** float(s), 0.0), grid.spectral_shape)
 
@@ -305,13 +305,23 @@ def pad_to_grid(F: SpectralField, target: Grid) -> SpectralField:
     """
     if (target.nx < F.grid.nx or target.ny < F.grid.ny or target.nz < F.grid.nz):
         raise ValueError("target grid must be at least as fine in every axis")
-    lat = _lattice(F.grid.nx, F.grid.ny, F.grid.nz)
+    lat = _lattice(F.grid)
     src = np.where(lat.nyquist, 0.0, F.coeffs)
     out = np.zeros(target.spectral_shape, dtype=np.complex128)
     ix = np.mod(lat.kx.ravel(), target.nx)
     iy = np.mod(lat.ky.ravel(), target.ny)
     out[np.ix_(ix, iy, lat.kz.ravel())] = src
     return SpectralField(target, out)
+
+
+def _z_antiderivative(g: np.ndarray) -> np.ndarray:
+    """`irfft(rfft(g) / (i k))`, mean zeroed: the zero-mean antiderivative of a z-profile."""
+    ghat = _pf.r2c(g, (0,), True, 0, None, 1)
+    ghat[0] = 0.0
+    ghat[1:] /= 1j * np.arange(1, ghat.size)
+    if g.size % 2 == 0:
+        ghat[-1] = 0.0  # the Nyquist mode has no odd antiderivative
+    return _pf.c2r(ghat, (0,), g.size, False, 2, None, 1)  # inorm 2: irfft's 1/n
 
 
 def lp_norm(f: PhysicalField, p: float) -> float:
@@ -329,7 +339,7 @@ def parseval_sum(grid: Grid, density: np.ndarray) -> float:
     """(2pi)^3 times the full-lattice sum of a mode density even in k, given on
     the half lattice: the squared L^2 norm for |c|^2, the L^2 inner product of
     two real fields for Re(conj(a) b)."""
-    weight = _lattice(grid.nx, grid.ny, grid.nz).weight
+    weight = _lattice(grid).weight
     return float(DOMAIN_VOLUME * np.sum(weight * density))
 
 

@@ -89,7 +89,7 @@ def compute_report(state, epsilon: float) -> InvariantReport:
     l2 = spectral_l2(theta)
 
     l3, l6, l6_w, w_max, w3_max, w6_max, dtz = _theta_w_norms(theta)
-    grad2 = parseval_sum(grid, _lattice(*grid.shape).kh2 * np.abs(theta.coeffs) ** 2)
+    grad2 = parseval_sum(grid, _lattice(grid).kh2 * np.abs(theta.coeffs) ** 2)
     grad_l3 = lp_norm(_magnitude(theta, [(dx,), (dy,)]), 3.0)
     l6_uv = lp_norm(_magnitude(theta, [(mu,), (mv,)]), 6.0)
     dxuv_max = lp_norm(_magnitude(theta, [(mu, dx), (mv, dx)]), np.inf)

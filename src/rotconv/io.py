@@ -13,7 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .grid import Grid, PhysicalField
+from .invariants import budget_residual_series
 
 MAGIC = b"RCS1"
 
@@ -82,8 +84,6 @@ SERIES_COLUMNS = [
 
 
 def write_series_csv(path, reports, envelopes) -> None:
-    from .invariants import budget_residual_series
-
     t = np.array([r.t for r in reports])
     l2 = np.array([r.l2 for r in reports])
     diss = np.array([r.diss_h + r.diss_z for r in reports])
@@ -113,8 +113,6 @@ def write_sweep_outputs(out_dir, result, config_echo: dict, label: str) -> None:
                result.err_vel_h2)
     write_csv(out / "sweep.csv",
               [label, "err_l2", "err_mean_h1", "err_vel_h2"], rows)
-    from . import __version__
-
     payload = {
         "slope": result.slope,
         "slope_ci": result.slope_ci,

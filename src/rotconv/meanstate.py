@@ -6,7 +6,7 @@ heat flux: differentiating the closure and integrating once in z gives
     dtheta_bar/dz(z) = flux(z) - (1/2pi) * integral of flux over [0, 2pi],
 
 where the subtracted constant enforces periodicity of theta_bar.  theta_bar
-itself is reconstructed (zero-mean gauge) for reporting only.
+itself, reported only, is `grid`'s spectral z antiderivative (zero-mean gauge).
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
-from .grid import TWO_PI, PhysicalField, SpectralField, inverse_transform_batch
+from .grid import TWO_PI, PhysicalField, SpectralField, _z_antiderivative, inverse_transform_batch
 from .velocity import velocity_symbols
 
 
@@ -58,16 +57,9 @@ def _physical_mean_gradient(theta: SpectralField):
 def reconstruct_mean(dtheta_dz: np.ndarray) -> np.ndarray:
     """Spectral antiderivative in z with zero-mean gauge."""
     g = np.asarray(dtheta_dz, dtype=np.float64)
-    nz = g.size
     if abs(np.mean(g)) * TWO_PI > 1e-10 * max(np.max(np.abs(g)), 1.0):
         raise ValueError("mean gradient must integrate to zero over a period")
-    ghat = sfft.rfft(g)
-    k = np.arange(ghat.size, dtype=np.float64)
-    ghat[0] = 0.0
-    ghat[1:] = ghat[1:] / (1j * k[1:])
-    if nz % 2 == 0:
-        ghat[-1] = 0.0  # Nyquist mode has no odd antiderivative
-    return sfft.irfft(ghat, n=nz)
+    return _z_antiderivative(g)
 
 
 def mean_profile(theta: PhysicalField, w: PhysicalField) -> MeanProfile:

@@ -50,7 +50,7 @@ class VelocityDiagnostics:
 def _diagnostic_symbol(grid: Grid, numerator: np.ndarray) -> np.ndarray:
     """numerator / D, D = k3^2 + (k1^2+k2^2)^3, zero on the horizontal-mean sector and on
     the Nyquist planes, whose modes have no conjugate partner under the real transform."""
-    lat = _lattice(grid.nx, grid.ny, grid.nz)
+    lat = _lattice(grid)
     denom = lat.kz.astype(np.float64) ** 2 + lat.kh2**3
     return np.where(lat.retained, numerator / np.maximum(denom, _TINY), 0.0)
 
@@ -58,7 +58,7 @@ def _diagnostic_symbol(grid: Grid, numerator: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=32)
 def velocity_symbols(grid: Grid):
     """Per-mode multipliers (mu, mv, mw) of the velocity on the grid lattice."""
-    lat = _lattice(grid.nx, grid.ny, grid.nz)
+    lat = _lattice(grid)
     kxf, kyf, kzf = (k.astype(np.float64) for k in (lat.kx, lat.ky, lat.kz))
     symbols = tuple(_diagnostic_symbol(grid, m) for m in (-kyf * kzf, kxf * kzf, lat.kh2**2))
     for m in symbols:
@@ -74,7 +74,7 @@ def solve_velocity(theta: SpectralField) -> VelocityDiagnostics:
     dz = derivative_symbol(g, 2)
     # only this solve reads psi and omega: their symbols are built per call, not cached;
     # -i k3 is conj(i k3), which keeps the signs of zero parts that -dz would flip
-    mpsi, momega = (_diagnostic_symbol(g, m) for m in (dz.conj(), dz * _lattice(*g.shape).kh2))
+    mpsi, momega = (_diagnostic_symbol(g, m) for m in (dz.conj(), dz * _lattice(g).kh2))
     return VelocityDiagnostics(*(SpectralField(g, m * c)
                                  for m in (*velocity_symbols(g), mpsi, momega)))
 
@@ -91,7 +91,7 @@ def residual_check(
         if f.grid != theta.grid:
             raise ValueError("grid mismatch between theta and diagnostics")
     grid = theta.grid
-    lat = _lattice(grid.nx, grid.ny, grid.nz)
+    lat = _lattice(grid)
     dz = derivative_symbol(grid, 2)
     res1 = dz * d.psi.coeffs - theta.coeffs + lat.kh2 * d.w.coeffs
     res2 = dz.conj() * d.w.coeffs + lat.kh2 * d.omega.coeffs
@@ -149,7 +149,7 @@ def multiplier_value(spec: MultiplierSpec, k) -> float:
 
 def multiplier_array(spec: MultiplierSpec, grid: Grid) -> np.ndarray:
     """The symbol evaluated on the half lattice."""
-    lat = _lattice(grid.nx, grid.ny, grid.nz)
+    lat = _lattice(grid)
     out = _multiplier(spec, lat.kh2, lat.kz.astype(np.float64) ** 2)
     return np.broadcast_to(out, grid.spectral_shape)
 

@@ -39,6 +39,7 @@ from rotconv.grid import (
     spectral_l2,
 )
 from rotconv.invariants import compute_report
+from rotconv.meanstate import _physical_theta_w, mean_profile
 
 from conftest import kept_modes, random_band_limited
 
@@ -172,7 +173,7 @@ def test_ifrk4_step_is_its_formula_on_the_public_tendency(grid16):
     eps, dt = 0.2, 0.05
     config = SimConfig(grid=grid16, epsilon=eps, integrator="if-rk4")
     c = dealias(random_band_limited(grid16, 4)).coeffs
-    kh2 = rotconv.grid._lattice(*grid16.shape).kh2
+    kh2 = rotconv.grid._lattice(grid16).kh2
 
     def n(x):
         return tendency(SpectralField(grid16, x), 0.0).coeffs
@@ -300,21 +301,29 @@ def test_check_mode_accepts_the_outermost_kept_mode_and_no_further(mode_cap, axi
 
 def test_transforms_run_on_no_gil_holding_fft(grid16, monkeypatch):
     # the public FFTs that hold the GIL, or add Python dispatch, are never
-    # reached: not by stepping, the tendency, or the batched transforms
+    # reached: not by stepping, the tendency, the batched transforms, the
+    # mean profile's antiderivative or the lattice's wavenumbers
     def refuse(*args, **kwargs):
         raise AssertionError("rotconv called a public FFT function")
 
     for module, names in ((np.fft, ("rfft", "irfft")),
-                          (scipy.fft, ("fftn", "ifftn", "rfftn", "irfftn"))):
+                          (scipy.fft, ("fftn", "ifftn", "rfftn", "irfftn", "rfft", "irfft",
+                                       "fftfreq"))):
         for name in names:
             monkeypatch.setattr(module, name, refuse)
     config = SimConfig(grid=grid16, epsilon=0.1, dt=0.01, t_end=0.03, integrator="rk4")
-    assert len(list(samples(config))) == 4
+    states = list(samples(config))
+    assert len(states) == 4
+    profile = mean_profile(*_physical_theta_w(states[-1].theta))
+    assert np.max(np.abs(profile.theta_bar)) > 0.0
     tendency(initial_state(config), 0.1)
     coeffs = np.stack([initial_state(config).coeffs] * 2)
     values = rotconv.grid.to_physical(coeffs.copy())
     assert values.shape == (2, 16, 16, 16)
     assert np.allclose(rotconv.grid.to_spectral(values), coeffs, rtol=0, atol=1e-15)
+    misses = rotconv.grid._lattice.cache_info().misses
+    assert rotconv.grid._lattice(Grid(6, 10, 14)).kx.ravel().tolist() == [0, 1, 2, -3, -2, -1]
+    assert rotconv.grid._lattice.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.05, float("nan"), float("inf"), True, "0.1", None])

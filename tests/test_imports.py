@@ -72,6 +72,15 @@ def _i_and_pi(tokens):
                   or (t.type == tokenize.NAME and t.string == "pi"))
 
 
+def _scipy_fft(tokens):
+    # the dotted names that import statements take from the `scipy.fft` package
+    tree = ast.parse(tokenize.untokenize(tokens))
+    imported = [alias.name if isinstance(node, ast.Import) else f"{node.module}.{alias.name}"
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    return sorted(name for name in imported if name.split(".")[:2] == ["scipy", "fft"])
+
+
 def _float_format(tokens):
     # the `.17g` format of a written float, in string tokens (f-string parts since 3.12)
     kinds = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
@@ -83,15 +92,36 @@ def _float_format(tokens):
     (_two_thirds_rule, {"grid": 1}),
     # the CPU count sizes the threads of `experiments._stream` and is read there only
     (_cpu_count, {"experiments": {"WORKERS", "sched_getaffinity", "cpu_count"}}),
-    # i k is `grid.derivative_symbol` and 2 pi is `grid.TWO_PI`; meanstate's one `1j`
-    # divides the spectrum of a z-profile, not of a field on the lattice
-    (_i_and_pi, {"grid": ["1j", "pi"], "meanstate": ["1j"]}),
+    # i k is `grid.derivative_symbol` (and `grid._z_antiderivative`'s divisor for a
+    # z-profile) and 2 pi is `grid.TWO_PI`
+    (_i_and_pi, {"grid": ["1j", "1j", "pi"]}),
     # a float is written to a CSV file or to stdout as `io._fmt` writes it
     (_float_format, {"io": 1}),
-], ids=["two-thirds-rule", "cpu-count", "i-and-pi", "float-format"])
+    # every transform, the z-profile's included, calls the binding that `grid` imports,
+    # and the lattice's wavenumbers are integer arithmetic
+    (_scipy_fft, {"grid": ["scipy.fft._pocketfft.pypocketfft"]}),
+], ids=["two-thirds-rule", "cpu-count", "i-and-pi", "float-format", "scipy-fft"])
 def test_written_once(spelled, owners):
     found = {p.stem: spelled(_tokens(p)) for p in PACKAGE.glob("*.py")}
     assert {stem: n for stem, n in found.items() if n} == owners
+
+
+def test_imports_inside_functions():
+    # an import runs at module top, unless it closes a cycle (`compute_report` in
+    # `evolution.run`: invariants imports evolution) or costs every run what few
+    # use (`scipy.integrate`, see the next test)
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        owner = {}
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        owner[node] = fn.name  # the walk is breadth first: the innermost wins
+        found |= {(path.stem, name, getattr(node, "module", None),
+                   tuple(alias.name for alias in node.names)) for node, name in owner.items()}
+    assert found == {("evolution", "run", "invariants", ("compute_report",)),
+                     ("invariants", "integrated_budget_residual", "scipy.integrate", ("simpson",))}
 
 
 def test_no_run_imports_scipy_integrate():

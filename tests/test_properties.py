@@ -7,7 +7,9 @@ weight on either self-conjugate plane fails a test.  The batched
 transforms are checked bit for bit against `scipy.fft.irfftn` and `rfftn` on
 random half spectra of unequal sizes, and so are their pruned forms, which
 run the (x, y) pass on the first kz planes only, and their forms that write
-into the caller's array.
+into the caller's array.  The z-profile antiderivative of the mean
+temperature is checked the same way against `scipy.fft.rfft` and `irfft`,
+and the lattice's wavenumbers against `scipy.fft.fftfreq`.
 """
 
 import numpy as np
@@ -19,6 +21,8 @@ from rotconv.grid import (
     Grid,
     PhysicalField,
     _keep,
+    _lattice,
+    _z_antiderivative,
     forward_transform,
     inverse_transform,
     lp_norm,
@@ -132,3 +136,24 @@ def test_forward_scaling_is_rfftn_scaling():
     expected = scipy.fft.rfftn(values, norm="forward")
     assert np.array_equal(to_spectral(values), expected)
     assert np.array_equal(to_spectral(values, 1, -1.0)[..., :1], -expected[..., :1])
+
+
+@given(nz=st.integers(min_value=2, max_value=64).map(lambda h: 2 * h), seed=seeds)
+def test_z_antiderivative_is_scipy_antiderivative(nz, seed):
+    g = np.random.default_rng(seed).standard_normal(nz)
+    g -= np.mean(g)
+    ghat = scipy.fft.rfft(g)
+    k = np.arange(ghat.size, dtype=np.float64)
+    ghat[0] = 0.0
+    ghat[1:] = ghat[1:] / (1j * k[1:])
+    ghat[-1] = 0.0  # the Nyquist mode of an even nz
+    expected = scipy.fft.irfft(ghat, n=nz)
+    assert np.array_equal(_z_antiderivative(g).view(np.uint64), expected.view(np.uint64))
+
+
+@given(nx=even_sizes, ny=st.integers(min_value=2, max_value=129).map(lambda h: 2 * h))
+def test_wavenumbers_are_fftfreq_integers(nx, ny):
+    lat = _lattice(Grid(nx, ny, 4))
+    assert lat.kx.dtype == lat.ky.dtype == np.int64
+    assert lat.kx.ravel().tolist() == np.rint(scipy.fft.fftfreq(nx) * nx).astype(int).tolist()
+    assert lat.ky.ravel().tolist() == np.rint(scipy.fft.fftfreq(ny) * ny).astype(int).tolist()
