@@ -14,6 +14,7 @@ import numbers
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import ClassVar
 
 import numpy as np
@@ -50,6 +51,18 @@ class BlowUpError(RuntimeError):
 def _is_time_step(dt) -> bool:
     """dt is a positive finite number and not a bool."""
     return _is_number(dt) and 0 < dt < math.inf
+
+
+def _rk4_real_limit() -> float:
+    """The largest float x with |R(-x)| <= 1 exactly, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+    lo, hi = 2.0, 3.0  # -24 (R(-x) - 1)/x = 24 - 12 x + 4 x^2 - x^3 falls through 0 once
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        x = Fraction(mid)
+        lo, hi = (mid, hi) if 24 - 12 * x + 4 * x**2 - x**3 >= 0 else (lo, mid)
+    return lo
+
+
+_RK4_REAL_LIMIT = _rk4_real_limit()  # classical RK4 is stable for a real z = rate dt >= -limit
 
 
 def _check_safety(safety) -> None:
@@ -182,7 +195,7 @@ class _Stepper:
         self.lap_h = -_lattice(grid).kh2  # constant in kz: its (nx, ny, 1) base broadcasts
         kept = _kept(grid, mode_cap)
         self.planes = kept.m[2] + 1  # the kz planes kz < planes hold every kept mode
-        self.boxes = kept.boxes  # their union is every mode the tendency zeroes
+        self.boxes = kept.boxes  # their union is every mode the tendency and `step` zero
         self.spec = tuple(np.empty(grid.spectral_shape, dtype=np.complex128) for _ in range(3))
         self.real = tuple(np.empty(grid.shape) for _ in range(3))
 
@@ -290,9 +303,9 @@ def step(state: SimState, dt: float, config: SimConfig,
     """Advance one time step of the kept modes (the 2/3 rule within
     `config.mode_cap`) in the buffers of `stepper`, a `_Stepper` of the
     config's grid and truncation (default: a new one); the state must lie on
-    that grid, zero outside the kept modes up to round-off, as every state
-    `samples` yields does.  A new state that is not a finite real field is a
-    blow-up."""
+    that grid, zero outside the kept modes up to round-off, and the new state,
+    zeroed on `stepper.boxes`, is exactly zero there.  A new state that is not
+    a finite real field is a blow-up."""
     if not _is_time_step(dt):
         raise ValueError(f"dt must be a positive finite number, got {dt!r}")
     _check_grid(state.theta, config)
@@ -300,7 +313,8 @@ def step(state: SimState, dt: float, config: SimConfig,
         stepper = _Stepper(config.grid, config.mode_cap)
     advance = stepper.rk4 if config.integrator == "rk4" else stepper.ifrk4
     out = advance(state.theta.coeffs, dt, config.epsilon)
-    out[0, 0, :] = 0.0
+    for box in stepper.boxes:  # the diffusive term steps what the tendency zeroes
+        out[box] = 0.0
     try:
         theta = SpectralField._wrap(config.grid, out)
     except ValueError as err:
@@ -309,20 +323,18 @@ def step(state: SimState, dt: float, config: SimConfig,
 
 
 def cfl_dt(state: SimState, safety: float, config: SimConfig) -> float:
-    """Advective CFL time step with an explicit-diffusion cap for rk4."""
+    """`safety` times the least of 0.1, the advective CFL steps of `state` and, for
+    rk4 with eps > 0, `_RK4_REAL_LIMIT` / (eps^2 kh2) at the largest kept kh2."""
     _check_safety(safety)
     _check_grid(state.theta, config)
     grid = config.grid
-    default_cap = 0.1
-    caps = [default_cap]
+    caps = [0.1]  # the step of a state at rest
     if config.integrator == "rk4" and config.epsilon > 0:
-        kh2_max = (grid.nx // 2) ** 2 + (grid.ny // 2) ** 2
-        caps.append(2.8 / (config.epsilon**2 * kh2_max))
-    mu, mv = velocity_symbols(grid)[:2]
-    u, v = inverse_transform_batch(state.theta, [(mu,), (mv,)])
-    for speed, n in ((lp_norm(u, np.inf), grid.nx), (lp_norm(v, np.inf), grid.ny)):
-        if speed > 0:
-            caps.append((TWO_PI / n) / speed)
+        mx, my, _ = _kept(grid, config.mode_cap).m
+        caps.append(_RK4_REAL_LIMIT / (config.epsilon**2 * (mx**2 + my**2)))
+    u, v = inverse_transform_batch(state.theta, [(m,) for m in velocity_symbols(grid)[:2]])
+    speeds = ((lp_norm(u, np.inf), grid.nx), (lp_norm(v, np.inf), grid.ny))
+    caps += [(TWO_PI / n) / speed for speed, n in speeds if speed > 0]
     return safety * min(caps)
 
 
@@ -383,10 +395,9 @@ def _truncate(config: SimConfig, theta: SpectralField, what: str) -> SpectralFie
 
 
 def _check_initial(config: SimConfig, theta: SpectralField) -> None:
-    """Raise a ValueError unless `theta` has zero horizontal mean and no
-    content outside the modes `step` keeps, both to the tolerance of
-    `has_zero_horizontal_mean`: `step` reads those modes as zero, and its
-    (x, y) passes skip their kz planes.  One |coeffs| array serves both tests."""
+    """Raise a ValueError unless `theta` has zero horizontal mean and no content
+    outside the modes `step` keeps, both to the tolerance of `has_zero_horizontal_mean`:
+    the (x, y) passes of `step` skip their kz planes, and its new state is zero on them."""
     size = np.abs(theta.coeffs)
     tol = 1e-12 * max(np.max(size), 1.0)
     if np.max(size[0, 0, :]) > tol:
@@ -401,11 +412,10 @@ def samples(config: SimConfig, theta0: SpectralField | None = None) -> Iterator[
     """Integrate from `theta0` (default: `initial_state(config)`) to t_end and
     yield the t = 0 state, every `diagnostics_every`-th state and the last one.
 
-    `step` acts on the kept modes only: those of the 2/3 rule within
-    `mode_cap`.  So `theta0` must lie on `config.grid`, with zero horizontal
-    mean and no content outside the kept modes beyond round-off (the
-    tolerance of `has_zero_horizontal_mean`); otherwise a ValueError names
-    the grids or the rule.
+    `step` acts on the kept modes only (the 2/3 rule within `mode_cap`) and
+    zeroes the others.  So `theta0` must lie on `config.grid`, with zero
+    horizontal mean and no content outside the kept modes beyond round-off
+    (`_check_initial`); otherwise a ValueError names the grids or the rule.
 
     The time step is `config.dt`, or under "auto" the CFL step of `theta0`,
     shortened so that a whole number of steps ends at t_end.  Every step runs
@@ -418,13 +428,9 @@ def samples(config: SimConfig, theta0: SpectralField | None = None) -> Iterator[
     _check_initial(config, theta0)
     state = SimState(0.0, theta0)
 
-    if config.dt == "auto":
-        dt = cfl_dt(state, config.safety, config)
-    else:
-        dt = float(config.dt)
+    dt = cfl_dt(state, config.safety, config) if config.dt == "auto" else float(config.dt)
     n_steps = max(1, math.ceil(config.t_end / dt - 1e-12)) if config.t_end > 0 else 0
-    if n_steps > 0:
-        dt = config.t_end / n_steps
+    dt = config.t_end / n_steps if n_steps else dt
 
     yield state
     stepper = _Stepper(config.grid, config.mode_cap) if n_steps else None

@@ -88,11 +88,10 @@ def _sweep_errors(theta: SpectralField, ref: _Reference):
     can exceed the bound only by rounding.
     """
     grid = theta.grid
-    diff = SpectralField._wrap(grid, theta.coeffs - ref.theta.coeffs)
-    d_l2 = spectral_l2(diff)
+    c2 = np.abs(theta.coeffs - ref.theta.coeffs) ** 2
+    d_l2 = float(np.sqrt(parseval_sum(grid, c2)))  # spectral_l2 of the difference
     if d_l2 == 0.0:
         return 0.0, 0.0, 0.0, 0.0
-    c2 = np.abs(diff.coeffs) ** 2
     vel_h2 = float(sum(np.sqrt(parseval_sum(grid, m**2 * c2)) for m in _h2h_symbols(grid)))
     w_diff_l2 = np.sqrt(parseval_sum(grid, velocity_symbols(grid)[2] ** 2 * c2))
     _, w_p, dtz = _physical_mean_gradient(theta)

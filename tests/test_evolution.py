@@ -4,6 +4,8 @@ import sys
 import threading
 import tracemalloc
 import types
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -385,6 +387,67 @@ def test_cfl_advection_limited(grid32):
     dy = 2.0 * np.pi / grid32.ny
     assert dt_for(20.0) == pytest.approx(dy / 10.0, rel=1e-10)
     assert dt_for(40.0) == pytest.approx(dt_for(20.0) / 2.0, rel=1e-10)
+
+
+def rk4_amplification(z):
+    """Classical RK4's amplification of y' = lambda y at z = lambda dt."""
+    return 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+
+
+def test_rk4_real_limit_is_the_last_damping_float():
+    # |R(-x)| <= 1 in exact arithmetic at the limit, and > 1 at the next float out
+    limit = rotconv.evolution._RK4_REAL_LIMIT
+    assert abs(rk4_amplification(-Fraction(limit))) <= 1
+    assert abs(rk4_amplification(-Fraction(np.nextafter(limit, 3.0)))) > 1
+
+
+# the largest kept kh2 = m_x^2 + m_y^2: m_i = 10 on N = 32, and 4 under mode_cap 4
+DIFFUSIVE_CASES = [(None, 1.0, 200), (None, 0.5, 200), (4, 1.0, 32)]
+
+
+@pytest.mark.parametrize("mode_cap, eps, kh2", DIFFUSIVE_CASES)
+@pytest.mark.parametrize("safety", [0.5, 1.0])
+def test_cfl_rk4_diffusive_cap_reads_the_kept_modes(grid32, mode_cap, eps, kh2, safety):
+    # the real root of (R(z) - 1)/z, where RK4's real stability interval ends
+    roots = np.roots([1 / 24, 1 / 6, 1 / 2, 1])
+    limit = -roots[np.argmin(np.abs(roots.imag))].real
+    assert limit == pytest.approx(2.7852935634, abs=1e-10)
+    config = SimConfig(grid=grid32, epsilon=eps, integrator="rk4", mode_cap=mode_cap)
+    state = SimState(0.0, initial_state(config))  # amplitude 0.1: the advective steps are longer
+    assert cfl_dt(state, safety, config) == pytest.approx(
+        safety * limit / (eps**2 * kh2), rel=1e-13)
+
+
+@pytest.mark.parametrize("mode_cap, eps, kh2", DIFFUSIVE_CASES)
+def test_cfl_rk4_step_damps_the_outermost_kept_mode(grid32, mode_cap, eps, kh2):
+    # at safety 1 the outermost kept mode's diffusive amplification is at most 1,
+    # in exact arithmetic; 1% more and RK4 amplifies it (by 1.043)
+    config = SimConfig(grid=grid32, epsilon=eps, integrator="rk4", mode_cap=mode_cap)
+    dt = cfl_dt(SimState(0.0, initial_state(config)), 1.0, config)
+    rate = -Fraction(eps) ** 2 * kh2
+    assert abs(rk4_amplification(rate * Fraction(dt))) <= 1
+    assert abs(rk4_amplification(rate * Fraction(1.01 * dt))) > Fraction(1.04)
+
+
+@pytest.mark.parametrize("safety", [0.5, 1.0])
+def test_step_zeroes_the_modes_it_does_not_keep(grid32, safety):
+    # a theta0 with content outside the kept modes (three boxes and the mean
+    # sector) 1e-13 relative, which `samples` accepts as round-off; the outermost
+    # mode (16, 16) sits at 2.56 times the kept modes' kh2, where RK4 at the kept
+    # modes' step amplifies it
+    config = SimConfig(grid=grid32, epsilon=1.0, integrator="rk4", safety=safety)
+    c = initial_state(config).coeffs.copy()
+    tiny = 1e-13 * np.max(np.abs(c))
+    for mode in [(16, 16, 1), (12, 1, 1), (1, 1, 12), (0, 0, 1)]:
+        c[mode] = tiny
+    outside = ~kept_modes(grid32)
+    states = list(samples(replace(config, diagnostics_every=1), SpectralField(grid32, c)))
+    assert np.count_nonzero(states[0].theta.coeffs[outside]) == 4
+    assert all(np.all(s.theta.coeffs[outside] == 0.0) for s in states[1:])
+    assert states[-1].t == pytest.approx(1.0, abs=1e-12)
+    assert len(states) - 1 == {0.5: 144, 1.0: 72}[safety]
+    l2 = [spectral_l2(s.theta) for s in states]
+    assert all(b <= a for a, b in zip(l2, l2[1:]))
 
 
 def test_run_from_given_initial_state(grid16):

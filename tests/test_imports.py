@@ -60,6 +60,14 @@ def _two_thirds_rule(tokens):
     return len(re.findall(r"//\s*3\b|\b3\s*\*\s*abs\s*\(", code))
 
 
+def _half_grid(tokens):
+    # outside comments and strings, the half-grid size spelled `// 2`
+    kinds = {tokenize.COMMENT, tokenize.STRING,
+             getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}  # f-string parts since 3.12
+    code = " ".join(t.string for t in tokens if t.type not in kinds)
+    return len(re.findall(r"//\s*2\b", code))
+
+
 def _cpu_count(tokens):
     # outside comments and strings, the names that read or hold the CPU count
     return {t.string for t in tokens if t.type == tokenize.NAME
@@ -90,6 +98,9 @@ def _float_format(tokens):
 @pytest.mark.parametrize("spelled, owners", [
     # the kept modes are defined once, in `grid._kept`
     (_two_thirds_rule, {"grid": 1}),
+    # the half grid n // 2 (Nyquist planes, half spectrum, lattice) is spelled in `grid`
+    # only: `evolution.cfl_dt` reads the kept modes' maxima from `grid._kept`
+    (_half_grid, {"grid": 11}),
     # the CPU count sizes the threads of `experiments._stream` and is read there only
     (_cpu_count, {"experiments": {"WORKERS", "sched_getaffinity", "cpu_count"}}),
     # i k is `grid.derivative_symbol` (and `grid._z_antiderivative`'s divisor for a
@@ -100,7 +111,7 @@ def _float_format(tokens):
     # every transform, the z-profile's included, calls the binding that `grid` imports,
     # and the lattice's wavenumbers are integer arithmetic
     (_scipy_fft, {"grid": ["scipy.fft._pocketfft.pypocketfft"]}),
-], ids=["two-thirds-rule", "cpu-count", "i-and-pi", "float-format", "scipy-fft"])
+], ids=["two-thirds-rule", "half-grid", "cpu-count", "i-and-pi", "float-format", "scipy-fft"])
 def test_written_once(spelled, owners):
     found = {p.stem: spelled(_tokens(p)) for p in PACKAGE.glob("*.py")}
     assert {stem: n for stem, n in found.items() if n} == owners

@@ -1,8 +1,9 @@
 """Every output of a fixed set of small CLI runs hashes as recorded.
 
-The set runs in process through `cli.main`: `run` at N = 16 (IF-RK4) and on
-a 24 x 20 x 18 grid (RK4, dt "auto", `mode_cap` 3), `twin`, `sweep-epsilon`
-matched and scaled, `sweep-resolution` and `check-multipliers`.  The bits
+The set runs in process through `cli.main`: `run` at N = 16 (IF-RK4), on
+a 24 x 20 x 18 grid (RK4, dt "auto", `mode_cap` 3) and at N = 16 with eps = 1
+(RK4, dt "auto", where the diffusive step of `cfl_dt` binds), `twin`,
+`sweep-epsilon` matched and scaled, `sweep-resolution` and `check-multipliers`.  The bits
 depend on the Python, numpy and scipy builds and on the SIMD code paths numpy
 dispatches to, so the record holds the environment it was made in; on any
 other the test skips, naming each difference.  A change that moves outputs
@@ -35,11 +36,13 @@ CONFIGS = {
     "capped": {"grid": {"nx": 24, "ny": 20, "nz": 18}, "epsilon": 0.2, "dt": "auto",
                "t_end": 0.3, "integrator": "rk4", "mode_cap": 3,
                "initial": {"band": [1, 6], "amplitude": 0.5, "seed": 5}},
+    "diffusive": {**BASE, "epsilon": 1.0, "dt": "auto", "integrator": "rk4"},
     "sweep": BASE,
 }
 COMMANDS = (
     ("run", "--config", "n16", "--out", "run16"),
     ("run", "--config", "capped", "--out", "run-capped"),
+    ("run", "--config", "diffusive", "--out", "run-diffusive"),
     ("twin", "--config", "sweep", "--out", "twin"),
     ("sweep-epsilon", "--config", "sweep", "--eps", "0.5,0.25,0.125", "--out", "sweep-matched"),
     ("sweep-epsilon", "--config", "sweep", "--eps", "0.5,0.25,0.125", "--mode", "scaled",
