@@ -176,15 +176,15 @@ class SimState:
 
 
 class _Stepper:
-    """The buffers of one trajectory's steps: 3 half-spectrum fields `spec` and
-    3 real fields `real`, with the tables of its grid and truncation read from
+    """The buffers of one trajectory's steps, 5 half-spectrum fields `spec`
+    and no real one, with the tables of its grid and truncation read from
     their owners: the velocity symbols (`velocity_symbols`), the kept modes
     (`grid._kept`), the derivative symbols (`derivative_symbol`) and the
     horizontal Laplacian (`grid._lattice`).
 
     Every step of a trajectory runs in the buffers, and its RK sum in the new
-    state's array, so stepping allocates no field but each new state; the
-    real z passes of the transforms write into the buffers.  Each method keeps
+    state's array, so stepping allocates no field but each new state; each
+    real field lives in the buffer it was transformed from.  Each method keeps
     the operation order its docstring gives, so a step is the same to the bit
     whichever buffer holds what.  A stepper serves one thread.
     """
@@ -196,34 +196,34 @@ class _Stepper:
         kept = _kept(grid, mode_cap)
         self.planes = kept.m[2] + 1  # the kz planes kz < planes hold every kept mode
         self.boxes = kept.boxes  # their union is every mode the tendency and `step` zero
-        self.spec = tuple(np.empty(grid.spectral_shape, dtype=np.complex128) for _ in range(3))
-        self.real = tuple(np.empty(grid.shape) for _ in range(3))
+        self.spec = tuple(np.empty(grid.spectral_shape, dtype=np.complex128) for _ in range(5))
 
     def advective(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz for a `c`
-        that is zero outside the kept modes, written into `out` (not `c`).
+        zero outside the kept modes, written into `out` (not `c` or `spec[3:]`).
 
-        `out` is also the spectral buffer through which the six factors are
-        inverse-transformed one at a time, each into a real buffer, and
-        consumed as they arrive: u d_x theta' + v d_y theta', then the flux
-        theta' w (theta' last, from a copy of `c`), then nl = (u d_x theta' +
-        v d_y theta') + w dtheta_bar/dz.  Every (x, y) pass, inverse and
-        forward, runs on the `planes` kz planes that hold the kept modes only.
+        The six factors are inverse-transformed one at a time, each in the
+        buffer its product with `c` is formed in, and consumed as they arrive:
+        nl = u d_x theta' in `spec[3]`, plus v d_y theta' in `spec[4]`, then
+        the flux theta' w (w in `spec[4]`, theta' from a copy of `c`), then nl
+        += w dtheta_bar/dz, transformed into `out`, where the second factors
+        d_x theta', d_y theta' and theta' arrive.  Every (x, y) pass runs on
+        the `planes` kz planes that hold the kept modes only.
         """
-        r0, r1, r2 = self.real
+        b, d = self.spec[3:]
 
-        def physical(sym, r):
-            """The real field of sym * c, zero from kz plane `planes` on, in r."""
-            return to_physical(np.multiply(sym, c, out=out), self.planes, r)
+        def physical(sym, buf):
+            """The real field of sym * c, zero from kz plane `planes` on, in buf."""
+            return to_physical(np.multiply(sym, c, out=buf), self.planes)
 
-        nl = physical(self.mu, r0)
-        nl *= physical(self.ikx, r1)
-        v_p = physical(self.mv, r1)
-        v_p *= physical(self.iky, r2)
+        nl = physical(self.mu, b)
+        nl *= physical(self.ikx, out)
+        v_p = physical(self.mv, d)
+        v_p *= physical(self.iky, out)
         nl += v_p
-        w_p = physical(self.mw, r1)
+        w_p = physical(self.mw, d)
         np.copyto(out, c)
-        theta_p = to_physical(out, self.planes, r2)
+        theta_p = to_physical(out, self.planes)
         dtz = mean_gradient(np.mean(np.multiply(theta_p, w_p, out=theta_p), axis=(0, 1)))
         w_p *= dtz
         nl += w_p
@@ -264,7 +264,7 @@ class _Stepper:
         remainder: e_full c + (dt/6) (e_full n1 + 2 e_half (n2 + n3) + n4), in
         that operation order, as a new array, in which the sum grows as each
         stage arrives, e_full c added last.  The stage inputs reuse n1's buffer."""
-        x, n2, n3, acc = *self.spec, np.empty_like(c)
+        x, n2, n3, acc = *self.spec[:3], np.empty_like(c)
         e_half = np.exp(0.5 * dt * eps**2 * self.lap_h)  # one exp per horizontal mode
         e_full = e_half * e_half
         self.advective(c, x)  # n1

@@ -11,22 +11,17 @@ is checked once, in `SpectralField`: those two planes must be Hermitian,
 which the inverse transform would otherwise enforce silently.
 
 The batched transforms make the 1-D passes of `irfftn` and `rfftn` bit for
-bit: they call the pocketfft binding that `scipy.fft` ends in
-(`scipy.fft._pocketfft.pypocketfft`, here `_pf`) directly, with the
-arguments `scipy.fft` would pass, which skips its Python dispatch and
-releases the GIL for the whole transform, so trajectories stepping on
-different threads transform side by side.  The binding is private to scipy:
-the property tests compare every transform with the public `scipy.fft` bit
-for bit, so a release that changes it fails them.  Every pass runs on one
-FFT thread: the CPUs go to the trajectories and reports that transform side
-by side.  Their complex (x, y) pass runs in place, and their real z pass
-writes into the caller's `out` array when given one, so a caller that owns
-its buffers (the stepper of each trajectory in `evolution`) takes no fresh
-memory.  `to_physical` consumes its input: it transforms the caller's stack
-in place.  Given `planes`, both transforms run the complex pass on the kz
-planes below it only, for callers whose spectra are zero above them (the
-tendency's kept modes): `to_physical` leaves those zero planes as they are,
-and `to_spectral` leaves them holding the z pass alone.
+bit: they call the binding `scipy.fft` ends in (`_pf`, private to scipy, so
+the property tests compare them with `scipy.fft`) with its arguments, which
+skips its Python dispatch and releases the GIL for the whole transform, on one
+FFT thread: trajectories and reports transform side by side on the CPUs.  The
+complex (x, y) passes run in place, and so does the inverse's real z pass:
+`to_physical` returns the real fields in the first nx ny nz floats of each
+batch entry.  Output line L (nz floats from offset L nz) overlaps only input
+lines K <= L (nz + 2 floats from K (nz + 2)), which pocketfft has read, in
+line order on one thread, before it writes line L.  The forward z pass would
+overwrite input not yet read, so `to_spectral` writes into an `out` array.
+Given `planes`, both run the complex pass on the kz planes below it only.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -207,7 +202,7 @@ def to_spectral(values: np.ndarray, planes: int | None = None,
                 scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
     """`scale` times the half spectra of a batch of real float64 fields on the
     last three axes, exact on the first `planes` kz planes (default: all),
-    written into `out` (default: a new array) and returned.
+    written into `out` (default: a new array; not `values`) and returned.
 
     The same 1-D passes as `rfftn` (the real transform over z, then the
     complex one over x and y), with the 1/(nx ny nz) scaling, times `scale`,
@@ -224,21 +219,20 @@ def to_spectral(values: np.ndarray, planes: int | None = None,
     return out
 
 
-def to_physical(coeffs: np.ndarray, planes: int | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Real fields of a batch of complex128 half spectra, zero on every kz plane
-    from `planes` on (default: none), written into `out` (default: a new
-    array) and returned; overwrites `coeffs`.
+def to_physical(coeffs: np.ndarray, planes: int | None = None) -> np.ndarray:
+    """Real fields of a batch of C-contiguous complex128 half spectra, zero on
+    every kz plane from `planes` on (default: none), in the memory of `coeffs`.
 
     The same 1-D passes as `irfftn` (complex inverse over x and y, then the
-    real inverse over z; nz is even, so it is twice the last index), but the
-    complex pass runs in place on the caller's array, not on a private copy,
-    and only on planes kz < `planes`: it maps the zero planes above to
-    themselves.
+    real inverse over z; nz is even, so it is twice the last index), both in
+    the caller's array (module docstring); the complex pass on planes kz <
+    `planes` only: it maps the zero planes above to themselves.
     """
+    *batch, nx, ny, nz = *coeffs.shape[:-1], 2 * (coeffs.shape[-1] - 1)
+    real = coeffs.view(np.float64).reshape(*batch, -1, copy=False)[..., :nx * ny * nz]
     view = coeffs[..., :planes]
     _pf.c2c(view, (-3, -2), False, 0, view, 1)
-    return _pf.c2r(coeffs, (-1,), 2 * (coeffs.shape[-1] - 1), False, 0, out, 1)
+    return _pf.c2r(coeffs, (-1,), nz, False, 0, real.reshape(*batch, nx, ny, nz), 1)
 
 
 def forward_transform(f: PhysicalField) -> SpectralField:
@@ -258,7 +252,13 @@ def inverse_transform_batch(F: SpectralField, chains) -> list[PhysicalField]:
     the empty chain gives F itself.  The products are not checked, so every
     symbol must satisfy sigma(-k) = conj(sigma(k)) on the kz = 0 and kz = nz/2 planes.
     """
-    stack = np.stack([reduce(np.multiply, chain, F.coeffs) for chain in chains])
+    stack = np.empty((len(chains), *F.grid.spectral_shape), dtype=np.complex128)
+    for slot, chain in zip(stack, chains):
+        factor = F.coeffs
+        for symbol in chain:  # ((F * s_1) * s_2) ..., the operand order of a left fold
+            factor = np.multiply(factor, symbol, out=slot)
+        if not chain:
+            np.copyto(slot, F.coeffs)
     return [PhysicalField._wrap(F.grid, v) for v in to_physical(stack)]
 
 

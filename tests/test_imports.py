@@ -89,6 +89,15 @@ def _scipy_fft(tokens):
     return sorted(name for name in imported if name.split(".")[:2] == ["scipy", "fft"])
 
 
+def _float_view(tokens):
+    # outside comments and strings, the ways to read an array's memory as floats:
+    # a `.view(` of another dtype, `.real`, `.imag` and `as_strided`
+    kinds = {tokenize.COMMENT, tokenize.STRING,
+             getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}  # f-string parts since 3.12
+    code = " ".join(t.string for t in tokens if t.type not in kinds)
+    return len(re.findall(r"\.\s*(?:view\s*\(|real\b|imag\b)|\bas_strided\b", code))
+
+
 def _float_format(tokens):
     # the `.17g` format of a written float, in string tokens (f-string parts since 3.12)
     kinds = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
@@ -111,7 +120,11 @@ def _float_format(tokens):
     # every transform, the z-profile's included, calls the binding that `grid` imports,
     # and the lattice's wavenumbers are integer arithmetic
     (_scipy_fft, {"grid": ["scipy.fft._pocketfft.pypocketfft"]}),
-], ids=["two-thirds-rule", "half-grid", "cpu-count", "i-and-pi", "float-format", "scipy-fft"])
+    # the real fields of an inverse transform live in its input's memory, and only
+    # `grid.to_physical` knows the layout: no other module reads complex memory as floats
+    (_float_view, {"grid": 1}),
+], ids=["two-thirds-rule", "half-grid", "cpu-count", "i-and-pi", "float-format", "scipy-fft",
+        "float-view"])
 def test_written_once(spelled, owners):
     found = {p.stem: spelled(_tokens(p)) for p in PACKAGE.glob("*.py")}
     assert {stem: n for stem, n in found.items() if n} == owners

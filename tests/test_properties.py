@@ -6,15 +6,18 @@ on the raw field, whose kz = nz/2 plane is not empty, so a wrong Parseval
 weight on either self-conjugate plane fails a test.  The batched
 transforms are checked bit for bit against `scipy.fft.irfftn` and `rfftn` on
 random half spectra of unequal sizes, and so are their pruned forms, which
-run the (x, y) pass on the first kz planes only, and their forms that write
-into the caller's array.  The z-profile antiderivative of the mean
+run the (x, y) pass on the first kz planes only, and the forward's form that
+writes into the caller's array.  The inverse returns its real fields in the
+memory of the spectra it reads, and is checked bit for bit against the same
+passes out of place too, on batches of grids up to 128 points a side.  The
+z-profile antiderivative of the mean
 temperature is checked the same way against `scipy.fft.rfft` and `irfft`,
 and the lattice's wavenumbers against `scipy.fft.fftfreq`.
 """
 
 import numpy as np
 import scipy.fft
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from rotconv.evolution import SimConfig, SimState, step, tendency
 from rotconv.grid import (
@@ -25,6 +28,7 @@ from rotconv.grid import (
     _z_antiderivative,
     forward_transform,
     inverse_transform,
+    _pf,
     lp_norm,
     parseval_sum,
     spectral_l2,
@@ -108,8 +112,8 @@ def test_batched_transforms_are_scipy_transforms(nx, ny, nz, batch, seed):
        planes=st.integers(1, 11), seed=seeds, into=st.booleans())
 def test_pruned_transforms_are_scipy_transforms(nx, ny, nz, batch, planes, seed, into):
     # the tendency's passes: an inverse of spectra that are zero from kz
-    # plane `planes` on, and a negated forward read below that plane, each
-    # written into the caller's array if `into`
+    # plane `planes` on, returned in their memory, and a negated forward read
+    # below that plane, written into the caller's array if `into`
     planes = min(planes, nz // 2 + 1)
     rng = np.random.default_rng(seed)
     shape = batch + (nx, ny, nz // 2 + 1)
@@ -117,16 +121,42 @@ def test_pruned_transforms_are_scipy_transforms(nx, ny, nz, batch, planes, seed,
     coeffs[..., planes:] = 0.0
     values = rng.standard_normal(batch + (nx, ny, nz))
     spectra = scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
-    physical_out = np.empty(values.shape) if into else None
     spectral_out = np.empty(shape, dtype=np.complex128) if into else None
-    physical = to_physical(coeffs.copy(), planes, physical_out)
+    consumed = coeffs.copy()
+    physical = to_physical(consumed, planes)
+    assert np.shares_memory(physical, consumed)
     assert np.array_equal(physical, to_physical(coeffs.copy()))
     assert np.array_equal(to_spectral(values), spectra)
     negated = to_spectral(values, planes, -1.0, spectral_out)
     assert np.array_equal(physical, scipy.fft.irfftn(coeffs, axes=(-3, -2, -1), norm="forward"))
     assert np.array_equal(negated[..., :planes], -spectra[..., :planes])
     if into:
-        assert physical is physical_out and negated is spectral_out
+        assert negated is spectral_out
+
+
+grid_sizes = st.integers(min_value=2, max_value=64).map(lambda h: 2 * h)
+
+
+@given(nx=grid_sizes, ny=grid_sizes, nz=grid_sizes, batch=st.integers(2, 3),
+       planes=st.none() | st.integers(1, 65), seed=seeds)
+def test_inverse_in_place_is_the_out_of_place_inverse(nx, ny, nz, batch, planes, seed):
+    # the real z pass writes line L of a batch entry over its input lines
+    # K <= L only; any reordering of pocketfft's reads and writes (or a
+    # second thread) would show here as a changed bit
+    assume(nx * ny * nz <= 2**18 and len({nx, ny, nz}) > 1)
+    half = nz // 2 + 1
+    planes = planes if planes is None else min(planes, half)
+    rng = np.random.default_rng(seed)
+    shape = (batch, nx, ny, half)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs[..., planes:] = 0.0
+    consumed = coeffs.copy()
+    values = to_physical(consumed, planes)
+    xy = _pf.c2c(coeffs, (-3, -2), False, 0, None, 1)
+    assert values.shape == (batch, nx, ny, nz)
+    assert np.shares_memory(values, consumed)
+    assert np.array_equal(values, _pf.c2r(xy, (-1,), nz, False, 0, None, 1))
+    assert np.array_equal(values, scipy.fft.irfftn(coeffs, axes=(-3, -2, -1), norm="forward"))
 
 
 def test_forward_scaling_is_rfftn_scaling():
