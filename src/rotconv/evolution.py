@@ -31,7 +31,6 @@ from .grid import (
     derivative_symbol,
     forward_transform,
     inverse_transform,
-    inverse_transform_batch,
     lp_norm,
     to_physical,
     to_spectral,
@@ -332,8 +331,9 @@ def cfl_dt(state: SimState, safety: float, config: SimConfig) -> float:
     if config.integrator == "rk4" and config.epsilon > 0:
         mx, my, _ = _kept(grid, config.mode_cap).m
         caps.append(_RK4_REAL_LIMIT / (config.epsilon**2 * (mx**2 + my**2)))
-    u, v = inverse_transform_batch(state.theta, [(m,) for m in velocity_symbols(grid)[:2]])
-    speeds = ((lp_norm(u, np.inf), grid.nx), (lp_norm(v, np.inf), grid.ny))
+    mu, mv, _ = velocity_symbols(grid)
+    speeds = ((lp_norm(inverse_transform(state.theta, mu), np.inf), grid.nx),
+              (lp_norm(inverse_transform(state.theta, mv), np.inf), grid.ny))
     caps += [(TWO_PI / n) / speed for speed, n in speeds if speed > 0]
     return safety * min(caps)
 

@@ -69,8 +69,8 @@ class _Reference(NamedTuple):
 
 
 def _sweep_reference(theta: SpectralField) -> _Reference:
-    """The reference part of `_sweep_errors`: one inverse transform of
-    (theta, w), run once per reference sample whatever the number of members."""
+    """The reference part of `_sweep_errors`: the inverse transforms of theta
+    and w, run once per reference sample whatever the number of members."""
     theta_p, _, dtz = _physical_mean_gradient(theta)
     return _Reference(theta, dtz, float(np.max(_slice_lp(theta_p.values, 2.0))))
 
@@ -80,8 +80,8 @@ def _sweep_errors(theta: SpectralField, ref: _Reference):
     one member sample against the reference part of its reference sample; an
     identically zero difference has zero errors and zero bounds.
 
-    A nonzero difference costs one inverse transform, of the member's
-    (theta, w).  The H2h velocity error and ||w_e - w||_2 are weighted Parseval
+    A nonzero difference costs two inverse transforms, of the member's theta
+    and w.  The H2h velocity error and ||w_e - w||_2 are weighted Parseval
     sums of one |difference|^2 array: on grid samples Parseval is exact, so
     ||w_e - w||_2 is the collocation norm the bound needs.  Every step of the
     Hdot1 bound is an exact inequality on grid samples, so the measured error

@@ -240,26 +240,15 @@ def forward_transform(f: PhysicalField) -> SpectralField:
     return SpectralField(f.grid, to_spectral(f.values))
 
 
-def inverse_transform(F: SpectralField) -> PhysicalField:
-    """Reconstruct the real field."""
-    return inverse_transform_batch(F, [()])[0]
-
-
-def inverse_transform_batch(F: SpectralField, chains) -> list[PhysicalField]:
-    """Real fields of symbol chains applied to F, from one batched inverse DFT.
-
-    Entry i is the field of s_m * (... * (s_1 * F)) for chains[i] = (s_1, ..., s_m);
-    the empty chain gives F itself.  The products are not checked, so every
-    symbol must satisfy sigma(-k) = conj(sigma(k)) on the kz = 0 and kz = nz/2 planes.
+def inverse_transform(F: SpectralField, *symbols) -> PhysicalField:
+    """The real field of s_m * (... * (s_1 * F)) for symbols (s_1, ..., s_m),
+    of F itself for none.  The products are not checked, so every symbol
+    must satisfy sigma(-k) = conj(sigma(k)) on the kz = 0 and kz = nz/2 planes.
     """
-    stack = np.empty((len(chains), *F.grid.spectral_shape), dtype=np.complex128)
-    for slot, chain in zip(stack, chains):
-        factor = F.coeffs
-        for symbol in chain:  # ((F * s_1) * s_2) ..., the operand order of a left fold
-            factor = np.multiply(factor, symbol, out=slot)
-        if not chain:
-            np.copyto(slot, F.coeffs)
-    return [PhysicalField._wrap(F.grid, v) for v in to_physical(stack)]
+    c = np.multiply(F.coeffs, symbols[0]) if symbols else F.coeffs.copy()
+    for s in symbols[1:]:  # ((F * s_1) * s_2) ..., the operand order of a left fold
+        c *= s
+    return PhysicalField._wrap(F.grid, to_physical(c))
 
 
 def apply_symbol(F: SpectralField, symbol: np.ndarray) -> SpectralField:
@@ -330,9 +319,9 @@ def lp_norm(f: PhysicalField, p: float) -> float:
         raise ValueError(f"p must be a real number >= 1 or inf, got {p!r}")
     if p == np.inf:
         return float(np.max(np.abs(f.values)))
-    return float(
-        (np.sum(np.abs(f.values) ** p) * f.grid.cell_volume) ** (1.0 / p)
-    )
+    powers = np.abs(f.values)
+    powers **= p
+    return float((np.sum(powers) * f.grid.cell_volume) ** (1.0 / p))
 
 
 def parseval_sum(grid: Grid, density: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from .grid import (
     _lattice,
     derivative_symbol,
     horizontal_power_symbol,
-    inverse_transform_batch,
+    inverse_transform,
     lp_norm,
     parseval_sum,
     spectral_l2,
@@ -36,7 +36,9 @@ def _slice_lp(values: np.ndarray, p: float) -> np.ndarray:
     """L^p([0,2pi]^2) norm at every z level; values shape (nx, ny, nz)."""
     nx, ny = values.shape[:2]
     w2 = TWO_PI**2 / (nx * ny)
-    return (np.sum(np.abs(values) ** p, axis=(0, 1)) * w2) ** (1.0 / p)
+    powers = np.abs(values)
+    powers **= p
+    return (np.sum(powers, axis=(0, 1)) * w2) ** (1.0 / p)
 
 
 def _theta_w_norms(theta: SpectralField):
@@ -48,10 +50,12 @@ def _theta_w_norms(theta: SpectralField):
             *(float(np.max(_slice_lp(w.values, p))) for p in (3.0, 6.0)), dtz)
 
 
-def _magnitude(theta: SpectralField, chains) -> PhysicalField:
-    """|(a, b)| of the two fields that a pair of symbol chains makes of theta."""
-    a, b = (f.values for f in inverse_transform_batch(theta, chains))
-    return PhysicalField._wrap(theta.grid, np.sqrt(a**2 + b**2))
+def _magnitude(theta: SpectralField, first, second) -> PhysicalField:
+    """|(a, b)| of the fields a = `inverse_transform(theta, *first)` and b of
+    `second`, a squared and dropped before b is formed."""
+    square = inverse_transform(theta, *first).values ** 2
+    square += inverse_transform(theta, *second).values ** 2
+    return PhysicalField._wrap(theta.grid, np.sqrt(square, out=square))
 
 
 @dataclass(frozen=True)
@@ -73,10 +77,10 @@ class InvariantReport:
 def compute_report(state, epsilon: float) -> InvariantReport:
     """Norms, budget terms and embedding ratios of one sampled state.
 
-    The nine physical fields they need are inverse-transformed a pair at a
-    time, and each pair is reduced and dropped before the next one is formed:
-    (theta', w), (d_x theta', d_y theta'), (u, v), (d_x u, d_x v), then d_x w.
-    Every physical-space norm is `lp_norm` of a field or of a pair's
+    The nine physical fields they need are inverse-transformed one at a
+    time: (theta', w), (d_x theta', d_y theta'), (u, v), (d_x u, d_x v), then
+    d_x w, and each group is reduced and dropped before the next one is
+    formed.  Every physical-space norm is `lp_norm` of a field or of a pair's
     magnitude, or `_slice_lp` of w level by level.
     """
     theta = state.theta
@@ -90,10 +94,10 @@ def compute_report(state, epsilon: float) -> InvariantReport:
 
     l3, l6, l6_w, w_max, w3_max, w6_max, dtz = _theta_w_norms(theta)
     grad2 = parseval_sum(grid, _lattice(grid).kh2 * np.abs(theta.coeffs) ** 2)
-    grad_l3 = lp_norm(_magnitude(theta, [(dx,), (dy,)]), 3.0)
-    l6_uv = lp_norm(_magnitude(theta, [(mu,), (mv,)]), 6.0)
-    dxuv_max = lp_norm(_magnitude(theta, [(mu, dx), (mv, dx)]), np.inf)
-    dxw_max = lp_norm(inverse_transform_batch(theta, [(mw, dx)])[0], np.inf)
+    grad_l3 = lp_norm(_magnitude(theta, (dx,), (dy,)), 3.0)
+    l6_uv = lp_norm(_magnitude(theta, (mu,), (mv,)), 6.0)
+    dxuv_max = lp_norm(_magnitude(theta, (mu, dx), (mv, dx)), np.inf)
+    dxw_max = lp_norm(inverse_transform(theta, mw, dx), np.inf)
 
     ratios = {}
     if l2 > 0:

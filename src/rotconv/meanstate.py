@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TWO_PI, PhysicalField, SpectralField, _z_antiderivative, inverse_transform_batch
+from .grid import TWO_PI, PhysicalField, SpectralField, _z_antiderivative, inverse_transform
 from .velocity import velocity_symbols
 
 
@@ -42,13 +42,13 @@ def mean_gradient(flux: np.ndarray) -> np.ndarray:
     return flux - np.mean(flux)
 
 
-def _physical_theta_w(theta: SpectralField) -> list[PhysicalField]:
-    """theta and w in physical space, from one inverse transform."""
-    return inverse_transform_batch(theta, [(), (velocity_symbols(theta.grid)[2],)])
+def _physical_theta_w(theta: SpectralField) -> tuple[PhysicalField, PhysicalField]:
+    """theta and w in physical space, one inverse transform each."""
+    return inverse_transform(theta), inverse_transform(theta, velocity_symbols(theta.grid)[2])
 
 
 def _physical_mean_gradient(theta: SpectralField):
-    """theta and w in physical space, from one inverse transform, and the
+    """theta and w in physical space, one inverse transform each, and the
     mean temperature gradient profile of their heat flux."""
     theta_p, w_p = _physical_theta_w(theta)
     return theta_p, w_p, mean_gradient(heat_flux(theta_p, w_p))

@@ -52,8 +52,8 @@ def no_thread_left():
 @pytest.fixture
 def to_physical_calls(monkeypatch):
     """A list that grows by one entry per call of rotconv.grid.to_physical,
-    the one batched inverse transform: a copy of the batch of half spectra
-    it was given."""
+    which every inverse transform calls: a copy of the half spectrum, or of
+    the batch of half spectra, it was given."""
     calls = []
     original = rotconv.grid.to_physical
 

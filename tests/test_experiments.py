@@ -425,22 +425,27 @@ def test_eps_scaled_sweep_samples_every_reference_time(grid16):
     assert all(s[0] > 0.0 for s in res.per_time_l2)
 
 
-def test_mean_h1_bound_is_at_most_three_inverse_transforms(grid16, to_physical_calls):
+def test_mean_h1_bound_is_at_most_four_inverse_transforms(grid16, to_physical_calls):
+    # theta and w of each state, counted as fields whatever the batching
     a = SimState(0.0, random_band_limited(grid16, 21, kmax=4))
     b = SimState(0.0, random_band_limited(grid16, 22, kmax=4))
     to_physical_calls.clear()
     mean_h1_error_and_bound(a, b)
-    assert len(to_physical_calls) <= 3
+    fields = [f for c in to_physical_calls for f in c.reshape(-1, *grid16.spectral_shape)]
+    assert len(fields) <= 4
 
 
-def test_member_sample_is_one_inverse_transform(grid16, to_physical_calls):
+def test_member_sample_is_two_inverse_transforms(grid16, to_physical_calls):
     # the reference part runs once per reference sample; each member sample
-    # with a nonzero difference then costs one batched inverse, of its (theta, w)
+    # with a nonzero difference then costs two inverses, of its theta and w
     ref = _sweep_reference(random_band_limited(grid16, 22, kmax=4))
     theta = random_band_limited(grid16, 21, kmax=4)
     to_physical_calls.clear()
     errors = _sweep_errors(theta, ref)
-    assert len(to_physical_calls) == 1
+    assert len(to_physical_calls) == 2
+    theta_c, w_c = to_physical_calls
+    assert np.array_equal(theta_c, theta.coeffs)
+    assert np.array_equal(w_c, rotconv.velocity.velocity_symbols(grid16)[2] * theta.coeffs)
     assert errors[0] > 0.0
 
 

@@ -15,7 +15,6 @@ from rotconv.grid import (
     derivative_symbol,
     forward_transform,
     inverse_transform,
-    inverse_transform_batch,
     lp_norm,
     parseval_sum,
     spectral_l2,
@@ -24,6 +23,7 @@ from rotconv.meanstate import heat_flux, mean_gradient, profile_l2
 from rotconv.velocity import solve_velocity, velocity_symbols
 from rotconv.invariants import (
     InvariantReport,
+    _magnitude,
     budget_residual_series,
     compute_report,
     dual_norm,
@@ -149,20 +149,20 @@ def test_report_transforms_each_field_once(grid16, to_physical_calls):
     state = SimState(0.0, random_band_limited(grid16, 4))
     to_physical_calls.clear()
     compute_report(state, 0.1)
-    fields = [f for batch in to_physical_calls for f in batch]
+    fields = [f for c in to_physical_calls for f in c.reshape(-1, *grid16.spectral_shape)]
     assert len(fields) == 9
     assert not any(np.array_equal(a, b) for a, b in combinations(fields, 2))
 
 
 def test_report_memory_budget(grid32):
-    # the nine fields are transformed a pair at a time, and each pair is
-    # reduced and dropped before the next one is formed; all nine at once
-    # took 17.6 half-spectrum fields.  A pair's transform takes its stack of
-    # two half spectra, in which its real fields stay, and numpy's casting
-    # buffer for the real-by-complex products: 2.48 fields (4.01 with
-    # separate real outputs and a product per chain before the stack).  The
-    # report's peak adds the two squares of `_magnitude` to a pair: 3.89
-    # (4.01 before)
+    # the nine fields are transformed one at a time and reduced in groups
+    # of at most two; all nine at once took 17.6 half-spectrum fields.  Each
+    # real field stays in the half spectrum it was transformed from.
+    # `_magnitude` squares its first field and drops it before it forms the
+    # second: the square, the second spectrum and its square, 2.88 fields
+    # (3.88 with both fields alive under `sqrt(a**2 + b**2)`).  The report
+    # peaks at theta' and w alive with one `lp_norm` power array: 2.96 (3.89
+    # with two fields per transform call)
     state = SimState(0.0, random_band_limited(grid32, 4))
     mu, mv, _ = velocity_symbols(grid32)
     dx = derivative_symbol(grid32, 0)
@@ -177,8 +177,8 @@ def test_report_memory_budget(grid32):
             tracemalloc.stop()
 
     field = state.theta.coeffs.nbytes
-    assert peak(lambda: inverse_transform_batch(state.theta, [(mu, dx), (mv, dx)])) <= 2.6 * field
-    assert peak(lambda: compute_report(state, 0.1)) <= 3.95 * field
+    assert peak(lambda: _magnitude(state.theta, (mu, dx), (mv, dx))) <= 2.95 * field
+    assert peak(lambda: compute_report(state, 0.1)) <= 3.0 * field
 
 
 def test_budget_series_steady_run(grid32):

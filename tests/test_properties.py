@@ -10,10 +10,13 @@ run the (x, y) pass on the first kz planes only, and the forward's form that
 writes into the caller's array.  The inverse returns its real fields in the
 memory of the spectra it reads, and is checked bit for bit against the same
 passes out of place too, on batches of grids up to 128 points a side.  The
-z-profile antiderivative of the mean
+inverse of a field times a chain of symbols is checked bit for bit against
+`scipy.fft.irfftn` of the product.  The z-profile antiderivative of the mean
 temperature is checked the same way against `scipy.fft.rfft` and `irfft`,
 and the lattice's wavenumbers against `scipy.fft.fftfreq`.
 """
+
+from functools import reduce
 
 import numpy as np
 import scipy.fft
@@ -26,6 +29,7 @@ from rotconv.grid import (
     _keep,
     _lattice,
     _z_antiderivative,
+    derivative_symbol,
     forward_transform,
     inverse_transform,
     _pf,
@@ -36,6 +40,7 @@ from rotconv.grid import (
     to_spectral,
 )
 from rotconv.invariants import compute_report
+from rotconv.velocity import velocity_symbols
 
 GRID = Grid(16, 16, 16)
 
@@ -157,6 +162,20 @@ def test_inverse_in_place_is_the_out_of_place_inverse(nx, ny, nz, batch, planes,
     assert np.shares_memory(values, consumed)
     assert np.array_equal(values, _pf.c2r(xy, (-1,), nz, False, 0, None, 1))
     assert np.array_equal(values, scipy.fft.irfftn(coeffs, axes=(-3, -2, -1), norm="forward"))
+
+
+@given(nx=even_sizes, ny=even_sizes, nz=even_sizes, picks=st.lists(st.integers(0, 5), max_size=2),
+       seed=seeds)
+def test_inverse_of_symbols_is_irfftn_of_their_product(nx, ny, nz, picks, seed):
+    # inverse_transform(F, s_1, s_2) is the real field of (F * s_1) * s_2
+    assume(len({nx, ny, nz}) > 1)
+    grid = Grid(nx, ny, nz)
+    F = forward_transform(PhysicalField(grid, np.random.default_rng(seed).standard_normal(grid.shape)))
+    table = (*velocity_symbols(grid), *(derivative_symbol(grid, axis) for axis in range(3)))
+    symbols = [table[i] for i in picks]
+    expected = scipy.fft.irfftn(reduce(np.multiply, symbols, F.coeffs), grid.shape, norm="forward")
+    values = inverse_transform(F, *symbols).values
+    assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
 
 
 def test_forward_scaling_is_rfftn_scaling():
