@@ -192,9 +192,7 @@ class _Stepper:
         self.mu, self.mv, self.mw = velocity_symbols(grid)
         self.ikx, self.iky = derivative_symbol(grid, 0), derivative_symbol(grid, 1)
         self.lap_h = -_lattice(grid).kh2  # constant in kz: its (nx, ny, 1) base broadcasts
-        kept = _kept(grid, mode_cap)
-        self.planes = kept.m[2] + 1  # the kz planes kz < planes hold every kept mode
-        self.boxes = kept.boxes  # their union is every mode the tendency and `step` zero
+        self.kept = _kept(grid, mode_cap)  # its boxes: every mode the tendency and `step` zero
         self.spec = tuple(np.empty(grid.spectral_shape, dtype=np.complex128) for _ in range(5))
 
     def advective(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -206,14 +204,14 @@ class _Stepper:
         nl = u d_x theta' in `spec[3]`, plus v d_y theta' in `spec[4]`, then
         the flux theta' w (w in `spec[4]`, theta' from a copy of `c`), then nl
         += w dtheta_bar/dz, transformed into `out`, where the second factors
-        d_x theta', d_y theta' and theta' arrive.  Every (x, y) pass runs on
-        the `planes` kz planes that hold the kept modes only.
+        d_x theta', d_y theta' and theta' arrive.  Every (x, y) pass is
+        pruned to the box of the kept modes (`to_physical`, `to_spectral`).
         """
         b, d = self.spec[3:]
 
         def physical(sym, buf):
-            """The real field of sym * c, zero from kz plane `planes` on, in buf."""
-            return to_physical(np.multiply(sym, c, out=buf), self.planes)
+            """The real field of sym * c, zero outside the kept box, in buf."""
+            return to_physical(np.multiply(sym, c, out=buf), self.kept)
 
         nl = physical(self.mu, b)
         nl *= physical(self.ikx, out)
@@ -222,12 +220,12 @@ class _Stepper:
         nl += v_p
         w_p = physical(self.mw, d)
         np.copyto(out, c)
-        theta_p = to_physical(out, self.planes)
+        theta_p = to_physical(out, self.kept)
         dtz = mean_gradient(np.mean(np.multiply(theta_p, w_p, out=theta_p), axis=(0, 1)))
         w_p *= dtz
         nl += w_p
-        to_spectral(nl, self.planes, -1.0, out)
-        for box in self.boxes:  # zero every mode outside the kept ones
+        to_spectral(nl, self.kept, -1.0, out)
+        for box in self.kept.boxes:  # zero every mode outside the kept ones
             out[box] = 0.0
         return out
 
@@ -303,8 +301,8 @@ def step(state: SimState, dt: float, config: SimConfig,
     `config.mode_cap`) in the buffers of `stepper`, a `_Stepper` of the
     config's grid and truncation (default: a new one); the state must lie on
     that grid, zero outside the kept modes up to round-off, and the new state,
-    zeroed on `stepper.boxes`, is exactly zero there.  A new state that is not
-    a finite real field is a blow-up."""
+    zeroed on the boxes of `stepper.kept`, is exactly zero there.  A new state
+    that is not a finite real field is a blow-up."""
     if not _is_time_step(dt):
         raise ValueError(f"dt must be a positive finite number, got {dt!r}")
     _check_grid(state.theta, config)
@@ -312,7 +310,7 @@ def step(state: SimState, dt: float, config: SimConfig,
         stepper = _Stepper(config.grid, config.mode_cap)
     advance = stepper.rk4 if config.integrator == "rk4" else stepper.ifrk4
     out = advance(state.theta.coeffs, dt, config.epsilon)
-    for box in stepper.boxes:  # the diffusive term steps what the tendency zeroes
+    for box in stepper.kept.boxes:  # the diffusive term steps what the tendency zeroes
         out[box] = 0.0
     try:
         theta = SpectralField._wrap(config.grid, out)
@@ -397,7 +395,8 @@ def _truncate(config: SimConfig, theta: SpectralField, what: str) -> SpectralFie
 def _check_initial(config: SimConfig, theta: SpectralField) -> None:
     """Raise a ValueError unless `theta` has zero horizontal mean and no content
     outside the modes `step` keeps, both to the tolerance of `has_zero_horizontal_mean`:
-    the (x, y) passes of `step` skip their kz planes, and its new state is zero on them."""
+    the inverse (x, y) passes of `step` read the k_y rows beyond m_y and the kz
+    planes above m_z as zero, and its new state is zero outside the kept modes."""
     size = np.abs(theta.coeffs)
     tol = 1e-12 * max(np.max(size), 1.0)
     if np.max(size[0, 0, :]) > tol:
@@ -416,6 +415,8 @@ def samples(config: SimConfig, theta0: SpectralField | None = None) -> Iterator[
     zeroes the others.  So `theta0` must lie on `config.grid`, with zero
     horizontal mean and no content outside the kept modes beyond round-off
     (`_check_initial`); otherwise a ValueError names the grids or the rule.
+    The first step reads any such round-off on the k_y rows beyond m_y or the
+    kz planes above m_z as zero; `initial_state` leaves none, as it applies `_keep`.
 
     The time step is `config.dt`, or under "auto" the CFL step of `theta0`,
     shortened so that a whole number of steps ends at t_end.  Every step runs

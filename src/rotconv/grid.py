@@ -21,7 +21,10 @@ batch entry.  Output line L (nz floats from offset L nz) overlaps only input
 lines K <= L (nz + 2 floats from K (nz + 2)), which pocketfft has read, in
 line order on one thread, before it writes line L.  The forward z pass would
 overwrite input not yet read, so `to_spectral` writes into an `out` array.
-Given `planes`, both run the complex pass on the kz planes below it only.
+Given the box of kept modes (`_kept`), both prune the complex passes to it,
+x before y as pocketfft orders them: the inverse's x pass skips the k_y rows
+and the kz planes outside the box, and its y pass those planes; the forward's
+x pass skips those planes, and its y pass the k_x columns outside the box too.
 """
 
 from __future__ import annotations
@@ -116,17 +119,26 @@ def _lattice(grid: Grid) -> _Lattice:
 
 class _Kept(NamedTuple):
     """The modes a step keeps on one grid under the Galerkin truncation
-    `mode_cap`: every |k_i| <= m_i, outside the horizontal-mean sector."""
+    `mode_cap`: every |k_i| <= m_i, outside the horizontal-mean sector.
+
+    The blocks index a batch of half spectra on its last three axes."""
 
     m: tuple  # m_i = min(n_i // 3, mode_cap): the 2/3 rule within the cap
     boxes: tuple  # index tuples of boxes whose union is every other mode, the mean sector last
+    planes: tuple  # the kz planes kz <= m_z
+    rows: tuple  # the two blocks of the rows |k_y| <= m_y on those planes
+    columns: tuple  # the two blocks of the columns |k_x| <= m_x on those planes
 
 
 @lru_cache(maxsize=32)
 def _kept(grid: Grid, mode_cap: int | None) -> _Kept:
     mx, my, mz = m = tuple(min(n // 3, mode_cap or n) for n in grid.shape)
-    return _Kept(m, ((slice(mx + 1, grid.nx - mx),), (slice(None), slice(my + 1, grid.ny - my)),
-                     (slice(None), slice(None), slice(mz + 1, None)), (0, 0)))
+    every, kz = slice(None), slice(mz + 1)
+    return _Kept(m, ((slice(mx + 1, grid.nx - mx),), (every, slice(my + 1, grid.ny - my)),
+                     (every, every, slice(mz + 1, None)), (0, 0)),
+                 (..., kz),
+                 ((..., every, slice(my + 1), kz), (..., every, slice(grid.ny - my, None), kz)),
+                 ((..., slice(mx + 1), every, kz), (..., slice(grid.nx - mx, None), every, kz)))
 
 
 class _Frozen:
@@ -198,40 +210,51 @@ class SpectralField(_Frozen):
         return float(np.max(np.abs(self.coeffs[0, 0, :]))) <= tol * scale
 
 
-def to_spectral(values: np.ndarray, planes: int | None = None,
+def to_spectral(values: np.ndarray, kept: _Kept | None = None,
                 scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
     """`scale` times the half spectra of a batch of real float64 fields on the
-    last three axes, exact on the first `planes` kz planes (default: all),
+    last three axes, exact on the box of `kept` (default: everywhere),
     written into `out` (default: a new array; not `values`) and returned.
 
     The same 1-D passes as `rfftn` (the real transform over z, then the
-    complex one over x and y), with the 1/(nx ny nz) scaling, times `scale`,
-    applied once between them, where `rfftn` applies it.  The complex pass
-    runs in place on planes kz < `planes` only: the planes above hold the z
-    pass alone, and the caller must discard them.
+    complex ones over x and y), with the 1/(nx ny nz) scaling, times `scale`,
+    applied once between them, where `rfftn` applies it.  Given `kept`, the
+    x pass runs in place on its kz planes and the y pass on its kx columns
+    only: the modes outside them hold partial passes, and the caller must
+    discard them.
     """
     # the binding's arguments: (a, axes, forward, inorm = 0 for no scaling, out, nthreads)
     out = _pf.r2c(values, (-1,), True, 0, out, 1)
     # pocketfft's own 1/N: the reciprocal in long double, rounded once to double
     out *= scale * float(1 / np.longdouble(math.prod(values.shape[-3:])))
-    view = out[..., :planes]
-    _pf.c2c(view, (-3, -2), True, 0, view, 1)
+    if kept is None:
+        _pf.c2c(out, (-3, -2), True, 0, out, 1)
+    else:
+        for block, axis in ((kept.planes, -3), (kept.columns[0], -2), (kept.columns[1], -2)):
+            view = out[block]
+            _pf.c2c(view, (axis,), True, 0, view, 1)
     return out
 
 
-def to_physical(coeffs: np.ndarray, planes: int | None = None) -> np.ndarray:
-    """Real fields of a batch of C-contiguous complex128 half spectra, zero on
-    every kz plane from `planes` on (default: none), in the memory of `coeffs`.
+def to_physical(coeffs: np.ndarray, kept: _Kept | None = None) -> np.ndarray:
+    """Real fields of a batch of C-contiguous complex128 half spectra, zero
+    outside the box of `kept` (default: no such zeros), in the memory of
+    `coeffs`.
 
-    The same 1-D passes as `irfftn` (complex inverse over x and y, then the
-    real inverse over z; nz is even, so it is twice the last index), both in
-    the caller's array (module docstring); the complex pass on planes kz <
-    `planes` only: it maps the zero planes above to themselves.
+    The same 1-D passes as `irfftn` (complex inverses over x and then y, then
+    the real inverse over z; nz is even, so it is twice the last index), all
+    in the caller's array (module docstring).  Given `kept`, the x pass runs
+    on its k_y rows and the y pass on its kz planes only: the passes map the
+    zero lines outside them to themselves.
     """
     *batch, nx, ny, nz = *coeffs.shape[:-1], 2 * (coeffs.shape[-1] - 1)
     real = coeffs.view(np.float64).reshape(*batch, -1, copy=False)[..., :nx * ny * nz]
-    view = coeffs[..., :planes]
-    _pf.c2c(view, (-3, -2), False, 0, view, 1)
+    if kept is None:
+        _pf.c2c(coeffs, (-3, -2), False, 0, coeffs, 1)
+    else:
+        for block, axis in ((kept.rows[0], -3), (kept.rows[1], -3), (kept.planes, -2)):
+            view = coeffs[block]
+            _pf.c2c(view, (axis,), False, 0, view, 1)
     return _pf.c2r(coeffs, (-1,), nz, False, 0, real.reshape(*batch, nx, ny, nz), 1)
 
 

@@ -202,11 +202,14 @@ def test_tendency_is_the_tendency_of_the_kept_modes(grid16):
 
 @pytest.mark.parametrize("mode_cap, planes", [(None, 6), (3, 4)])
 def test_tendency_xy_passes_run_on_the_kept_planes(grid16, monkeypatch, mode_cap, planes):
-    # every complex (x, y) pass of a tendency, its six inverses and its one
-    # forward, runs in place on the kz planes that hold the kept modes and no
-    # more; every inverse z pass writes into the memory of the stepper buffer
-    # it reads, and the forward z pass into a stepper buffer; every pass runs
-    # on one FFT thread
+    # every complex pass of a tendency runs in place on the box of the kept
+    # modes |k_i| <= m = planes - 1 and no more: each of its six inverses
+    # runs its x pass on the two blocks of kept k_y rows of the kept kz
+    # planes, then its y pass on those planes; its one forward runs its x
+    # pass on the kept planes, then its y pass on the two blocks of kept k_x
+    # columns.  Every inverse z pass writes into the memory of the stepper
+    # buffer it reads, and the forward z pass into a stepper buffer; every
+    # pass runs on one FFT thread
     stepper = rotconv.evolution._Stepper(grid16, mode_cap)
     c = dealias(random_band_limited(grid16, 4)).coeffs
     pf = rotconv.grid._pf
@@ -214,7 +217,7 @@ def test_tendency_xy_passes_run_on_the_kept_planes(grid16, monkeypatch, mode_cap
 
     def c2c(a, axes, forward, inorm, out, nthreads):
         assert out is a and nthreads == 1
-        xy.append((forward, a.shape))
+        xy.append((forward, axes, a.shape))
         return pf.c2c(a, axes, forward, inorm, out, nthreads)
 
     def c2r(a, axes, lastsize, forward, inorm, out, nthreads):
@@ -229,8 +232,12 @@ def test_tendency_xy_passes_run_on_the_kept_planes(grid16, monkeypatch, mode_cap
 
     monkeypatch.setattr(rotconv.grid, "_pf", types.SimpleNamespace(c2c=c2c, c2r=c2r, r2c=r2c))
     stepper.rhs(c, 0.2, stepper.spec[0])
-    assert stepper.planes == planes
-    assert xy == [(False, (16, 16, planes))] * 6 + [(True, (16, 16, planes))]
+    m = planes - 1
+    inverse = [(False, (-3,), (16, m + 1, m + 1)), (False, (-3,), (16, m, m + 1)),
+               (False, (-2,), (16, 16, m + 1))]
+    forward = [(True, (-3,), (16, 16, m + 1)), (True, (-2,), (m + 1, 16, m + 1)),
+               (True, (-2,), (m, 16, m + 1))]
+    assert xy == inverse * 6 + forward
     assert z == [True] * 7
 
 
@@ -254,13 +261,16 @@ def test_stepper_reads_each_table_from_its_owner(grid16, mode_cap):
     stepper = rotconv.evolution._Stepper(grid16, mode_cap)
     mu, mv, mw = rotconv.velocity.velocity_symbols(grid16)
     assert stepper.mu is mu and stepper.mv is mv and stepper.mw is mw
-    assert stepper.boxes is rotconv.grid._kept(grid16, mode_cap).boxes
+    assert stepper.kept is rotconv.grid._kept(grid16, mode_cap)
 
 
-@pytest.mark.parametrize("shape, mode_cap", [
+TRUNCATIONS = [
     ((24, 20, 18), None), ((24, 20, 18), 4), ((8, 12, 16), None), ((8, 12, 16), 2),
     ((4, 4, 4), None),
-])
+]
+
+
+@pytest.mark.parametrize("shape, mode_cap", TRUNCATIONS)
 def test_every_truncation_zeroes_exactly_the_modes_outside_the_box(shape, mode_cap):
     # a generic field keeps every mode of the box and none outside it; the
     # 2/3 rule alone for the readers that take no `mode_cap`, with the mean
@@ -276,6 +286,30 @@ def test_every_truncation_zeroes_exactly_the_modes_outside_the_box(shape, mode_c
     assert np.array_equal(rotconv.evolution._truncate(config, theta, "band").coeffs != 0, kept)
     pert = rotconv.experiments._perturbation_field(config, (1, 1, 1), 1e-6)
     assert not np.any(pert.coeffs[~kept]) and pert.coeffs[1, 1, 1] != 0
+
+
+@pytest.mark.parametrize("shape, mode_cap", TRUNCATIONS)
+def test_pruned_steps_are_the_full_pass_steps(shape, mode_cap, monkeypatch):
+    # pruning the (x, y) passes to the kept box changes no bit of a step: the
+    # inverses skip zero lines only, and `step` zeroes the forward's skipped modes
+    grid = Grid(*shape)
+    cases = [("rk4", 0.0), ("rk4", 0.3), ("if-rk4", 0.2)]
+
+    def three_steps(integrator, eps):
+        config = SimConfig(grid=grid, epsilon=eps, integrator=integrator, mode_cap=mode_cap,
+                           initial=InitialSpec(band=(0, max(shape))))
+        state = SimState(0.0, initial_state(config))
+        for _ in range(3):
+            state = step(state, 0.01, config)
+        return state.theta.coeffs.view(np.uint64)
+
+    pruned = [three_steps(*case) for case in cases]
+    monkeypatch.setattr(rotconv.evolution, "to_physical",
+                        lambda c, kept: rotconv.grid.to_physical(c))
+    monkeypatch.setattr(rotconv.evolution, "to_spectral",
+                        lambda v, kept, scale, out: rotconv.grid.to_spectral(v, None, scale, out))
+    for case, bits in zip(cases, pruned):
+        assert np.array_equal(three_steps(*case), bits)
 
 
 # the 2/3 rule keeps |k_i| <= (8, 6, 6) on the 24 x 20 x 18 grid: a cap of 4

@@ -6,12 +6,12 @@ on the raw field, whose kz = nz/2 plane is not empty, so a wrong Parseval
 weight on either self-conjugate plane fails a test.  The batched
 transforms are checked bit for bit against `scipy.fft.irfftn` and `rfftn` on
 random half spectra of unequal sizes, and so are their pruned forms, which
-run the (x, y) pass on the first kz planes only, and the forward's form that
-writes into the caller's array.  The inverse returns its real fields in the
-memory of the spectra it reads, and is checked bit for bit against the same
-passes out of place too, on batches of grids up to 128 points a side.  The
-inverse of a field times a chain of symbols is checked bit for bit against
-`scipy.fft.irfftn` of the product.  The z-profile antiderivative of the mean
+run the (x, y) passes on the box of the modes a step keeps only, and the
+forward's form that writes into the caller's array.  The inverse returns its
+real fields in the memory of the spectra it reads, and is checked bit for
+bit against the same passes out of place too, on batches of grids up to 128
+points a side.  The inverse of a field times a chain of symbols is checked
+bit for bit against `scipy.fft.irfftn` of the product.  The z-profile antiderivative of the mean
 temperature is checked the same way against `scipy.fft.rfft` and `irfft`,
 and the lattice's wavenumbers against `scipy.fft.fftfreq`.
 """
@@ -27,6 +27,7 @@ from rotconv.grid import (
     Grid,
     PhysicalField,
     _keep,
+    _kept,
     _lattice,
     _z_antiderivative,
     derivative_symbol,
@@ -41,6 +42,8 @@ from rotconv.grid import (
 )
 from rotconv.invariants import compute_report
 from rotconv.velocity import velocity_symbols
+
+from conftest import kept_modes
 
 GRID = Grid(16, 16, 16)
 
@@ -114,27 +117,29 @@ def test_batched_transforms_are_scipy_transforms(nx, ny, nz, batch, seed):
 
 
 @given(nx=even_sizes, ny=even_sizes, nz=even_sizes, batch=st.sampled_from([(), (1,), (3,)]),
-       planes=st.integers(1, 11), seed=seeds, into=st.booleans())
-def test_pruned_transforms_are_scipy_transforms(nx, ny, nz, batch, planes, seed, into):
-    # the tendency's passes: an inverse of spectra that are zero from kz
-    # plane `planes` on, returned in their memory, and a negated forward read
-    # below that plane, written into the caller's array if `into`
-    planes = min(planes, nz // 2 + 1)
+       mode_cap=st.none() | st.integers(1, 7), seed=seeds, into=st.booleans())
+def test_pruned_transforms_are_scipy_transforms(nx, ny, nz, batch, mode_cap, seed, into):
+    # the tendency's passes: an inverse of spectra that are zero outside the
+    # box of the kept modes, returned in their memory, and a negated forward
+    # read on that box, written into the caller's array if `into`
+    grid = Grid(nx, ny, nz)
+    box = kept_modes(grid, mode_cap, mean=True)
     rng = np.random.default_rng(seed)
-    shape = batch + (nx, ny, nz // 2 + 1)
+    shape = batch + grid.spectral_shape
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeffs[..., planes:] = 0.0
-    values = rng.standard_normal(batch + (nx, ny, nz))
+    coeffs[..., ~box] = 0.0
+    values = rng.standard_normal(batch + grid.shape)
     spectra = scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
     spectral_out = np.empty(shape, dtype=np.complex128) if into else None
     consumed = coeffs.copy()
-    physical = to_physical(consumed, planes)
+    physical = to_physical(consumed, _kept(grid, mode_cap))
     assert np.shares_memory(physical, consumed)
     assert np.array_equal(physical, to_physical(coeffs.copy()))
     assert np.array_equal(to_spectral(values), spectra)
-    negated = to_spectral(values, planes, -1.0, spectral_out)
-    assert np.array_equal(physical, scipy.fft.irfftn(coeffs, axes=(-3, -2, -1), norm="forward"))
-    assert np.array_equal(negated[..., :planes], -spectra[..., :planes])
+    negated = to_spectral(values, _kept(grid, mode_cap), -1.0, spectral_out)
+    assert np.array_equal(physical.view(np.uint64), scipy.fft.irfftn(
+        coeffs, axes=(-3, -2, -1), norm="forward").view(np.uint64))
+    assert np.array_equal(negated[..., box], -spectra[..., box])
     if into:
         assert negated is spectral_out
 
@@ -143,20 +148,21 @@ grid_sizes = st.integers(min_value=2, max_value=64).map(lambda h: 2 * h)
 
 
 @given(nx=grid_sizes, ny=grid_sizes, nz=grid_sizes, batch=st.integers(2, 3),
-       planes=st.none() | st.integers(1, 65), seed=seeds)
-def test_inverse_in_place_is_the_out_of_place_inverse(nx, ny, nz, batch, planes, seed):
+       pruned=st.booleans(), mode_cap=st.none() | st.integers(1, 43), seed=seeds)
+def test_inverse_in_place_is_the_out_of_place_inverse(nx, ny, nz, batch, pruned, mode_cap, seed):
     # the real z pass writes line L of a batch entry over its input lines
     # K <= L only; any reordering of pocketfft's reads and writes (or a
-    # second thread) would show here as a changed bit
+    # second thread) would show here as a changed bit; pruned, the spectra
+    # are zero outside the box of the kept modes
     assume(nx * ny * nz <= 2**18 and len({nx, ny, nz}) > 1)
-    half = nz // 2 + 1
-    planes = planes if planes is None else min(planes, half)
+    grid = Grid(nx, ny, nz)
     rng = np.random.default_rng(seed)
-    shape = (batch, nx, ny, half)
+    shape = (batch, *grid.spectral_shape)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeffs[..., planes:] = 0.0
+    if pruned:
+        coeffs[..., ~kept_modes(grid, mode_cap, mean=True)] = 0.0
     consumed = coeffs.copy()
-    values = to_physical(consumed, planes)
+    values = to_physical(consumed, _kept(grid, mode_cap) if pruned else None)
     xy = _pf.c2c(coeffs, (-3, -2), False, 0, None, 1)
     assert values.shape == (batch, nx, ny, nz)
     assert np.shares_memory(values, consumed)
@@ -179,12 +185,16 @@ def test_inverse_of_symbols_is_irfftn_of_their_product(nx, ny, nz, picks, seed):
 
 
 def test_forward_scaling_is_rfftn_scaling():
-    # 1/N for N = 2 * 4 * 2731 rounds differently straight to double than
-    # through long double, as pocketfft computes it
-    values = np.random.default_rng(5).standard_normal((2, 4, 2731))
+    # 1/N for N = 4 * 4 * 5462 = 2^5 * 2731 rounds differently straight to
+    # double than through long double, as pocketfft computes it
+    grid = Grid(4, 4, 5462)
+    values = np.random.default_rng(5).standard_normal(grid.shape)
     expected = scipy.fft.rfftn(values, norm="forward")
     assert np.array_equal(to_spectral(values), expected)
-    assert np.array_equal(to_spectral(values, 1, -1.0)[..., :1], -expected[..., :1])
+    for mode_cap in (None, 1, 5):
+        box = kept_modes(grid, mode_cap, mean=True)
+        negated = to_spectral(values, _kept(grid, mode_cap), -1.0)
+        assert np.array_equal(negated[box], -expected[box])
 
 
 @given(nz=st.integers(min_value=2, max_value=64).map(lambda h: 2 * h), seed=seeds)
