@@ -30,6 +30,14 @@ def random_band_limited(grid, seed, kmin=1, kmax=6, rng=None):
     return SpectralField(grid, c)
 
 
+# grid shapes and Galerkin caps of the truncation tests: unequal axes, caps
+# that bind on some axes or all, and the smallest grid
+TRUNCATIONS = [
+    ((24, 20, 18), None), ((24, 20, 18), 4), ((8, 12, 16), None), ((8, 12, 16), 2),
+    ((4, 4, 4), None),
+]
+
+
 def kept_modes(grid, mode_cap=None, mean=False):
     """The modes a step keeps, written out on the lattice: every |k_i| <=
     n_i // 3 and <= `mode_cap`, off the horizontal-mean sector unless `mean`."""

@@ -43,7 +43,7 @@ from rotconv.grid import (
 from rotconv.invariants import compute_report
 from rotconv.meanstate import _physical_theta_w, mean_profile
 
-from conftest import kept_modes, random_band_limited
+from conftest import TRUNCATIONS, kept_modes, random_band_limited
 
 
 def single_mode_config(grid, amplitude=1.0, **kw):
@@ -262,12 +262,6 @@ def test_stepper_reads_each_table_from_its_owner(grid16, mode_cap):
     mu, mv, mw = rotconv.velocity.velocity_symbols(grid16)
     assert stepper.mu is mu and stepper.mv is mv and stepper.mw is mw
     assert stepper.kept is rotconv.grid._kept(grid16, mode_cap)
-
-
-TRUNCATIONS = [
-    ((24, 20, 18), None), ((24, 20, 18), 4), ((8, 12, 16), None), ((8, 12, 16), 2),
-    ((4, 4, 4), None),
-]
 
 
 @pytest.mark.parametrize("shape, mode_cap", TRUNCATIONS)
