@@ -1,8 +1,9 @@
 """Time evolution of the temperature fluctuation.
 
 The tendency assembles -u.grad_h theta' - w dtheta_bar/dz (+ eps^2 lap_h theta')
-with the velocity solved exactly per mode and the quadratic products formed in
-physical space under the 2/3 rule.  Two integrators are provided: classical
+with the velocity solved exactly per mode under the 2/3 rule: u.grad_h theta'
+is formed in physical space, and the mean flux and w dtheta_bar/dz, which act
+on z alone, on each horizontal mode of the kept box.  Two integrators are provided: classical
 RK4 on the full tendency, and an integrating-factor RK4 that treats the
 horizontal diffusion term exactly per mode.
 """
@@ -30,13 +31,17 @@ from .grid import (
     _lattice,
     derivative_symbol,
     forward_transform,
+    half_box,
+    half_box_flux,
     inverse_transform,
     lp_norm,
+    pack_half_box,
+    subtract_half_box,
     to_physical,
     to_spectral,
 )
 from .meanstate import mean_gradient
-from .velocity import velocity_symbols
+from .velocity import half_box_w_symbol, velocity_symbols
 
 
 class BlowUpError(RuntimeError):
@@ -177,37 +182,46 @@ class SimState:
 class _Stepper:
     """The buffers of one trajectory's steps, 5 half-spectrum fields `spec`
     and no real one, with the tables of its grid and truncation read from
-    their owners: the velocity symbols (`velocity_symbols`), the kept modes
-    (`grid._kept`), the derivative symbols (`derivative_symbol`) and the
-    horizontal Laplacian (`grid._lattice`).
+    their owners: the velocity symbols (`velocity_symbols`) and mw on the
+    half box (`half_box_w_symbol`), the kept modes (`grid._kept`), the
+    derivative symbols (`derivative_symbol`) and the horizontal Laplacian
+    (`grid._lattice`).
 
-    Every step of a trajectory runs in the buffers, and its RK sum in the new
-    state's array, so stepping allocates no field but each new state; each
-    real field lives in the buffer it was transformed from.  Each method keeps
-    the operation order its docstring gives, so a step is the same to the bit
-    whichever buffer holds what.  A stepper serves one thread.
+    A tendency makes 5 full transforms, 4 inverses and 1 forward, and 3
+    z-only passes on the half box of the kept modes (`grid.half_box`), whose
+    two arrays live in `spec[3]` and `spec[4]`.  Every step of a trajectory
+    runs in the buffers, and its RK sum in the new state's array, so stepping
+    allocates no field but each new state; each real field lives in the
+    buffer it was transformed from.  Each method keeps the operation order
+    its docstring gives, so a step is the same to the bit whichever buffer
+    holds what.  A stepper serves one thread.
     """
 
     def __init__(self, grid: Grid, mode_cap: int | None):
-        self.mu, self.mv, self.mw = velocity_symbols(grid)
+        self.mu, self.mv, _ = velocity_symbols(grid)
+        self.mw_h = half_box_w_symbol(grid, mode_cap)
         self.ikx, self.iky = derivative_symbol(grid, 0), derivative_symbol(grid, 1)
         self.lap_h = -_lattice(grid).kh2  # constant in kz: its (nx, ny, 1) base broadcasts
         self.kept = _kept(grid, mode_cap)  # its boxes: every mode the tendency and `step` zero
         self.spec = tuple(np.empty(grid.spectral_shape, dtype=np.complex128) for _ in range(5))
+        self.half = tuple(half_box(buf, self.kept) for buf in self.spec[3:])
 
     def advective(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz for a `c`
         zero outside the kept modes, written into `out` (not `c` or `spec[3:]`).
 
-        The six factors are inverse-transformed one at a time, each in the
-        buffer its product with `c` is formed in, and consumed as they arrive:
-        nl = u d_x theta' in `spec[3]`, plus v d_y theta' in `spec[4]`, then
-        the flux theta' w (w in `spec[4]`, theta' from a copy of `c`), then nl
-        += w dtheta_bar/dz, transformed into `out`, where the second factors
-        d_x theta', d_y theta' and theta' arrive.  Every (x, y) pass is
-        pruned to the box of the kept modes (`to_physical`, `to_spectral`).
+        The four factors of nl = u d_x theta' + v d_y theta' are
+        inverse-transformed one at a time, each in the buffer its product with
+        `c` is formed in, and consumed as they arrive: u in `spec[3]`, v in
+        `spec[4]`, and the second factors in `out`, into which -nl is then
+        transformed.  Every (x, y) pass is pruned to the box of the kept modes
+        (`to_physical`, `to_spectral`).  theta' and w stay spectral in x and y:
+        `c` and mw c on the half box (`spec[3]`, `spec[4]`) give the flux by
+        Parseval (`half_box_flux`), and w dtheta_bar/dz is subtracted from
+        `out` mode by mode (`subtract_half_box`).
         """
         b, d = self.spec[3:]
+        theta_h, w_h = self.half
 
         def physical(sym, buf):
             """The real field of sym * c, zero outside the kept box, in buf."""
@@ -218,13 +232,11 @@ class _Stepper:
         v_p = physical(self.mv, d)
         v_p *= physical(self.iky, out)
         nl += v_p
-        w_p = physical(self.mw, d)
-        np.copyto(out, c)
-        theta_p = to_physical(out, self.kept)
-        dtz = mean_gradient(np.mean(np.multiply(theta_p, w_p, out=theta_p), axis=(0, 1)))
-        w_p *= dtz
-        nl += w_p
         to_spectral(nl, self.kept, -1.0, out)
+        pack_half_box(c, self.kept, theta_h)
+        np.multiply(self.mw_h, theta_h, out=w_h)
+        w_h *= mean_gradient(half_box_flux(theta_h, w_h))
+        subtract_half_box(w_h, self.kept, out)
         for box in self.kept.boxes:  # zero every mode outside the kept ones
             out[box] = 0.0
         return out

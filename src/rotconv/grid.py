@@ -25,6 +25,14 @@ Given the box of kept modes (`_kept`), both prune the complex passes to it,
 x before y as pocketfft orders them: the inverse's x pass skips the k_y rows
 and the kz planes outside the box, and its y pass those planes; the forward's
 x pass skips those planes, and its y pass the k_x columns outside the box too.
+
+Terms that act on z alone, such as the horizontal mean of a product, need
+no (x, y) pass: `pack_half_box` lays a half spectrum out as full z spectra
+on the half box of the kept modes (k_y >= 0, `half_box`), the other half
+being its conjugate, and z-only c2c passes run there in place.
+`half_box_flux` reduces two such fields to their horizontal mean product by
+Parseval in (x, y), and `subtract_half_box` takes a field so stored back to
+the half spectrum.
 """
 
 from __future__ import annotations
@@ -256,6 +264,82 @@ def to_physical(coeffs: np.ndarray, kept: _Kept | None = None) -> np.ndarray:
             view = coeffs[block]
             _pf.c2c(view, (axis,), False, 0, view, 1)
     return _pf.c2r(coeffs, (-1,), nz, False, 0, real.reshape(*batch, nx, ny, nz), 1)
+
+
+def half_box(buf: np.ndarray, kept: _Kept) -> np.ndarray:
+    """The array of full z spectra on the half box of `kept`, shape
+    (2 m_x + 1, m_y + 1, nz), in the first entries of `buf`, a C-contiguous
+    complex128 half spectrum; a ValueError if it does not fit.
+
+    Its rows are k_x = 0..m_x, then -m_x..-1, its columns k_y = 0..m_y and
+    its last axis kz in FFT order.  The box fits in a half spectrum:
+    2 m_x + 1 <= nx and m_y + 1 <= ny/2."""
+    mx, my, _ = kept.m
+    shape = (2 * mx + 1, my + 1, 2 * (buf.shape[-1] - 1))
+    return buf.reshape(-1, copy=False)[:math.prod(shape)].reshape(shape)
+
+
+def pack_half_box(c: np.ndarray, kept: _Kept, out: np.ndarray) -> np.ndarray:
+    """The half spectrum `c` on the half box of `kept` (`half_box`), written
+    into `out` and returned: kz = 0..m_z from `c`, kz = -m_z..-1 from
+    conj(c(-k_x, -k_y, |kz|)) and zero between, in block copies of basic slices."""
+    (mx, my, mz), (nx, ny), nz = kept.m, c.shape[:2], out.shape[-1]
+    out[:mx + 1, :, :mz + 1] = c[:mx + 1, :my + 1, :mz + 1]
+    out[mx + 1:, :, :mz + 1] = c[nx - mx:, :my + 1, :mz + 1]
+    out[..., mz + 1:nz - mz] = 0.0
+    below = out[..., nz - mz:]  # kz = -m_z..-1, read at |kz| = m_z..1
+    # the rows k_x = 0, 1..m_x, -m_x..-1 of `out` and the rows of -k_x in `c`
+    x_blocks = ((slice(1), slice(1)), (slice(1, mx + 1), slice(nx - 1, nx - mx - 1, -1)),
+                (slice(mx + 1, None), slice(mx, 0, -1)))
+    y_blocks = ((slice(1), slice(1)), (slice(1, None), slice(ny - 1, ny - my - 1, -1)))
+    for rows, minus_kx in x_blocks:
+        for columns, minus_ky in y_blocks:
+            np.conjugate(c[minus_kx, minus_ky, mz:0:-1], out=below[rows, columns])
+    return out
+
+
+def half_box_flux(theta_h: np.ndarray, w_h: np.ndarray) -> np.ndarray:
+    """The horizontal mean of theta' w at each collocation level z, from the
+    half-box spectra (`half_box`) of two real fields zero outside the box.
+
+    Both go to physical z in place (an inverse c2c pass over z each), and
+    the mean is exact by Parseval in (x, y): the sum of Re(theta_h conj(w_h))
+    over the box, weight 2 for k_y > 0, which counts the mode at -k too.
+    `theta_h` then holds the products; `w_h` holds w's horizontal modes at
+    each level."""
+    for a in (theta_h, w_h):
+        _pf.c2c(a, (-1,), False, 0, a, 1)
+    products = theta_h.view(np.float64)
+    products *= w_h.view(np.float64)  # Re(a conj(b)) is the sum of each pair of floats
+    by_column = products.sum(axis=0).reshape(w_h.shape[1], -1, 2).sum(axis=-1)
+    return by_column[0] + 2.0 * by_column[1:].sum(axis=0)
+
+
+def subtract_half_box(g: np.ndarray, kept: _Kept, out: np.ndarray) -> np.ndarray:
+    """`out` less the spectrum of the real field whose horizontal modes at
+    each level z are the half-box array `g`, on the kept box kz <= m_z, and
+    returned; the modes outside it are left as they were.
+
+    `g` is forward-transformed in place over z (a c2c pass with 1/nz), so its
+    last axis holds kz in FFT order; the k_y < 0 half is read by conjugation,
+    g(k_x, k_y, kz) = conj(g(-k_x, -k_y, -kz)), which leaves `g` conjugated
+    where it is read so: k_y > 0 on the planes kz = 0 and -m_z..-1."""
+    (mx, my, mz), (nx, ny), nz = kept.m, out.shape[:2], g.shape[-1]
+    _pf.c2c(g, (-1,), True, 2, g, 1)  # inorm 2: 1/nz
+    out[:mx + 1, :my + 1, :mz + 1] -= g[:mx + 1, :, :mz + 1]
+    out[nx - mx:, :my + 1, :mz + 1] -= g[mx + 1:, :, :mz + 1]
+    for minus_kz in (slice(1), slice(nz - mz, None)):  # the planes read below: -kz = 0, -m_z..-1
+        upper = g[:, 1:, minus_kz]
+        np.conjugate(upper, out=upper)
+    below = out[:, ny - my:, :mz + 1]  # k_y = -m_y..-1, read at -k_y = m_y..1
+    # the rows k_x = 0, 1..m_x, -m_x..-1 of `out` and the rows of -k_x in `g`
+    x_blocks = ((slice(1), slice(1)), (slice(1, mx + 1), slice(2 * mx, mx, -1)),
+                (slice(nx - mx, None), slice(mx, 0, -1)))
+    z_blocks = ((slice(1), slice(1)), (slice(1, None), slice(nz - 1, nz - mz - 1, -1)))
+    for rows, minus_kx in x_blocks:
+        for planes, minus_kz in z_blocks:
+            below[rows, :, planes] -= g[minus_kx, my:0:-1, minus_kz]
+    return out
 
 
 def forward_transform(f: PhysicalField) -> SpectralField:

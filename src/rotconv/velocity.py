@@ -25,11 +25,14 @@ from .grid import (
     SpectralField,
     _is_number,
     _keep,
+    _kept,
     _lattice,
     derivative_symbol,
     forward_transform,
+    half_box,
     inverse_transform,
     lp_norm,
+    pack_half_box,
     parseval_sum,
 )
 
@@ -64,6 +67,18 @@ def velocity_symbols(grid: Grid):
     for m in symbols:
         m.setflags(write=False)
     return symbols
+
+
+@lru_cache(maxsize=32)
+def half_box_w_symbol(grid: Grid, mode_cap: int | None) -> np.ndarray:
+    """mw on the half box of `_kept(grid, mode_cap)` (`grid.half_box`), packed as
+    the tendency packs theta' (mw is real and even in k), read-only.  Complex128,
+    so its product with a half-box spectrum needs no cast."""
+    mw = velocity_symbols(grid)[2].astype(np.complex128)
+    kept = _kept(grid, mode_cap)
+    symbol = pack_half_box(mw, kept, half_box(np.empty_like(mw), kept)).copy()
+    symbol.setflags(write=False)
+    return symbol
 
 
 def solve_velocity(theta: SpectralField) -> VelocityDiagnostics:

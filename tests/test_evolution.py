@@ -203,21 +203,28 @@ def test_tendency_is_the_tendency_of_the_kept_modes(grid16):
 @pytest.mark.parametrize("mode_cap, planes", [(None, 6), (3, 4)])
 def test_tendency_xy_passes_run_on_the_kept_planes(grid16, monkeypatch, mode_cap, planes):
     # every complex pass of a tendency runs in place on the box of the kept
-    # modes |k_i| <= m = planes - 1 and no more: each of its six inverses
+    # modes |k_i| <= m = planes - 1 and no more: each of its four inverses
     # runs its x pass on the two blocks of kept k_y rows of the kept kz
     # planes, then its y pass on those planes; its one forward runs its x
     # pass on the kept planes, then its y pass on the two blocks of kept k_x
     # columns.  Every inverse z pass writes into the memory of the stepper
-    # buffer it reads, and the forward z pass into a stepper buffer; every
-    # pass runs on one FFT thread
+    # buffer it reads, and the forward z pass into a stepper buffer.  Then
+    # three z-only passes run on the half box (2 m + 1, m + 1, 16): the
+    # inverses of theta' and w, and the forward of w dtheta_bar/dz with
+    # 1/nz, in place in the memory of `spec[3]` and `spec[4]`.  Every pass
+    # runs on one FFT thread
     stepper = rotconv.evolution._Stepper(grid16, mode_cap)
     c = dealias(random_band_limited(grid16, 4)).coeffs
     pf = rotconv.grid._pf
-    xy, z = [], []
+    xy, z, z_only = [], [], []
 
     def c2c(a, axes, forward, inorm, out, nthreads):
         assert out is a and nthreads == 1
-        xy.append((forward, axes, a.shape))
+        if axes == (-1,):
+            z_only.append((forward, inorm, a.shape, [np.shares_memory(a, buf)
+                                                     for buf in stepper.spec]))
+        else:
+            xy.append((forward, axes, a.shape))
         return pf.c2c(a, axes, forward, inorm, out, nthreads)
 
     def c2r(a, axes, lastsize, forward, inorm, out, nthreads):
@@ -237,8 +244,10 @@ def test_tendency_xy_passes_run_on_the_kept_planes(grid16, monkeypatch, mode_cap
                (False, (-2,), (16, 16, m + 1))]
     forward = [(True, (-3,), (16, 16, m + 1)), (True, (-2,), (m + 1, 16, m + 1)),
                (True, (-2,), (m, 16, m + 1))]
-    assert xy == inverse * 6 + forward
-    assert z == [True] * 7
+    assert xy == inverse * 4 + forward
+    assert z == [True] * 5
+    box, in_3, in_4 = (2 * m + 1, m + 1, 16), [False] * 3 + [True, False], [False] * 4 + [True]
+    assert z_only == [(False, 0, box, in_3), (False, 0, box, in_4), (True, 2, box, in_4)]
 
 
 @pytest.mark.parametrize("shape, mode_cap", [
@@ -259,8 +268,12 @@ def test_workspace_drops_the_modes_outside_the_rule(shape, mode_cap):
 def test_stepper_reads_each_table_from_its_owner(grid16, mode_cap):
     # one owner per table: the stepper holds the owners' cached arrays, not copies
     stepper = rotconv.evolution._Stepper(grid16, mode_cap)
-    mu, mv, mw = rotconv.velocity.velocity_symbols(grid16)
-    assert stepper.mu is mu and stepper.mv is mv and stepper.mw is mw
+    mu, mv, _ = rotconv.velocity.velocity_symbols(grid16)
+    assert stepper.mu is mu and stepper.mv is mv
+    # the packed mw is cached per (grid, mode_cap): a stepper per public
+    # `step` reads it, and builds it only once
+    assert stepper.mw_h is rotconv.velocity.half_box_w_symbol(grid16, mode_cap)
+    assert stepper.mw_h.dtype == np.complex128 and not stepper.mw_h.flags.writeable
     assert stepper.kept is rotconv.grid._kept(grid16, mode_cap)
 
 

@@ -121,8 +121,9 @@ def _float_format(tokens):
     # and the lattice's wavenumbers are integer arithmetic
     (_scipy_fft, {"grid": ["scipy.fft._pocketfft.pypocketfft"]}),
     # the real fields of an inverse transform live in its input's memory, and only
-    # `grid.to_physical` knows the layout: no other module reads complex memory as floats
-    (_float_view, {"grid": 1}),
+    # `grid` knows the layout (`to_physical`, and `half_box_flux`'s products of the
+    # real and imaginary parts): no other module reads complex memory as floats
+    (_float_view, {"grid": 3}),
 ], ids=["two-thirds-rule", "half-grid", "cpu-count", "i-and-pi", "float-format", "scipy-fft",
         "float-view"])
 def test_written_once(spelled, owners):

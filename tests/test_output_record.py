@@ -233,7 +233,8 @@ def changes(old: dict, new: dict, old_values: dict, new_values: dict) -> list[st
             continue
         line = f"{path}: {old.get(path, 'added')} -> {new.get(path, 'removed')}"
         if path in old_values and path in new_values:
-            line += f", largest relative move {largest_move(old_values[path], new_values[path]):.2g}"
+            move = largest_move(old_values[path], new_values[path])
+            line += f", largest relative move {move:.2g}"
         lines.append(line)
     return lines
 
