@@ -215,10 +215,12 @@ class _Stepper:
         `c` is formed in, and consumed as they arrive: u in `spec[3]`, v in
         `spec[4]`, and the second factors in `out`, into which -nl is then
         transformed.  Every (x, y) pass is pruned to the box of the kept modes
-        (`to_physical`, `to_spectral`).  theta' and w stay spectral in x and y:
-        `c` and mw c on the half box (`spec[3]`, `spec[4]`) give the flux by
-        Parseval (`half_box_flux`), and w dtheta_bar/dz is subtracted from
-        `out` mode by mode (`subtract_half_box`).
+        (`to_physical`, `to_spectral`).  theta' and w stay spectral in x and
+        y, as `c` and mw c on the half box (`spec[3]`, `spec[4]`): two inverse
+        z-only passes give the flux by Parseval (`half_box_flux`), and one
+        forward z-only pass gives w dtheta_bar/dz, which is subtracted from
+        `out` mode by mode (`subtract_half_box`).  5 full transforms and 3
+        z-only passes in all.
         """
         b, d = self.spec[3:]
         theta_h, w_h = self.half

@@ -40,7 +40,7 @@ from .evolution import (
 from .invariants import _slice_lp, dual_norm
 from .meanstate import _physical_mean_gradient, profile_l2
 # solve_velocity is unused here but bench/test_bench.py rebinds it through this module
-from .velocity import solve_velocity, velocity_symbols  # noqa: F401
+from .velocity import half_box_w_symbol, solve_velocity, velocity_symbols  # noqa: F401
 
 # the CPUs this process may run on (`taskset` caps them): they size the helpers of `_stream`
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -167,8 +167,9 @@ def _stream(configs, theta0s, reference, measure):
     without it.  Under `taskset -c 0`, `WORKERS` is 1: no helper is
     submitted, so no thread starts, and the runs go in serial order.  The
     tables every stepper reads from a cache, the velocity symbols of each
-    grid and the kept modes of each (grid, mode_cap), are built on the
-    calling thread before any helper starts, so no two threads build one.
+    grid and the kept modes and packed w symbol of each (grid, mode_cap), are
+    built on the calling thread before any helper starts, so no two threads
+    build one.
     A failing run records its error and drains the iterator, so no member that
     has not started starts.  Once the executor's shutdown has joined the
     helpers, the error of the lowest run index is raised: every member below
@@ -186,7 +187,8 @@ def _stream(configs, theta0s, reference, measure):
     closed = False  # the reference has published its last part
     helpers = min(len(runs), WORKERS + len(runs) % WORKERS) - 1
     for grid, cap in {(cfg.grid, cfg.mode_cap) for cfg in configs}:
-        velocity_symbols(grid), _kept(grid, cap)  # threads that miss a cache together each build
+        # threads that miss a cache together each build
+        velocity_symbols(grid), _kept(grid, cap), half_box_w_symbol(grid, cap)
 
     def lead(_):
         nonlocal closed

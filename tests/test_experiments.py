@@ -363,16 +363,17 @@ def test_concurrent_members_match_the_serial_path(grid16, monkeypatch, experimen
     assert results[2] == results[0]
 
 
-@pytest.mark.parametrize("experiment, keys", [
-    (lambda cfg: sweep_epsilon(cfg, [0.5, 0.25, 0.125]), 1),
+@pytest.mark.parametrize("experiment, keys, caps", [
+    (lambda cfg: sweep_epsilon(cfg, [0.5, 0.25, 0.125]), 1, 1),
     # the uncapped rule of the initial states, then the four caps
-    (lambda cfg: sweep_resolution(cfg, [2, 3, 4, 5]), 5),
-    (lambda cfg: twin_run(cfg, 1e-6), 1),
+    (lambda cfg: sweep_resolution(cfg, [2, 3, 4, 5]), 5, 4),
+    (lambda cfg: twin_run(cfg, 1e-6), 1, 1),
 ], ids=["sweep-epsilon", "sweep-resolution", "twin"])
-def test_stream_builds_each_workspace_once(grid16, monkeypatch, experiment, keys):
+def test_stream_builds_each_workspace_once(grid16, monkeypatch, experiment, keys, caps):
     # a slow build holds a cold cache miss open while every thread reaches
     # it; still each table a stepper reads is built once: the velocity
-    # symbols of the grid, and the kept modes of each (grid, mode_cap)
+    # symbols of the grid, and the kept modes and the packed w symbol of
+    # each (grid, mode_cap) of the runs
     def slow(build):
         def building(*args):
             time.sleep(0.05)
@@ -383,12 +384,15 @@ def test_stream_builds_each_workspace_once(grid16, monkeypatch, experiment, keys
     # these configs' fixed dt keeps `cfl_dt` from building the symbols first
     monkeypatch.setattr(rotconv.velocity, "_lattice", slow(rotconv.velocity._lattice))
     monkeypatch.setattr(rotconv.grid, "_Kept", slow(rotconv.grid._Kept))
+    monkeypatch.setattr(rotconv.velocity, "pack_half_box", slow(rotconv.velocity.pack_half_box))
     monkeypatch.setattr(rotconv.experiments, "WORKERS", 4)
     rotconv.velocity.velocity_symbols.cache_clear()
     rotconv.grid._kept.cache_clear()
+    rotconv.velocity.half_box_w_symbol.cache_clear()
     experiment(random_config(grid16))
     assert rotconv.velocity.velocity_symbols.cache_info().misses == 1
     assert rotconv.grid._kept.cache_info().misses == keys
+    assert rotconv.velocity.half_box_w_symbol.cache_info().misses == caps
 
 
 def test_eps_scaled_perturbation_lies_inside_the_truncation(grid16, monkeypatch):
