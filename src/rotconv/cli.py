@@ -13,12 +13,12 @@ from pathlib import Path
 
 from .evolution import InitialSpec, SimConfig, SimState, initial_state, run
 from .experiments import sweep_epsilon, sweep_resolution, twin_run
-from .grid import Grid
+from .grid import Grid, inverse_transform
 from .invariants import gronwall_envelopes
 from .io import (csv_text, write_csv, write_json, write_profile_csv, write_series_csv,
                  write_snapshot, write_sweep_outputs)
-from .meanstate import _physical_theta_w, mean_profile
-from .velocity import CATALOG, empirical_lp_ratio, hypothesis_check, lattice_sup
+from .meanstate import mean_profile
+from .velocity import CATALOG, empirical_lp_ratio, hypothesis_check, lattice_sup, velocity_symbols
 
 
 def load_config(path) -> SimConfig:
@@ -55,7 +55,8 @@ def cmd_run(args) -> int:
     env = gronwall_envelopes(traj.reports)
     write_series_csv(out / "series.csv", traj.reports, env)
     for name, state in states.items():
-        theta_p, w_p = _physical_theta_w(state.theta)
+        theta_p = inverse_transform(state.theta)
+        w_p = inverse_transform(state.theta, velocity_symbols(state.theta.grid)[2])
         write_profile_csv(out / f"profile_{name}.csv", mean_profile(theta_p, w_p))
         write_snapshot(out / f"theta_{name}.rcs", "theta_prime", theta_p)
     print(f"run complete: t = {traj.final_state.t:.6g}, "

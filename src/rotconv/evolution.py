@@ -31,11 +31,10 @@ from .grid import (
     _lattice,
     derivative_symbol,
     forward_transform,
-    half_box,
-    half_box_flux,
+    half_box_z_profiles,
+    horizontal_mean,
     inverse_transform,
     lp_norm,
-    pack_half_box,
     subtract_half_box,
     to_physical,
     to_spectral,
@@ -187,10 +186,10 @@ class _Stepper:
     derivative symbols (`derivative_symbol`) and the horizontal Laplacian
     (`grid._lattice`).
 
-    A tendency makes 5 full transforms, 4 inverses and 1 forward, and 3
-    z-only passes on the half box of the kept modes (`grid.half_box`), whose
-    two arrays live in `spec[3]` and `spec[4]`.  Every step of a trajectory
-    runs in the buffers, and its RK sum in the new state's array, so stepping
+    A tendency makes 5 full transforms, 4 inverses and 1 forward, and 3 z-only
+    passes on the half box of the kept modes (`grid.pack_half_box`), whose two
+    arrays live in `spec[3]` and `spec[4]`.  Every step of a trajectory runs
+    in the buffers, and its RK sum in the new state's array, so stepping
     allocates no field but each new state; each real field lives in the
     buffer it was transformed from.  Each method keeps the operation order
     its docstring gives, so a step is the same to the bit whichever buffer
@@ -204,7 +203,8 @@ class _Stepper:
         self.lap_h = -_lattice(grid).kh2  # constant in kz: its (nx, ny, 1) base broadcasts
         self.kept = _kept(grid, mode_cap)  # its boxes: every mode the tendency and `step` zero
         self.spec = tuple(np.empty(grid.spectral_shape, dtype=np.complex128) for _ in range(5))
-        self.half = tuple(half_box(buf, self.kept) for buf in self.spec[3:])
+        self.half = tuple(buf.reshape(-1, copy=False)[:math.prod(self.kept.half)]
+                          .reshape(self.kept.half) for buf in self.spec[3:])
 
     def advective(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz for a `c`
@@ -217,10 +217,10 @@ class _Stepper:
         transformed.  Every (x, y) pass is pruned to the box of the kept modes
         (`to_physical`, `to_spectral`).  theta' and w stay spectral in x and
         y, as `c` and mw c on the half box (`spec[3]`, `spec[4]`): two inverse
-        z-only passes give the flux by Parseval (`half_box_flux`), and one
-        forward z-only pass gives w dtheta_bar/dz, which is subtracted from
-        `out` mode by mode (`subtract_half_box`).  5 full transforms and 3
-        z-only passes in all.
+        z-only passes (`half_box_z_profiles`) give the flux by Parseval
+        (`horizontal_mean`), and one forward z-only pass gives w dtheta_bar/dz,
+        which is subtracted from `out` mode by mode (`subtract_half_box`).
+        5 full transforms and 3 z-only passes in all.
         """
         b, d = self.spec[3:]
         theta_h, w_h = self.half
@@ -235,9 +235,8 @@ class _Stepper:
         v_p *= physical(self.iky, out)
         nl += v_p
         to_spectral(nl, self.kept, -1.0, out)
-        pack_half_box(c, self.kept, theta_h)
-        np.multiply(self.mw_h, theta_h, out=w_h)
-        w_h *= mean_gradient(half_box_flux(theta_h, w_h))
+        half_box_z_profiles(c, self.kept, self.mw_h, theta_h, w_h)
+        w_h *= mean_gradient(horizontal_mean(theta_h, w_h))
         subtract_half_box(w_h, self.kept, out)
         for box in self.kept.boxes:  # zero every mode outside the kept ones
             out[box] = 0.0
@@ -406,18 +405,18 @@ def _truncate(config: SimConfig, theta: SpectralField, what: str) -> SpectralFie
     return capped
 
 
-def _check_initial(config: SimConfig, theta: SpectralField) -> None:
-    """Raise a ValueError unless `theta` has zero horizontal mean and no content
-    outside the modes `step` keeps, both to the tolerance of `has_zero_horizontal_mean`:
-    the inverse (x, y) passes of `step` read the k_y rows beyond m_y and the kz
-    planes above m_z as zero, and its new state is zero outside the kept modes."""
+def _check_kept(theta: SpectralField, mode_cap: int | None, what: str) -> None:
+    """Raise a ValueError naming `what` unless `theta` has zero horizontal mean
+    and no content outside the modes kept under `mode_cap`, both to the
+    tolerance of `has_zero_horizontal_mean`: the readers of the kept box (the
+    inverse (x, y) passes of `step`, the half box) read the modes beyond it as zero."""
     size = np.abs(theta.coeffs)
     tol = 1e-12 * max(np.max(size), 1.0)
     if np.max(size[0, 0, :]) > tol:
-        raise ValueError("initial state must have zero horizontal mean")
-    if max(np.max(size[box]) for box in _kept(config.grid, config.mode_cap).boxes) > tol:
-        cap = "" if config.mode_cap is None else f" and mode_cap = {config.mode_cap}"
-        raise ValueError("initial state has modes outside those kept by the 2/3 rule"
+        raise ValueError(f"{what} must have zero horizontal mean")
+    if max(np.max(size[box]) for box in _kept(theta.grid, mode_cap).boxes) > tol:
+        cap = "" if mode_cap is None else f" and mode_cap = {mode_cap}"
+        raise ValueError(f"{what} has modes outside those kept by the 2/3 rule"
                          f" |k_i| <= n_i/3{cap}")
 
 
@@ -428,7 +427,7 @@ def samples(config: SimConfig, theta0: SpectralField | None = None) -> Iterator[
     `step` acts on the kept modes only (the 2/3 rule within `mode_cap`) and
     zeroes the others.  So `theta0` must lie on `config.grid`, with zero
     horizontal mean and no content outside the kept modes beyond round-off
-    (`_check_initial`); otherwise a ValueError names the grids or the rule.
+    (`_check_kept`); otherwise a ValueError names the grids or the rule.
     The first step reads any such round-off on the k_y rows beyond m_y or the
     kz planes above m_z as zero; `initial_state` leaves none, as it applies `_keep`.
 
@@ -440,7 +439,7 @@ def samples(config: SimConfig, theta0: SpectralField | None = None) -> Iterator[
     if theta0 is None:
         theta0 = initial_state(config)
     _check_grid(theta0, config)
-    _check_initial(config, theta0)
+    _check_kept(theta0, config.mode_cap, "initial state")
     state = SimState(0.0, theta0)
 
     dt = cfl_dt(state, config.safety, config) if config.dt == "auto" else float(config.dt)

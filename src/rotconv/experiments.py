@@ -24,12 +24,15 @@ from .grid import (
     _kept,
     _lattice,
     forward_transform,
+    half_box_z_profiles,
+    horizontal_mean,
     parseval_sum,
     spectral_l2,
 )
 from .evolution import (
     SimConfig,
     SimState,
+    _check_kept,
     _check_mode,
     _truncate,
     build_initial,
@@ -37,8 +40,8 @@ from .evolution import (
     initial_state,
     samples,
 )
-from .invariants import _slice_lp, dual_norm
-from .meanstate import _physical_mean_gradient, profile_l2
+from .invariants import dual_norm
+from .meanstate import mean_gradient, profile_l2
 # solve_velocity is unused here but bench/test_bench.py rebinds it through this module
 from .velocity import half_box_w_symbol, solve_velocity, velocity_symbols  # noqa: F401
 
@@ -68,11 +71,21 @@ class _Reference(NamedTuple):
     theta_l2h_sup: float  # sup over z of ||theta||_{L^2_h}
 
 
+def _z_profiles(theta: SpectralField) -> tuple[np.ndarray, np.ndarray]:
+    """theta and w at each level z on the half box of the 2/3 rule, which holds
+    every capped box (`grid.half_box_z_profiles`), in two new arrays."""
+    mw_h = half_box_w_symbol(theta.grid, None)
+    return half_box_z_profiles(theta.coeffs, _kept(theta.grid, None), mw_h,
+                               np.empty_like(mw_h), np.empty_like(mw_h))
+
+
 def _sweep_reference(theta: SpectralField) -> _Reference:
-    """The reference part of `_sweep_errors`: the inverse transforms of theta
-    and w, run once per reference sample whatever the number of members."""
-    theta_p, _, dtz = _physical_mean_gradient(theta)
-    return _Reference(theta, dtz, float(np.max(_slice_lp(theta_p.values, 2.0))))
+    """The reference part of `_sweep_errors`, run once per reference sample
+    whatever the number of members; sup_z ||theta||_{L^2_h} is 2 pi sqrt(max_z
+    mean_h theta^2).  Neither part makes a full transform (`_z_profiles`)."""
+    theta_h, w_h = _z_profiles(theta)
+    dtz = mean_gradient(horizontal_mean(w_h, theta_h))  # w_h then holds the products
+    return _Reference(theta, dtz, TWO_PI * math.sqrt(np.max(horizontal_mean(theta_h, theta_h))))
 
 
 def _sweep_errors(theta: SpectralField, ref: _Reference):
@@ -80,12 +93,12 @@ def _sweep_errors(theta: SpectralField, ref: _Reference):
     one member sample against the reference part of its reference sample; an
     identically zero difference has zero errors and zero bounds.
 
-    A nonzero difference costs two inverse transforms, of the member's theta
-    and w.  The H2h velocity error and ||w_e - w||_2 are weighted Parseval
-    sums of one |difference|^2 array: on grid samples Parseval is exact, so
-    ||w_e - w||_2 is the collocation norm the bound needs.  Every step of the
-    Hdot1 bound is an exact inequality on grid samples, so the measured error
-    can exceed the bound only by rounding.
+    The mean gradient and sup_z ||w||_{L^2_h} come from the half box, as in
+    `_sweep_reference`.  The H2h velocity error and ||w_e - w||_2 are weighted
+    Parseval sums of one |difference|^2 array: on grid samples Parseval is
+    exact, so ||w_e - w||_2 is the collocation norm the bound needs.  Every
+    step of the Hdot1 bound is an exact inequality on grid samples, so the
+    measured error can exceed the bound only by rounding.
     """
     grid = theta.grid
     c2 = np.abs(theta.coeffs - ref.theta.coeffs) ** 2
@@ -94,11 +107,11 @@ def _sweep_errors(theta: SpectralField, ref: _Reference):
         return 0.0, 0.0, 0.0, 0.0
     vel_h2 = float(sum(np.sqrt(parseval_sum(grid, m**2 * c2)) for m in _h2h_symbols(grid)))
     w_diff_l2 = np.sqrt(parseval_sum(grid, velocity_symbols(grid)[2] ** 2 * c2))
-    _, w_p, dtz = _physical_mean_gradient(theta)
-    err = profile_l2(dtz - ref.dtheta_dz)
+    theta_h, w_h = _z_profiles(theta)
+    err = profile_l2(mean_gradient(horizontal_mean(theta_h, w_h)) - ref.dtheta_dz)
+    w_l2h_sup = TWO_PI * math.sqrt(np.max(horizontal_mean(w_h, w_h)))
     # |mean_h(D w_e)| <= rms_h(D) rms_h(w_e) level-wise, rms_h = ||.||_{L^2_h} / (2 pi);
     # sum over z and pull out the sup_z factor
-    w_l2h_sup = float(np.max(_slice_lp(w_p.values, 2.0)))
     bound = (w_l2h_sup * d_l2 + ref.theta_l2h_sup * w_diff_l2) / TWO_PI**2
     return d_l2, vel_h2, err, float(bound)
 
@@ -108,7 +121,10 @@ def mean_h1_error_and_bound(state_eps: SimState, state_ref: SimState) -> tuple[f
     Cauchy-Schwarz bound in terms of the L2 temperature error: `_sweep_errors`
     against `_sweep_reference` of the reference state.  The sweeps call the two
     parts directly, so that the reference part runs once per reference sample.
+    Both parts read the modes of the 2/3 rule only (`_check_kept`).
     """
+    for name, state in (("state_eps", state_eps), ("state_ref", state_ref)):
+        _check_kept(state.theta, None, name)
     return _sweep_errors(state_eps.theta, _sweep_reference(state_ref.theta))[2:]
 
 
@@ -166,10 +182,10 @@ def _stream(configs, theta0s, reference, measure):
     part of the sample it measures, and stops if the reference closes
     without it.  Under `taskset -c 0`, `WORKERS` is 1: no helper is
     submitted, so no thread starts, and the runs go in serial order.  The
-    tables every stepper reads from a cache, the velocity symbols of each
-    grid and the kept modes and packed w symbol of each (grid, mode_cap), are
-    built on the calling thread before any helper starts, so no two threads
-    build one.
+    tables the steppers and sweep parts read from a cache, the velocity
+    symbols of each grid and the kept modes and packed w symbol of each
+    (grid, mode_cap) and (grid, None), are built on the calling thread
+    before any helper starts, so no two threads build one.
     A failing run records its error and drains the iterator, so no member that
     has not started starts.  Once the executor's shutdown has joined the
     helpers, the error of the lowest run index is raised: every member below
@@ -186,7 +202,7 @@ def _stream(configs, theta0s, reference, measure):
     cond = threading.Condition()
     closed = False  # the reference has published its last part
     helpers = min(len(runs), WORKERS + len(runs) % WORKERS) - 1
-    for grid, cap in {(cfg.grid, cfg.mode_cap) for cfg in configs}:
+    for grid, cap in {(cfg.grid, c) for cfg in configs for c in (cfg.mode_cap, None)}:
         # threads that miss a cache together each build
         velocity_symbols(grid), _kept(grid, cap), half_box_w_symbol(grid, cap)
 

@@ -27,12 +27,11 @@ and the kz planes outside the box, and its y pass those planes; the forward's
 x pass skips those planes, and its y pass the k_x columns outside the box too.
 
 Terms that act on z alone, such as the horizontal mean of a product, need
-no (x, y) pass: `pack_half_box` lays a half spectrum out as full z spectra
-on the half box of the kept modes (k_y >= 0, `half_box`), the other half
-being its conjugate, and z-only c2c passes run there in place.
-`half_box_flux` reduces two such fields to their horizontal mean product by
-Parseval in (x, y), and `subtract_half_box` takes a field so stored back to
-the half spectrum.
+no (x, y) pass: `half_box_z_profiles` lays theta' and w out as full z spectra
+on the half box of the kept modes (k_y >= 0, `pack_half_box`; the other half
+is their conjugate) and runs z-only c2c passes there in place, `horizontal_mean`
+reduces two such fields by Parseval in (x, y), and `subtract_half_box` takes
+a field so stored back to the half spectrum.
 """
 
 from __future__ import annotations
@@ -136,6 +135,7 @@ class _Kept(NamedTuple):
     planes: tuple  # the kz planes kz <= m_z
     rows: tuple  # the two blocks of the rows |k_y| <= m_y on those planes
     columns: tuple  # the two blocks of the columns |k_x| <= m_x on those planes
+    half: tuple  # the half box's shape (2 m_x + 1, m_y + 1, nz), smaller than a half spectrum
 
 
 @lru_cache(maxsize=32)
@@ -146,7 +146,8 @@ def _kept(grid: Grid, mode_cap: int | None) -> _Kept:
                      (every, every, slice(mz + 1, None)), (0, 0)),
                  (..., kz),
                  ((..., every, slice(my + 1), kz), (..., every, slice(grid.ny - my, None), kz)),
-                 ((..., slice(mx + 1), every, kz), (..., slice(grid.nx - mx, None), every, kz)))
+                 ((..., slice(mx + 1), every, kz), (..., slice(grid.nx - mx, None), every, kz)),
+                 (2 * mx + 1, my + 1, grid.nz))
 
 
 class _Frozen:
@@ -266,22 +267,10 @@ def to_physical(coeffs: np.ndarray, kept: _Kept | None = None) -> np.ndarray:
     return _pf.c2r(coeffs, (-1,), nz, False, 0, real.reshape(*batch, nx, ny, nz), 1)
 
 
-def half_box(buf: np.ndarray, kept: _Kept) -> np.ndarray:
-    """The array of full z spectra on the half box of `kept`, shape
-    (2 m_x + 1, m_y + 1, nz), in the first entries of `buf`, a C-contiguous
-    complex128 half spectrum; a ValueError if it does not fit.
-
-    Its rows are k_x = 0..m_x, then -m_x..-1, its columns k_y = 0..m_y and
-    its last axis kz in FFT order.  The box fits in a half spectrum:
-    2 m_x + 1 <= nx and m_y + 1 <= ny/2."""
-    mx, my, _ = kept.m
-    shape = (2 * mx + 1, my + 1, 2 * (buf.shape[-1] - 1))
-    return buf.reshape(-1, copy=False)[:math.prod(shape)].reshape(shape)
-
-
 def pack_half_box(c: np.ndarray, kept: _Kept, out: np.ndarray) -> np.ndarray:
-    """The half spectrum `c` on the half box of `kept` (`half_box`), written
-    into `out` and returned: kz = 0..m_z from `c`, kz = -m_z..-1 from
+    """The half spectrum `c` as full z spectra on the half box of `kept`, in
+    `out` (shape `kept.half`) and returned: rows k_x = 0..m_x, then -m_x..-1,
+    columns k_y = 0..m_y, kz in FFT order, 0..m_z from `c`, -m_z..-1 from
     conj(c(-k_x, -k_y, |kz|)) and zero between, in block copies of basic slices."""
     (mx, my, mz), (nx, ny), nz = kept.m, c.shape[:2], out.shape[-1]
     out[:mx + 1, :, :mz + 1] = c[:mx + 1, :my + 1, :mz + 1]
@@ -298,20 +287,27 @@ def pack_half_box(c: np.ndarray, kept: _Kept, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def half_box_flux(theta_h: np.ndarray, w_h: np.ndarray) -> np.ndarray:
-    """The horizontal mean of theta' w at each collocation level z, from the
-    half-box spectra (`half_box`) of two real fields zero outside the box.
-
-    Both go to physical z in place (an inverse c2c pass over z each), and
-    the mean is exact by Parseval in (x, y): the sum of Re(theta_h conj(w_h))
-    over the box, weight 2 for k_y > 0, which counts the mode at -k too.
-    `theta_h` then holds the products; `w_h` holds w's horizontal modes at
-    each level."""
+def half_box_z_profiles(c: np.ndarray, kept: _Kept, mw_h: np.ndarray,
+                        theta_h: np.ndarray, w_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The horizontal modes of theta' = `c`, zero outside the box of `kept`,
+    and of w at each level z: `c` packed into `theta_h` (`pack_half_box`),
+    times `mw_h`, mw packed so, into `w_h`, and an inverse c2c pass over z of
+    each in place."""
+    pack_half_box(c, kept, theta_h)
+    np.multiply(mw_h, theta_h, out=w_h)
     for a in (theta_h, w_h):
         _pf.c2c(a, (-1,), False, 0, a, 1)
-    products = theta_h.view(np.float64)
-    products *= w_h.view(np.float64)  # Re(a conj(b)) is the sum of each pair of floats
-    by_column = products.sum(axis=0).reshape(w_h.shape[1], -1, 2).sum(axis=-1)
+    return theta_h, w_h
+
+
+def horizontal_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The horizontal mean of the product of two real fields at each level z,
+    exact by Parseval in (x, y) from their horizontal modes on a half box
+    (`half_box_z_profiles`): the sum of Re(a conj(b)), weight 2 for k_y > 0,
+    which counts the mode at -k too.  `a` then holds the products; `b` may be `a`."""
+    products = a.view(np.float64)
+    products *= b.view(np.float64)  # Re(a conj(b)) is the sum of each pair of floats
+    by_column = products.sum(axis=0).reshape(a.shape[1], -1, 2).sum(axis=-1)
     return by_column[0] + 2.0 * by_column[1:].sum(axis=0)
 
 

@@ -20,7 +20,7 @@ from .grid import (
     spectral_l2,
 )
 from .evolution import SimState
-from .meanstate import _physical_mean_gradient, profile_l2
+from .meanstate import heat_flux, mean_gradient, profile_l2
 from .velocity import velocity_symbols
 
 
@@ -45,9 +45,10 @@ def _theta_w_norms(theta: SpectralField):
     """||theta'||_3, ||theta'||_6, ||w||_6, max|w|, the level-wise maxima of
     ||w||_{L^3_h} and ||w||_{L^6_h}, and the mean gradient, from one pass
     whose fields this scope drops on return."""
-    theta_p, w, dtz = _physical_mean_gradient(theta)
+    theta_p, w = inverse_transform(theta), inverse_transform(theta, velocity_symbols(theta.grid)[2])
     return (lp_norm(theta_p, 3.0), lp_norm(theta_p, 6.0), lp_norm(w, 6.0), lp_norm(w, np.inf),
-            *(float(np.max(_slice_lp(w.values, p))) for p in (3.0, 6.0)), dtz)
+            *(float(np.max(_slice_lp(w.values, p))) for p in (3.0, 6.0)),
+            mean_gradient(heat_flux(theta_p, w)))
 
 
 def _magnitude(theta: SpectralField, first, second) -> PhysicalField:

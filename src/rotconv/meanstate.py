@@ -7,6 +7,8 @@ heat flux: differentiating the closure and integrating once in z gives
 
 where the subtracted constant enforces periodicity of theta_bar.  theta_bar
 itself, reported only, is `grid`'s spectral z antiderivative (zero-mean gauge).
+`heat_flux` forms the flux of physical fields (the report, the CLI profiles);
+the tendency and the sweeps take it on the half box (`grid.horizontal_mean`).
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TWO_PI, PhysicalField, SpectralField, _z_antiderivative, inverse_transform
-from .velocity import velocity_symbols
+from .grid import TWO_PI, PhysicalField, _z_antiderivative
 
 
 @dataclass(frozen=True)
@@ -40,18 +41,6 @@ def mean_gradient(flux: np.ndarray) -> np.ndarray:
     """Mean temperature gradient: the flux with its z-average removed."""
     flux = np.asarray(flux, dtype=np.float64)
     return flux - np.mean(flux)
-
-
-def _physical_theta_w(theta: SpectralField) -> tuple[PhysicalField, PhysicalField]:
-    """theta and w in physical space, one inverse transform each."""
-    return inverse_transform(theta), inverse_transform(theta, velocity_symbols(theta.grid)[2])
-
-
-def _physical_mean_gradient(theta: SpectralField):
-    """theta and w in physical space, one inverse transform each, and the
-    mean temperature gradient profile of their heat flux."""
-    theta_p, w_p = _physical_theta_w(theta)
-    return theta_p, w_p, mean_gradient(heat_flux(theta_p, w_p))
 
 
 def reconstruct_mean(dtheta_dz: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ from .grid import (
     _lattice,
     derivative_symbol,
     forward_transform,
-    half_box,
     inverse_transform,
     lp_norm,
     pack_half_box,
@@ -71,12 +70,11 @@ def velocity_symbols(grid: Grid):
 
 @lru_cache(maxsize=32)
 def half_box_w_symbol(grid: Grid, mode_cap: int | None) -> np.ndarray:
-    """mw on the half box of `_kept(grid, mode_cap)` (`grid.half_box`), packed as
+    """mw on the half box of `_kept(grid, mode_cap)` (`grid.pack_half_box`), packed as
     the tendency packs theta' (mw is real and even in k), read-only.  Complex128,
     so its product with a half-box spectrum needs no cast."""
-    mw = velocity_symbols(grid)[2].astype(np.complex128)
     kept = _kept(grid, mode_cap)
-    symbol = pack_half_box(mw, kept, half_box(np.empty_like(mw), kept)).copy()
+    symbol = pack_half_box(velocity_symbols(grid)[2], kept, np.empty(kept.half, np.complex128))
     symbol.setflags(write=False)
     return symbol
 

@@ -41,7 +41,7 @@ from rotconv.grid import (
     spectral_l2,
 )
 from rotconv.invariants import compute_report
-from rotconv.meanstate import _physical_theta_w, mean_profile
+from rotconv.meanstate import mean_profile
 
 from conftest import TRUNCATIONS, kept_modes, random_band_limited
 
@@ -357,7 +357,9 @@ def test_transforms_run_on_no_gil_holding_fft(grid16, monkeypatch):
     config = SimConfig(grid=grid16, epsilon=0.1, dt=0.01, t_end=0.03, integrator="rk4")
     states = list(samples(config))
     assert len(states) == 4
-    profile = mean_profile(*_physical_theta_w(states[-1].theta))
+    theta = states[-1].theta
+    mw = rotconv.velocity.velocity_symbols(grid16)[2]
+    profile = mean_profile(inverse_transform(theta), inverse_transform(theta, mw))
     assert np.max(np.abs(profile.theta_bar)) > 0.0
     tendency(initial_state(config), 0.1)
     coeffs = np.stack([initial_state(config).coeffs] * 2)

@@ -365,15 +365,16 @@ def test_concurrent_members_match_the_serial_path(grid16, monkeypatch, experimen
 
 @pytest.mark.parametrize("experiment, keys, caps", [
     (lambda cfg: sweep_epsilon(cfg, [0.5, 0.25, 0.125]), 1, 1),
-    # the uncapped rule of the initial states, then the four caps
-    (lambda cfg: sweep_resolution(cfg, [2, 3, 4, 5]), 5, 4),
+    # the uncapped rule of the initial states and the sweep parts, then the four caps
+    (lambda cfg: sweep_resolution(cfg, [2, 3, 4, 5]), 5, 5),
     (lambda cfg: twin_run(cfg, 1e-6), 1, 1),
 ], ids=["sweep-epsilon", "sweep-resolution", "twin"])
 def test_stream_builds_each_workspace_once(grid16, monkeypatch, experiment, keys, caps):
     # a slow build holds a cold cache miss open while every thread reaches
     # it; still each table a stepper reads is built once: the velocity
     # symbols of the grid, and the kept modes and the packed w symbol of
-    # each (grid, mode_cap) of the runs
+    # each (grid, mode_cap) of the runs and of (grid, None), which the sweep
+    # parts read
     def slow(build):
         def building(*args):
             time.sleep(0.05)
@@ -429,28 +430,65 @@ def test_eps_scaled_sweep_samples_every_reference_time(grid16):
     assert all(s[0] > 0.0 for s in res.per_time_l2)
 
 
-def test_mean_h1_bound_is_at_most_four_inverse_transforms(grid16, to_physical_calls):
-    # theta and w of each state, counted as fields whatever the batching
+def test_mean_h1_bound_makes_no_full_transform(grid16, to_physical_calls):
+    # theta and w of each state stay spectral in (x, y): the mean profiles and
+    # the level-wise L^2_h norms are half-box reductions
     a = SimState(0.0, random_band_limited(grid16, 21, kmax=4))
     b = SimState(0.0, random_band_limited(grid16, 22, kmax=4))
     to_physical_calls.clear()
     mean_h1_error_and_bound(a, b)
-    fields = [f for c in to_physical_calls for f in c.reshape(-1, *grid16.spectral_shape)]
-    assert len(fields) <= 4
+    assert to_physical_calls == []
 
 
-def test_member_sample_is_two_inverse_transforms(grid16, to_physical_calls):
-    # the reference part runs once per reference sample; each member sample
-    # with a nonzero difference then costs two inverses, of its theta and w
-    ref = _sweep_reference(random_band_limited(grid16, 22, kmax=4))
-    theta = random_band_limited(grid16, 21, kmax=4)
+def test_member_sample_makes_no_full_transform(grid16, to_physical_calls):
+    # neither the reference part, once per reference sample, nor a member
+    # sample with a nonzero difference inverse-transforms a field
     to_physical_calls.clear()
-    errors = _sweep_errors(theta, ref)
-    assert len(to_physical_calls) == 2
-    theta_c, w_c = to_physical_calls
-    assert np.array_equal(theta_c, theta.coeffs)
-    assert np.array_equal(w_c, rotconv.velocity.velocity_symbols(grid16)[2] * theta.coeffs)
+    ref = _sweep_reference(random_band_limited(grid16, 22, kmax=4))
+    errors = _sweep_errors(random_band_limited(grid16, 21, kmax=4), ref)
+    assert to_physical_calls == []
     assert errors[0] > 0.0
+
+
+def test_member_sample_memory(grid32):
+    # one member sample's traced peak, in half-spectrum fields: the
+    # |difference|^2 array and the H2h symbol products with it, then the two
+    # half-box arrays of theta and w (2.24); the two full inverse transforms
+    # of theta and w that it made before took 3.45
+    ref = _sweep_reference(random_band_limited(grid32, 22, kmax=8))
+    theta = random_band_limited(grid32, 21, kmax=8)
+    _sweep_errors(theta, ref)  # fills the caches and the FFT plans
+    tracemalloc.start()
+    try:
+        _sweep_errors(theta, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * theta.coeffs.nbytes
+
+
+@pytest.mark.parametrize("index, accepted", [
+    # N = 16 keeps |k_i| <= 5: the outermost kept mode on each axis, the first one beyond
+    ((5, 1, 1), True), ((-5, -5, 5), True), ((6, 1, 1), False), ((-6, 1, 1), False),
+    ((1, 6, 1), False), ((1, -6, 1), False), ((1, 1, 6), False),
+], ids=["kx5", "k-5-5-5", "kx6", "kx-6", "ky6", "ky-6", "kz6"])
+@pytest.mark.parametrize("which", [0, 1], ids=["state_eps", "state_ref"])
+def test_mean_h1_bound_rejects_modes_outside_the_two_thirds_rule(grid16, index, accepted, which):
+    # the sweep parts read the half box of the 2/3 rule only, so the public
+    # entry rejects a state that the rule would cut, beyond round-off
+    states = [SimState(0.0, random_band_limited(grid16, seed, kmax=4)) for seed in (21, 22)]
+    for amplitude, rejected in ((1e-13, False), (1e-3, not accepted)):
+        c = states[which].theta.coeffs.copy()
+        c[index] = amplitude  # off the kz = 0 plane: no conjugate partner to match
+        moved = list(states)
+        moved[which] = SimState(0.0, SpectralField(grid16, c))
+        if rejected:
+            name = ("state_eps", "state_ref")[which]
+            with pytest.raises(ValueError, match=re.escape(f"{name} has modes outside") + ".*2/3"):
+                mean_h1_error_and_bound(*moved)
+        else:
+            err, bound = mean_h1_error_and_bound(*moved)
+            assert err <= bound + 1e-12
 
 
 def test_mean_h1_bound_on_random_states(grid16):

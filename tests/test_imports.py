@@ -104,6 +104,14 @@ def _float_format(tokens):
     return sum(t.string.count(".17g") for t in tokens if t.type in kinds)
 
 
+def _horizontal_reduction(tokens):
+    # the calls that reduce a physical field over x and y, `axis=(0, 1)`: a roll is no reduction
+    tree = ast.parse(tokenize.untokenize(tokens))
+    return sorted(ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and any(k.arg == "axis" and ast.unparse(k.value) == "(0, 1)"
+                          for k in node.keywords) and ast.unparse(node.func) != "np.roll")
+
+
 @pytest.mark.parametrize("spelled, owners", [
     # the kept modes are defined once, in `grid._kept`
     (_two_thirds_rule, {"grid": 1}),
@@ -121,11 +129,15 @@ def _float_format(tokens):
     # and the lattice's wavenumbers are integer arithmetic
     (_scipy_fft, {"grid": ["scipy.fft._pocketfft.pypocketfft"]}),
     # the real fields of an inverse transform live in its input's memory, and only
-    # `grid` knows the layout (`to_physical`, and `half_box_flux`'s products of the
+    # `grid` knows the layout (`to_physical`, and `horizontal_mean`'s products of the
     # real and imaginary parts): no other module reads complex memory as floats
     (_float_view, {"grid": 3}),
+    # a horizontal mean in physical space is `meanstate.heat_flux` or `invariants._slice_lp`,
+    # for the fields the report and the CLI profiles have there anyway; the tendency and
+    # the sweeps reduce on the half box (`grid.horizontal_mean`)
+    (_horizontal_reduction, {"meanstate": ["np.mean"], "invariants": ["np.sum"]}),
 ], ids=["two-thirds-rule", "half-grid", "cpu-count", "i-and-pi", "float-format", "scipy-fft",
-        "float-view"])
+        "float-view", "horizontal-reduction"])
 def test_written_once(spelled, owners):
     found = {p.stem: spelled(_tokens(p)) for p in PACKAGE.glob("*.py")}
     assert {stem: n for stem, n in found.items() if n} == owners

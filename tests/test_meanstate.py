@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from rotconv.grid import Grid, PhysicalField, TWO_PI
+from rotconv.grid import (
+    Grid,
+    PhysicalField,
+    SpectralField,
+    TWO_PI,
+    _kept,
+    half_box_z_profiles,
+    horizontal_mean,
+    inverse_transform,
+)
+from rotconv.invariants import _slice_lp
 from rotconv.meanstate import (
     heat_flux,
     mean_gradient,
@@ -9,6 +19,9 @@ from rotconv.meanstate import (
     profile_l2,
     reconstruct_mean,
 )
+from rotconv.velocity import half_box_w_symbol, velocity_symbols
+
+from conftest import TRUNCATIONS, kept_modes, random_band_limited
 
 
 def z_axis(nz):
@@ -22,6 +35,33 @@ def test_heat_flux_closed_form(grid32):
     flux = heat_flux(theta, w)
     z = z_axis(grid32.nz)
     assert np.max(np.abs(flux - np.cos(z) ** 2 / 4.0)) < 1e-14
+
+
+@pytest.mark.parametrize("box", ["own", "two-thirds"])
+@pytest.mark.parametrize("shape, mode_cap", TRUNCATIONS)
+def test_half_box_means_are_the_physical_ones(shape, mode_cap, box):
+    # the horizontal means of theta w, theta^2 and w^2 at each level, on the
+    # half box of the state's own truncation (the tendency) or of the 2/3
+    # rule (the sweeps), are `heat_flux` and the squares of
+    # `_slice_lp(., 2) / (2 pi)` of the physical fields
+    grid = Grid(*shape)
+    c = random_band_limited(grid, 5, kmin=0, kmax=max(shape)).coeffs
+    theta = SpectralField(grid, np.where(kept_modes(grid, mode_cap), c, 0.0))
+    cap = mode_cap if box == "own" else None
+    mw_h = half_box_w_symbol(grid, cap)
+
+    def profiles():
+        return half_box_z_profiles(theta.coeffs, _kept(grid, cap), mw_h,
+                                   np.empty_like(mw_h), np.empty_like(mw_h))
+
+    theta_p, w_p = inverse_transform(theta), inverse_transform(theta, velocity_symbols(grid)[2])
+    theta_h, w_h = profiles()
+    pairs = [(horizontal_mean(theta_h, w_h), heat_flux(theta_p, w_p))]
+    theta_h, w_h = profiles()
+    for f_h, f_p in ((theta_h, theta_p), (w_h, w_p)):
+        pairs.append((TWO_PI * np.sqrt(horizontal_mean(f_h, f_h)), _slice_lp(f_p.values, 2.0)))
+    for got, expected in pairs:
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_heat_flux_orthogonal_modes(grid16):
