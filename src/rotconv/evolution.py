@@ -24,6 +24,7 @@ from .grid import (
     TWO_PI,
     Grid,
     PhysicalField,
+    SimState,
     SpectralField,
     _is_number,
     _keep,
@@ -39,6 +40,7 @@ from .grid import (
     to_physical,
     to_spectral,
 )
+from .invariants import compute_report
 from .meanstate import mean_gradient
 from .velocity import half_box_w_symbol, velocity_symbols
 
@@ -46,7 +48,7 @@ from .velocity import half_box_w_symbol, velocity_symbols
 class BlowUpError(RuntimeError):
     """Raised when the state leaves the finite range; carries the last good state."""
 
-    def __init__(self, message: str, last_state: "SimState"):
+    def __init__(self, message: str, last_state: SimState):
         super().__init__(message)
         self.last_state = last_state
 
@@ -170,12 +172,6 @@ class SimConfig:
             raise ValueError(f"mode_cap must be an integer in 1..{bound}, the largest |k_i| the"
                              f" 2/3 rule keeps on the {self.grid.shape} grid, or None,"
                              f" got {self.mode_cap!r}")
-
-
-@dataclass(frozen=True)
-class SimState:
-    t: float
-    theta: SpectralField
 
 
 class _Stepper:
@@ -467,8 +463,6 @@ def run(config: SimConfig, theta0: SpectralField | None = None) -> Trajectory:
     on the way out too, so its error is raised in place of any error of a
     later step, as in the serial order.
     """
-    from .invariants import compute_report
-
     with ThreadPoolExecutor(1) as pool:
         futures = []
         try:

@@ -7,10 +7,9 @@ import math
 import numbers
 import os
 import threading
-from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,25 +49,22 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
 
-def _h2h_symbols(grid: Grid) -> Iterator[np.ndarray]:
-    """|symbols| mapping the temperature difference to lap_h of (u, v, w), one at a time."""
+@lru_cache(maxsize=32)
+def _h2h_squares(grid: Grid) -> tuple[np.ndarray, ...]:
+    """Squares of the |symbols| mapping the temperature difference to lap_h of
+    (u, v, w), (kh2 |m|)^2 per velocity symbol m, read-only."""
     kh2 = _lattice(grid).kh2
-    return (kh2 * np.abs(m) for m in velocity_symbols(grid))
+    squares = tuple((kh2 * np.abs(m)) ** 2 for m in velocity_symbols(grid))
+    for m2 in squares:
+        m2.setflags(write=False)
+    return squares
 
 
 def h2h_bound_constant(grid: Grid) -> float:
     """Sup over the grid lattice of the symbols mapping the temperature
     difference to the three Laplacian-velocity components, summed; by Parseval
     the H2h velocity error is bounded by this constant times the L2 error."""
-    return float(sum(np.max(m) for m in _h2h_symbols(grid)))
-
-
-class _Reference(NamedTuple):
-    """What every member's errors at one sample need of the reference sample."""
-
-    theta: SpectralField
-    dtheta_dz: np.ndarray  # mean temperature gradient profile
-    theta_l2h_sup: float  # sup over z of ||theta||_{L^2_h}
+    return float(sum(np.sqrt(np.max(m2)) for m2 in _h2h_squares(grid)))
 
 
 def _z_profiles(theta: SpectralField) -> tuple[np.ndarray, np.ndarray]:
@@ -79,53 +75,51 @@ def _z_profiles(theta: SpectralField) -> tuple[np.ndarray, np.ndarray]:
                                np.empty_like(mw_h), np.empty_like(mw_h))
 
 
-def _sweep_reference(theta: SpectralField) -> _Reference:
-    """The reference part of `_sweep_errors`, run once per reference sample
-    whatever the number of members; sup_z ||theta||_{L^2_h} is 2 pi sqrt(max_z
-    mean_h theta^2).  Neither part makes a full transform (`_z_profiles`)."""
-    theta_h, w_h = _z_profiles(theta)
-    dtz = mean_gradient(horizontal_mean(w_h, theta_h))  # w_h then holds the products
-    return _Reference(theta, dtz, TWO_PI * math.sqrt(np.max(horizontal_mean(theta_h, theta_h))))
-
-
-def _sweep_errors(theta: SpectralField, ref: _Reference):
+def _sweep_errors(theta: SpectralField, ref: SpectralField):
     """(L2 error, H2h velocity error, mean-profile Hdot1 error, its bound) of
-    one member sample against the reference part of its reference sample; an
-    identically zero difference has zero errors and zero bounds.
+    one member sample against the reference sample; an identically zero
+    difference has zero errors and zero bounds, and reduces neither state.
 
-    The mean gradient and sup_z ||w||_{L^2_h} come from the half box, as in
-    `_sweep_reference`.  The H2h velocity error and ||w_e - w||_2 are weighted
-    Parseval sums of one |difference|^2 array: on grid samples Parseval is
-    exact, so ||w_e - w||_2 is the collocation norm the bound needs.  Every
-    step of the Hdot1 bound is an exact inequality on grid samples, so the
-    measured error can exceed the bound only by rounding.
+    The mean gradients and the sup_z ||.||_{L^2_h} factors of the bound,
+    ||theta||_{L^2_h} of the reference and ||w||_{L^2_h} of the member, come
+    from the half box (`_z_profiles`), the reference's first, so that its two
+    arrays are dropped before the member's are formed; sup_z ||f||_{L^2_h} is
+    2 pi sqrt(max_z mean_h f^2).  No full transform is made.  The H2h
+    velocity error and ||w_e - w||_2 are weighted Parseval sums of one
+    |difference|^2 array: on grid samples Parseval is exact, so ||w_e - w||_2
+    is the collocation norm the bound needs.  Every step of the Hdot1 bound is
+    an exact inequality on grid samples, so the measured error can exceed the
+    bound only by rounding.
     """
     grid = theta.grid
-    c2 = np.abs(theta.coeffs - ref.theta.coeffs) ** 2
+    c2 = np.abs(theta.coeffs - ref.coeffs) ** 2
     d_l2 = float(np.sqrt(parseval_sum(grid, c2)))  # spectral_l2 of the difference
     if d_l2 == 0.0:
         return 0.0, 0.0, 0.0, 0.0
-    vel_h2 = float(sum(np.sqrt(parseval_sum(grid, m**2 * c2)) for m in _h2h_symbols(grid)))
+    vel_h2 = float(sum(np.sqrt(parseval_sum(grid, m2 * c2)) for m2 in _h2h_squares(grid)))
     w_diff_l2 = np.sqrt(parseval_sum(grid, velocity_symbols(grid)[2] ** 2 * c2))
+    theta_h, w_h = _z_profiles(ref)
+    ref_dtz = mean_gradient(horizontal_mean(w_h, theta_h))  # w_h then holds the products
+    ref_l2h_sup = TWO_PI * math.sqrt(np.max(horizontal_mean(theta_h, theta_h)))
+    del theta_h, w_h
     theta_h, w_h = _z_profiles(theta)
-    err = profile_l2(mean_gradient(horizontal_mean(theta_h, w_h)) - ref.dtheta_dz)
+    err = profile_l2(mean_gradient(horizontal_mean(theta_h, w_h)) - ref_dtz)
     w_l2h_sup = TWO_PI * math.sqrt(np.max(horizontal_mean(w_h, w_h)))
     # |mean_h(D w_e)| <= rms_h(D) rms_h(w_e) level-wise, rms_h = ||.||_{L^2_h} / (2 pi);
     # sum over z and pull out the sup_z factor
-    bound = (w_l2h_sup * d_l2 + ref.theta_l2h_sup * w_diff_l2) / TWO_PI**2
+    bound = (w_l2h_sup * d_l2 + ref_l2h_sup * w_diff_l2) / TWO_PI**2
     return d_l2, vel_h2, err, float(bound)
 
 
 def mean_h1_error_and_bound(state_eps: SimState, state_ref: SimState) -> tuple[float, float]:
     """Hdot1(0,2pi) error of the mean-temperature profile and its
-    Cauchy-Schwarz bound in terms of the L2 temperature error: `_sweep_errors`
-    against `_sweep_reference` of the reference state.  The sweeps call the two
-    parts directly, so that the reference part runs once per reference sample.
-    Both parts read the modes of the 2/3 rule only (`_check_kept`).
+    Cauchy-Schwarz bound in terms of the L2 temperature error, as
+    `_sweep_errors` measures them in the sweeps.  It reads the modes of the
+    2/3 rule only (`_check_kept`).
     """
     for name, state in (("state_eps", state_eps), ("state_ref", state_ref)):
         _check_kept(state.theta, None, name)
-    return _sweep_errors(state_eps.theta, _sweep_reference(state_ref.theta))[2:]
+    return _sweep_errors(state_eps.theta, state_ref.theta)[2:]
 
 
 @dataclass
@@ -160,32 +154,31 @@ def _fit_slope(params, errors):
     return slope, 0.0
 
 
-def _stream(configs, theta0s, reference, measure):
+def _stream(configs, theta0s, measure):
     """Run the first member as the reference and every other member sample
     by sample against it, all on one time step: the configured dt or, under
     "auto", the members' smallest CFL step at t = 0.
 
-    Returns the reference sample times, `reference(theta)` of each reference
-    sample (run once per sample and stored in its place) and, per member,
-    `measure(member theta, stored part)` at every sample.  Each member sample
-    is dropped once it is measured and stepped, so no member trajectory is
-    stored.
+    Returns the reference sample times and, per member, `measure(member
+    theta, reference theta)` at every sample.  Each reference sample's state
+    is stored until the call returns; each member sample is dropped once it
+    is measured and stepped, so no member trajectory is stored.
 
-    The calling thread runs the reference and publishes each part as soon as
-    it is stored, while helpers, the workers of one executor, and then the
+    The calling thread runs the reference and publishes each state as soon
+    as it is stored, while helpers, the workers of one executor, and then the
     caller, draw member indices in order from one shared iterator.  With
     runs = q WORKERS + r, there are `min(runs, WORKERS + r) - 1` helpers: the
     first WORKERS + r runs start together and share the CPUs (the twin's 3
     runs on 2, so that no CPU idles while another steps two trajectories in
     turn), each thread that finishes a run draws the next, and at most
     2 WORKERS - 1 trajectories are in flight.  A member waits only for the
-    part of the sample it measures, and stops if the reference closes
+    reference sample it measures against, and stops if the reference closes
     without it.  Under `taskset -c 0`, `WORKERS` is 1: no helper is
     submitted, so no thread starts, and the runs go in serial order.  The
-    tables the steppers and sweep parts read from a cache, the velocity
-    symbols of each grid and the kept modes and packed w symbol of each
-    (grid, mode_cap) and (grid, None), are built on the calling thread
-    before any helper starts, so no two threads build one.
+    tables the steppers and `_sweep_errors` read from a cache, the velocity
+    symbols and their H2h squares of each grid and the kept modes and packed
+    w symbol of each (grid, mode_cap) and (grid, None), are built on the
+    calling thread before any helper starts, so no two threads build one.
     A failing run records its error and drains the iterator, so no member that
     has not started starts.  Once the executor's shutdown has joined the
     helpers, the error of the lowest run index is raised: every member below
@@ -196,15 +189,15 @@ def _stream(configs, theta0s, reference, measure):
         dt = min(cfl_dt(SimState(0.0, theta0), cfg.safety, cfg)
                  for cfg, theta0 in zip(configs, theta0s))
     runs = [(replace(cfg, dt=dt), theta0) for cfg, theta0 in zip(configs, theta0s)]
-    times, parts, rows = [], [], [None] * (len(runs) - 1)
+    times, refs, rows = [], [], [None] * (len(runs) - 1)
     errors = {}  # run index -> its error; -1 is the reference
     members = iter(range(len(rows)))
     cond = threading.Condition()
-    closed = False  # the reference has published its last part
+    closed = False  # the reference has published its last sample
     helpers = min(len(runs), WORKERS + len(runs) % WORKERS) - 1
     for grid, cap in {(cfg.grid, c) for cfg in configs for c in (cfg.mode_cap, None)}:
         # threads that miss a cache together each build
-        velocity_symbols(grid), _kept(grid, cap), half_box_w_symbol(grid, cap)
+        velocity_symbols(grid), _h2h_squares(grid), _kept(grid, cap), half_box_w_symbol(grid, cap)
 
     def lead(_):
         nonlocal closed
@@ -213,9 +206,8 @@ def _stream(configs, theta0s, reference, measure):
                 pool.submit(work)
             for s in samples(*runs[0]):
                 times.append(s.t)
-                part = reference(s.theta)
                 with cond:
-                    parts.append(part)
+                    refs.append(s.theta)
                     cond.notify_all()
         finally:
             with cond:
@@ -226,10 +218,10 @@ def _stream(configs, theta0s, reference, measure):
         row = []
         for i, s in enumerate(samples(*runs[k + 1])):
             with cond:
-                cond.wait_for(lambda: len(parts) > i or closed)
-                if len(parts) <= i:
+                cond.wait_for(lambda: len(refs) > i or closed)
+                if len(refs) <= i:
                     return
-            row.append(measure(s.theta, parts[i]))
+            row.append(measure(s.theta, refs[i]))
         rows[k] = row
 
     def attempt(k, run):
@@ -254,14 +246,14 @@ def _stream(configs, theta0s, reference, measure):
         work()
     if errors:
         raise errors[min(errors)]
-    return times, parts, rows
+    return times, rows
 
 
-def _compare(parameters, times, refs: list[_Reference], rows) -> SweepResult:
+def _compare(parameters, grid: Grid, times, rows) -> SweepResult:
     """Sweep result from each member's `_sweep_errors` rows.  Samples with an
     identically zero difference enter the errors and the per-time series only,
     not the worst excess over the a priori error bounds."""
-    vel_const = h2h_bound_constant(refs[0].theta.grid)
+    vel_const = h2h_bound_constant(grid)
     cols = [list(zip(*row)) for row in rows]
     nonzero = [sample for row in rows for sample in row if sample[0] > 0.0]
     err_l2 = [max(l2) for l2, _, _, _ in cols]
@@ -312,7 +304,7 @@ def sweep_epsilon(
                        for eps in eps_list]
 
     configs = [replace(base, epsilon=eps) for eps in [0.0] + eps_list]
-    return _compare(eps_list, *_stream(configs, theta0s, _sweep_reference, _sweep_errors))
+    return _compare(eps_list, base.grid, *_stream(configs, theta0s, _sweep_errors))
 
 
 def sweep_resolution(base: SimConfig, mode_counts) -> SweepResult:
@@ -335,11 +327,10 @@ def sweep_resolution(base: SimConfig, mode_counts) -> SweepResult:
     # the finest truncation is the reference: it runs first, and its own
     # member row, the last one, is its zero error against itself
     configs = [replace(base, mode_cap=int(m)) for m in mode_counts[-1:] + mode_counts[:-1]]
-    times, refs, rows = _stream(configs, [initial_state(c) for c in configs],
-                                _sweep_reference, _sweep_errors)
-    rows.append([(0.0, 0.0, 0.0, 0.0)] * len(refs))
+    times, rows = _stream(configs, [initial_state(c) for c in configs], _sweep_errors)
+    rows.append([(0.0, 0.0, 0.0, 0.0)] * len(times))
     counts = [float(m) for m in mode_counts]
-    result = _compare(counts, times, refs, rows)
+    result = _compare(counts, base.grid, times, rows)
     # a zero error is no point of the convergence law: fit the other counts only
     result.slope, result.slope_ci = _fit_slope(counts[:-1], result.err_l2[:-1])
     return result
@@ -376,7 +367,7 @@ def twin_run(
     theta0s = [theta0] + [
         SpectralField(base.grid, theta0.coeffs + a * pert.coeffs) for a in (1.0, 0.5)
     ]
-    times, _, rows = _stream([base] * len(theta0s), theta0s, lambda theta: theta, _separation)
+    times, rows = _stream([base] * len(theta0s), theta0s, _separation)
     errs, duals = (list(col) for col in zip(*rows[0]))
     t = np.asarray(times)
     y = np.log(np.maximum(np.asarray(errs), 1e-300))

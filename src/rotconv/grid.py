@@ -219,6 +219,14 @@ class SpectralField(_Frozen):
         return float(np.max(np.abs(self.coeffs[0, 0, :]))) <= tol * scale
 
 
+@dataclass(frozen=True)
+class SimState:
+    """The temperature fluctuation at time t."""
+
+    t: float
+    theta: SpectralField
+
+
 def to_spectral(values: np.ndarray, kept: _Kept | None = None,
                 scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
     """`scale` times the half spectra of a batch of real float64 fields on the

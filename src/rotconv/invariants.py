@@ -10,6 +10,7 @@ import numpy as np
 from .grid import (
     TWO_PI,
     PhysicalField,
+    SimState,
     SpectralField,
     _lattice,
     derivative_symbol,
@@ -19,7 +20,6 @@ from .grid import (
     parseval_sum,
     spectral_l2,
 )
-from .evolution import SimState
 from .meanstate import heat_flux, mean_gradient, profile_l2
 from .velocity import velocity_symbols
 

@@ -14,7 +14,6 @@ import scipy.fft
 import rotconv.evolution
 import rotconv.experiments
 import rotconv.grid
-import rotconv.invariants
 import rotconv.velocity
 from rotconv.evolution import (
     BlowUpError,
@@ -793,10 +792,10 @@ def test_threaded_run_matches_the_serial_path(grid16, monkeypatch):
         started.append(thread)
         original_start(thread)
 
-    original_report = rotconv.invariants.compute_report
+    original_report = rotconv.evolution.compute_report
     original_step = rotconv.evolution.step
     original_start = threading.Thread.start
-    monkeypatch.setattr(rotconv.invariants, "compute_report", recording_report)
+    monkeypatch.setattr(rotconv.evolution, "compute_report", recording_report)
     monkeypatch.setattr(rotconv.evolution, "step", recording_step)
     monkeypatch.setattr(threading.Thread, "start", counting_start)
     interval = sys.getswitchinterval()
@@ -843,9 +842,9 @@ def test_run_report_error_reaches_the_caller(grid16, monkeypatch, workers):
             raise ValueError(f"injected at t = {state.t:.2f}")
         return original_report(state, epsilon)
 
-    original_report = rotconv.invariants.compute_report
+    original_report = rotconv.evolution.compute_report
     monkeypatch.setattr(rotconv.experiments, "WORKERS", workers)
-    monkeypatch.setattr(rotconv.invariants, "compute_report", failing_report)
+    monkeypatch.setattr(rotconv.evolution, "compute_report", failing_report)
     outcome = _outcome_of(lambda: run(_run_config(grid16)))
     assert outcome == {"error": "ValueError: injected at t = 0.10"}
     assert len(started) == 3
@@ -875,9 +874,9 @@ def test_run_blow_up_while_a_report_is_pending(grid16, monkeypatch, report_fails
             raise BlowUpError(f"injected at t = {state.t + dt:.2f}", state)
         return original_step(state, dt, config, *args)
 
-    original_report = rotconv.invariants.compute_report
+    original_report = rotconv.evolution.compute_report
     original_step = rotconv.evolution.step
-    monkeypatch.setattr(rotconv.invariants, "compute_report", waiting_report)
+    monkeypatch.setattr(rotconv.evolution, "compute_report", waiting_report)
     monkeypatch.setattr(rotconv.evolution, "step", failing_step)
     outcome = _outcome_of(lambda: run(_run_config(grid16)))
     assert outcome == {"error": error}

@@ -25,7 +25,6 @@ from rotconv.evolution import (
 from rotconv.experiments import (
     _stream,
     _sweep_errors,
-    _sweep_reference,
     h2h_bound_constant,
     mean_h1_error_and_bound,
     sweep_epsilon,
@@ -164,7 +163,7 @@ def test_members_stream_against_the_stored_reference(grid16, monkeypatch, experi
     # alive, no state of a run whose thread has moved on to another run is
     # alive, and no difference field that thread measured is alive.  Once the
     # experiment returns, no sampled state is alive: the stored reference
-    # parts are the only trajectory held
+    # fields are the only trajectory held
     runs = []  # weakrefs to the states of each `samples` call
     first = {}  # thread id -> the weakrefs of its first run: the caller's is the reference
     current = {}  # thread id -> the weakrefs of the run it is stepping
@@ -371,10 +370,10 @@ def test_concurrent_members_match_the_serial_path(grid16, monkeypatch, experimen
 ], ids=["sweep-epsilon", "sweep-resolution", "twin"])
 def test_stream_builds_each_workspace_once(grid16, monkeypatch, experiment, keys, caps):
     # a slow build holds a cold cache miss open while every thread reaches
-    # it; still each table a stepper reads is built once: the velocity
-    # symbols of the grid, and the kept modes and the packed w symbol of
-    # each (grid, mode_cap) of the runs and of (grid, None), which the sweep
-    # parts read
+    # it; still each table a stepper or `_sweep_errors` reads is built once:
+    # the velocity symbols of the grid and their H2h squares, and the kept
+    # modes and the packed w symbol of each (grid, mode_cap) of the runs and
+    # of (grid, None), which `_sweep_errors` reads
     def slow(build):
         def building(*args):
             time.sleep(0.05)
@@ -386,14 +385,17 @@ def test_stream_builds_each_workspace_once(grid16, monkeypatch, experiment, keys
     monkeypatch.setattr(rotconv.velocity, "_lattice", slow(rotconv.velocity._lattice))
     monkeypatch.setattr(rotconv.grid, "_Kept", slow(rotconv.grid._Kept))
     monkeypatch.setattr(rotconv.velocity, "pack_half_box", slow(rotconv.velocity.pack_half_box))
+    monkeypatch.setattr(rotconv.experiments, "_lattice", slow(rotconv.experiments._lattice))
     monkeypatch.setattr(rotconv.experiments, "WORKERS", 4)
     rotconv.velocity.velocity_symbols.cache_clear()
     rotconv.grid._kept.cache_clear()
     rotconv.velocity.half_box_w_symbol.cache_clear()
+    rotconv.experiments._h2h_squares.cache_clear()
     experiment(random_config(grid16))
     assert rotconv.velocity.velocity_symbols.cache_info().misses == 1
     assert rotconv.grid._kept.cache_info().misses == keys
     assert rotconv.velocity.half_box_w_symbol.cache_info().misses == caps
+    assert rotconv.experiments._h2h_squares.cache_info().misses == 1
 
 
 def test_eps_scaled_perturbation_lies_inside_the_truncation(grid16, monkeypatch):
@@ -441,21 +443,38 @@ def test_mean_h1_bound_makes_no_full_transform(grid16, to_physical_calls):
 
 
 def test_member_sample_makes_no_full_transform(grid16, to_physical_calls):
-    # neither the reference part, once per reference sample, nor a member
-    # sample with a nonzero difference inverse-transforms a field
+    # a member sample with a nonzero difference inverse-transforms neither its
+    # own field nor the reference's
     to_physical_calls.clear()
-    ref = _sweep_reference(random_band_limited(grid16, 22, kmax=4))
-    errors = _sweep_errors(random_band_limited(grid16, 21, kmax=4), ref)
+    errors = _sweep_errors(random_band_limited(grid16, 21, kmax=4),
+                           random_band_limited(grid16, 22, kmax=4))
     assert to_physical_calls == []
     assert errors[0] > 0.0
 
 
+def test_matched_sweep_reduces_no_state_without_a_difference(grid16, monkeypatch):
+    # every member of a matched sweep starts at the reference's state, so at
+    # t = 0 its errors are zeros and neither state reaches the half box; each
+    # later sample with a difference reduces the reference and the member
+    def counting(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    calls = []
+    original = rotconv.experiments.half_box_z_profiles
+    monkeypatch.setattr(rotconv.experiments, "half_box_z_profiles", counting)
+    res = sweep_epsilon(random_config(grid16, t_end=0.0), [0.5, 0.25])
+    assert (res.times, res.per_time_l2, len(calls)) == ([0.0], [[0.0], [0.0]], 0)
+    res = sweep_epsilon(random_config(grid16, t_end=0.1, diagnostics_every=1), [0.5, 0.25])
+    assert len(res.times) == 3 and len(calls) == 2 * 2 * 2
+
+
 def test_member_sample_memory(grid32):
     # one member sample's traced peak, in half-spectrum fields: the
-    # |difference|^2 array and the H2h symbol products with it, then the two
-    # half-box arrays of theta and w (2.24); the two full inverse transforms
-    # of theta and w that it made before took 3.45
-    ref = _sweep_reference(random_band_limited(grid32, 22, kmax=8))
+    # |difference|^2 array and its Parseval products, then the two half-box
+    # arrays of theta and w of one state at a time (1.74); holding the
+    # reference's two while the member's are formed would take 2.32
+    ref = random_band_limited(grid32, 22, kmax=8)
     theta = random_band_limited(grid32, 21, kmax=8)
     _sweep_errors(theta, ref)  # fills the caches and the FFT plans
     tracemalloc.start()
@@ -532,7 +551,7 @@ def test_stream_memory_per_trajectory_in_flight(grid32, monkeypatch, integrator)
         monkeypatch.setattr(rotconv.experiments, "WORKERS", workers)
         tracemalloc.start()
         try:
-            _stream([cfg] * 2, [theta0] * 2, lambda theta: None, lambda theta, part: None)
+            _stream([cfg] * 2, [theta0] * 2, lambda theta, ref: None)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -549,7 +568,7 @@ def test_sweep_resolution_fits_the_counts_it_measures(grid16, monkeypatch):
     measure = rotconv.experiments._sweep_errors
 
     def member_errors(theta, ref):
-        assert theta is not ref.theta
+        assert theta is not ref
         return measure(theta, ref)
 
     monkeypatch.setattr(rotconv.experiments, "_sweep_errors", member_errors)

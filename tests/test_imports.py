@@ -144,9 +144,8 @@ def test_written_once(spelled, owners):
 
 
 def test_imports_inside_functions():
-    # an import runs at module top, unless it closes a cycle (`compute_report` in
-    # `evolution.run`: invariants imports evolution) or costs every run what few
-    # use (`scipy.integrate`, see the next test)
+    # an import runs at module top, unless it costs every run what few use
+    # (`scipy.integrate`, see the next test)
     found = set()
     for path in PACKAGE.glob("*.py"):
         owner = {}
@@ -157,8 +156,7 @@ def test_imports_inside_functions():
                         owner[node] = fn.name  # the walk is breadth first: the innermost wins
         found |= {(path.stem, name, getattr(node, "module", None),
                    tuple(alias.name for alias in node.names)) for node, name in owner.items()}
-    assert found == {("evolution", "run", "invariants", ("compute_report",)),
-                     ("invariants", "integrated_budget_residual", "scipy.integrate", ("simpson",))}
+    assert found == {("invariants", "integrated_budget_residual", "scipy.integrate", ("simpson",))}
 
 
 def test_no_run_imports_scipy_integrate():
