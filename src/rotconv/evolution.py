@@ -26,11 +26,11 @@ from .grid import (
     PhysicalField,
     SimState,
     SpectralField,
+    _horizontal_gradient,
     _is_number,
     _keep,
     _kept,
     _lattice,
-    derivative_symbol,
     forward_transform,
     half_box_z_profiles,
     horizontal_mean,
@@ -175,17 +175,21 @@ class SimConfig:
 
 
 class _Stepper:
-    """The buffers of one trajectory's steps, 5 half-spectrum fields `spec`
-    and no real one, with the tables of its grid and truncation read from
-    their owners: the velocity symbols (`velocity_symbols`) and mw on the
-    half box (`half_box_w_symbol`), the kept modes (`grid._kept`), the
-    derivative symbols (`derivative_symbol`) and the horizontal Laplacian
+    """The buffers of one trajectory's steps, one block `spec` of 5
+    half-spectrum fields and no real one, with the tables of its grid and
+    truncation read from their owners' caches, so that a stepper allocates
+    nothing but `spec`: the velocity symbols (`velocity_symbols`, whose rows
+    mu and mv it reads as one pair) and mw on the half box
+    (`half_box_w_symbol`), the stacked (i kx, i ky) (`grid._horizontal_gradient`),
+    the kept modes and the mask of the others (`grid._kept`) and kh2
     (`grid._lattice`).
 
-    A tendency makes 5 full transforms, 4 inverses and 1 forward, and 3 z-only
-    passes on the half box of the kept modes (`grid.pack_half_box`), whose two
-    arrays live in `spec[3]` and `spec[4]`.  Every step of a trajectory runs
-    in the buffers, and its RK sum in the new state's array, so stepping
+    A tendency makes 10 pocketfft calls: one batched inverse transform of
+    u, v, d_x theta' and d_y theta' in `spec[1:5]` (3 pruned c2c passes and
+    1 c2r), one forward transform (1 r2c and 3 pruned c2c passes), and 2
+    z-only passes on the half box of the kept modes (`grid.pack_half_box`),
+    whose (theta', w) pair lives in `spec[3:5]`.  Every step of a trajectory
+    runs in the buffers, and its RK sum in the new state's array, so stepping
     allocates no field but each new state; each real field lives in the
     buffer it was transformed from.  Each method keeps the operation order
     its docstring gives, so a step is the same to the bit whichever buffer
@@ -193,49 +197,45 @@ class _Stepper:
     """
 
     def __init__(self, grid: Grid, mode_cap: int | None):
-        self.mu, self.mv, _ = velocity_symbols(grid)
+        self.m_h = velocity_symbols(grid)[:2]  # (mu, mv)
+        self.grad_h = _horizontal_gradient(grid)  # (i kx, i ky)
         self.mw_h = half_box_w_symbol(grid, mode_cap)
-        self.ikx, self.iky = derivative_symbol(grid, 0), derivative_symbol(grid, 1)
-        self.lap_h = -_lattice(grid).kh2  # constant in kz: its (nx, ny, 1) base broadcasts
-        self.kept = _kept(grid, mode_cap)  # its boxes: every mode the tendency and `step` zero
-        self.spec = tuple(np.empty(grid.spectral_shape, dtype=np.complex128) for _ in range(5))
-        self.half = tuple(buf.reshape(-1, copy=False)[:math.prod(self.kept.half)]
-                          .reshape(self.kept.half) for buf in self.spec[3:])
+        self.kh2 = _lattice(grid).kh2  # constant in kz: its (nx, ny, 1) base broadcasts
+        self.kept = _kept(grid, mode_cap)  # `outside`: every mode the tendency and `step` zero
+        self.spec = np.empty((5, *grid.spectral_shape), dtype=np.complex128)
+        # the (theta', w) pair of the half box, the first 2 prod(half) entries of spec[3:5]
+        self.pair = self.spec[3:].reshape(-1)[:2 * math.prod(self.kept.half)].reshape(
+            2, *self.kept.half)
 
     def advective(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Spectral tendency of -u.grad_h theta' - w dtheta_bar/dz for a `c`
-        zero outside the kept modes, written into `out` (not `c` or `spec[3:]`).
+        zero outside the kept modes, written into `out`; `c` lies outside
+        `spec[1:]`, and `out` is not `c` and lies outside `spec[2:]`.
 
-        The four factors of nl = u d_x theta' + v d_y theta' are
-        inverse-transformed one at a time, each in the buffer its product with
-        `c` is formed in, and consumed as they arrive: u in `spec[3]`, v in
-        `spec[4]`, and the second factors in `out`, into which -nl is then
-        transformed.  Every (x, y) pass is pruned to the box of the kept modes
-        (`to_physical`, `to_spectral`).  theta' and w stay spectral in x and
-        y, as `c` and mw c on the half box (`spec[3]`, `spec[4]`): two inverse
-        z-only passes (`half_box_z_profiles`) give the flux by Parseval
-        (`horizontal_mean`), and one forward z-only pass gives w dtheta_bar/dz,
-        which is subtracted from `out` mode by mode (`subtract_half_box`).
-        5 full transforms and 3 z-only passes in all.
+        u, v, d_x theta' and d_y theta' are formed as one batch in
+        `spec[1:5]`, by one product of `c` with the pair (mu, mv) and one
+        with the pair (i kx, i ky), and inverse-transformed together, every
+        (x, y) pass pruned to the box of the kept modes (`to_physical`).  The
+        slot pairs are multiplied, and the product in slot 1 added to that in
+        slot 2, so nl = v d_y theta' + u d_x theta'; -nl is transformed from
+        slot 2 into `out` (`to_spectral`).  theta' and w stay spectral in x
+        and y, as `c` and mw c on the half box, a pair in `spec[3:5]`: one
+        inverse z-only pass of the pair (`half_box_z_profiles`) gives the
+        flux by Parseval (`horizontal_mean`), and one forward z-only pass
+        gives w dtheta_bar/dz, which is subtracted from `out` mode by mode
+        (`subtract_half_box`).  10 pocketfft calls in all.
         """
-        b, d = self.spec[3:]
-        theta_h, w_h = self.half
-
-        def physical(sym, buf):
-            """The real field of sym * c, zero outside the kept box, in buf."""
-            return to_physical(np.multiply(sym, c, out=buf), self.kept)
-
-        nl = physical(self.mu, b)
-        nl *= physical(self.ikx, out)
-        v_p = physical(self.mv, d)
-        v_p *= physical(self.iky, out)
-        nl += v_p
-        to_spectral(nl, self.kept, -1.0, out)
-        half_box_z_profiles(c, self.kept, self.mw_h, theta_h, w_h)
+        batch = self.spec[1:]
+        np.multiply(self.m_h, c, out=batch[:2])
+        np.multiply(self.grad_h, c, out=batch[2:])
+        fields = to_physical(batch, self.kept)
+        fields[:2] *= fields[2:]
+        fields[1] += fields[0]
+        to_spectral(fields[1], self.kept, -1.0, out)
+        theta_h, w_h = half_box_z_profiles(c, self.kept, self.mw_h, self.pair)
         w_h *= mean_gradient(horizontal_mean(theta_h, w_h))
         subtract_half_box(w_h, self.kept, out)
-        for box in self.kept.boxes:  # zero every mode outside the kept ones
-            out[box] = 0.0
+        np.copyto(out, 0.0, where=self.kept.outside)  # zero every mode outside the kept ones
         return out
 
     def rhs(self, c: np.ndarray, eps: float, out: np.ndarray) -> np.ndarray:
@@ -243,7 +243,7 @@ class _Stepper:
         lap_h theta', written into `out`; `spec[2]` holds the diffusive term."""
         self.advective(c, out)
         if eps != 0.0:
-            out += np.multiply(eps**2 * self.lap_h, c, out=self.spec[2])
+            out += np.multiply(-eps**2 * self.kh2, c, out=self.spec[2])
         return out
 
     def rk4(self, c: np.ndarray, dt: float, eps: float) -> np.ndarray:
@@ -267,30 +267,32 @@ class _Stepper:
 
     def ifrk4(self, c: np.ndarray, dt: float, eps: float) -> np.ndarray:
         """Integrating factor for the diffusive term, RK4 on the advective
-        remainder: e_full c + (dt/6) (e_full n1 + 2 e_half (n2 + n3) + n4), in
-        that operation order, as a new array, in which the sum grows as each
-        stage arrives, e_full c added last.  The stage inputs reuse n1's buffer."""
-        x, n2, n3, acc = *self.spec[:3], np.empty_like(c)
-        e_half = np.exp(0.5 * dt * eps**2 * self.lap_h)  # one exp per horizontal mode
+        remainder: e_full c + (dt/6) (((e_full n1 + 2 e_half n2) + 2 e_half n3)
+        + n4), in that operation order, as a new array, in which the sum grows
+        as each stage arrives, e_full c added last.  The stage inputs reuse
+        n1's buffer and the later stages share `spec[1]`, so 2 e_half n2 joins
+        the sum before n3 is formed."""
+        x, n, acc = *self.spec[:2], np.empty_like(c)
+        e_half = np.exp(-(0.5 * dt * eps**2) * self.kh2)  # one exp per horizontal mode
         e_full = e_half * e_half
         self.advective(c, x)  # n1
         np.multiply(e_full, x, out=acc)
         x *= 0.5 * dt
         x += c
         x *= e_half  # u2 = e_half (c + dt/2 n1)
-        self.advective(x, n2)
+        self.advective(x, n)  # n2
         np.multiply(e_half, c, out=x)
-        x += np.multiply(0.5 * dt, n2, out=n3)  # u3 = e_half c + dt/2 n2
-        self.advective(x, n3)
-        np.multiply(dt * e_half, n3, out=x)
-        n2 += n3
-        np.multiply(e_full, c, out=n3)
-        x += n3  # u4 = e_full c + dt e_half n3
-        n2 *= 2.0 * e_half
-        acc += n2
-        acc += self.advective(x, n3)  # n4
+        x += np.multiply(0.5 * dt, n, out=self.spec[2])  # u3 = e_half c + dt/2 n2
+        n *= 2.0 * e_half
+        acc += n
+        self.advective(x, n)  # n3
+        np.multiply(dt * e_half, n, out=x)
+        x += np.multiply(e_full, c, out=self.spec[2])  # u4 = dt e_half n3 + e_full c
+        n *= 2.0 * e_half
+        acc += n
+        acc += self.advective(x, n)  # n4
         acc *= dt / 6.0
-        acc += np.multiply(e_full, c, out=n3)
+        acc += np.multiply(e_full, c, out=n)
         return acc
 
 
@@ -310,7 +312,7 @@ def step(state: SimState, dt: float, config: SimConfig,
     `config.mode_cap`) in the buffers of `stepper`, a `_Stepper` of the
     config's grid and truncation (default: a new one); the state must lie on
     that grid, zero outside the kept modes up to round-off, and the new state,
-    zeroed on the boxes of `stepper.kept`, is exactly zero there.  A new state
+    zeroed on the mask `stepper.kept.outside`, is exactly zero there.  A new state
     that is not a finite real field is a blow-up."""
     if not _is_time_step(dt):
         raise ValueError(f"dt must be a positive finite number, got {dt!r}")
@@ -319,8 +321,8 @@ def step(state: SimState, dt: float, config: SimConfig,
         stepper = _Stepper(config.grid, config.mode_cap)
     advance = stepper.rk4 if config.integrator == "rk4" else stepper.ifrk4
     out = advance(state.theta.coeffs, dt, config.epsilon)
-    for box in stepper.kept.boxes:  # the diffusive term steps what the tendency zeroes
-        out[box] = 0.0
+    # the diffusive term steps what the tendency zeroes
+    np.copyto(out, 0.0, where=stepper.kept.outside)
     try:
         theta = SpectralField._wrap(config.grid, out)
     except ValueError as err:

@@ -18,6 +18,7 @@ from .grid import (
     Grid,
     PhysicalField,
     SpectralField,
+    _horizontal_gradient,
     _is_number,
     _keep,
     _kept,
@@ -67,12 +68,12 @@ def h2h_bound_constant(grid: Grid) -> float:
     return float(sum(np.sqrt(np.max(m2)) for m2 in _h2h_squares(grid)))
 
 
-def _z_profiles(theta: SpectralField) -> tuple[np.ndarray, np.ndarray]:
+def _z_profiles(theta: SpectralField) -> np.ndarray:
     """theta and w at each level z on the half box of the 2/3 rule, which holds
-    every capped box (`grid.half_box_z_profiles`), in two new arrays."""
+    every capped box (`grid.half_box_z_profiles`), as the pair of one new array."""
     mw_h = half_box_w_symbol(theta.grid, None)
     return half_box_z_profiles(theta.coeffs, _kept(theta.grid, None), mw_h,
-                               np.empty_like(mw_h), np.empty_like(mw_h))
+                               np.empty((2, *mw_h.shape), dtype=np.complex128))
 
 
 def _sweep_errors(theta: SpectralField, ref: SpectralField):
@@ -82,8 +83,8 @@ def _sweep_errors(theta: SpectralField, ref: SpectralField):
 
     The mean gradients and the sup_z ||.||_{L^2_h} factors of the bound,
     ||theta||_{L^2_h} of the reference and ||w||_{L^2_h} of the member, come
-    from the half box (`_z_profiles`), the reference's first, so that its two
-    arrays are dropped before the member's are formed; sup_z ||f||_{L^2_h} is
+    from the half box (`_z_profiles`), the reference's first, so that its
+    pair is dropped before the member's is formed; sup_z ||f||_{L^2_h} is
     2 pi sqrt(max_z mean_h f^2).  No full transform is made.  The H2h
     velocity error and ||w_e - w||_2 are weighted Parseval sums of one
     |difference|^2 array: on grid samples Parseval is exact, so ||w_e - w||_2
@@ -176,9 +177,11 @@ def _stream(configs, theta0s, measure):
     without it.  Under `taskset -c 0`, `WORKERS` is 1: no helper is
     submitted, so no thread starts, and the runs go in serial order.  The
     tables the steppers and `_sweep_errors` read from a cache, the velocity
-    symbols and their H2h squares of each grid and the kept modes and packed
-    w symbol of each (grid, mode_cap) and (grid, None), are built on the
-    calling thread before any helper starts, so no two threads build one.
+    symbols and the stacked (i kx, i ky) of each grid and the kept modes and
+    packed w symbol of each (grid, mode_cap) and (grid, None), are built on
+    the calling thread before any helper starts, so no two threads build one;
+    the sweeps build the H2h squares, which only `_sweep_errors` reads, before
+    they call `_stream`.
     A failing run records its error and drains the iterator, so no member that
     has not started starts.  Once the executor's shutdown has joined the
     helpers, the error of the lowest run index is raised: every member below
@@ -197,7 +200,8 @@ def _stream(configs, theta0s, measure):
     helpers = min(len(runs), WORKERS + len(runs) % WORKERS) - 1
     for grid, cap in {(cfg.grid, c) for cfg in configs for c in (cfg.mode_cap, None)}:
         # threads that miss a cache together each build
-        velocity_symbols(grid), _h2h_squares(grid), _kept(grid, cap), half_box_w_symbol(grid, cap)
+        velocity_symbols(grid), _horizontal_gradient(grid), _kept(grid, cap)
+        half_box_w_symbol(grid, cap)
 
     def lead(_):
         nonlocal closed
@@ -304,6 +308,7 @@ def sweep_epsilon(
                        for eps in eps_list]
 
     configs = [replace(base, epsilon=eps) for eps in [0.0] + eps_list]
+    _h2h_squares(base.grid)  # on the calling thread, as `_stream` builds its tables
     return _compare(eps_list, base.grid, *_stream(configs, theta0s, _sweep_errors))
 
 
@@ -327,6 +332,7 @@ def sweep_resolution(base: SimConfig, mode_counts) -> SweepResult:
     # the finest truncation is the reference: it runs first, and its own
     # member row, the last one, is its zero error against itself
     configs = [replace(base, mode_cap=int(m)) for m in mode_counts[-1:] + mode_counts[:-1]]
+    _h2h_squares(base.grid)  # on the calling thread, as `_stream` builds its tables
     times, rows = _stream(configs, [initial_state(c) for c in configs], _sweep_errors)
     rows.append([(0.0, 0.0, 0.0, 0.0)] * len(times))
     counts = [float(m) for m in mode_counts]

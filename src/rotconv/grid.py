@@ -27,11 +27,17 @@ and the kz planes outside the box, and its y pass those planes; the forward's
 x pass skips those planes, and its y pass the k_x columns outside the box too.
 
 Terms that act on z alone, such as the horizontal mean of a product, need
-no (x, y) pass: `half_box_z_profiles` lays theta' and w out as full z spectra
-on the half box of the kept modes (k_y >= 0, `pack_half_box`; the other half
-is their conjugate) and runs z-only c2c passes there in place, `horizontal_mean`
-reduces two such fields by Parseval in (x, y), and `subtract_half_box` takes
-a field so stored back to the half spectrum.
+no (x, y) pass: `half_box_z_profiles` lays theta' and w out as a pair of full
+z spectra on the half box of the kept modes (k_y >= 0, `pack_half_box`; the
+other half is their conjugate) and runs one z-only c2c pass of the pair in
+place, `horizontal_mean` reduces two such fields by Parseval in (x, y), and
+`subtract_half_box` takes a field so stored back to the half spectrum.
+
+Each call releases and retakes the GIL, so the stepper's tendency makes few
+and large ones: the inverse passes of u, v, d_x theta' and d_y theta' run as
+one batch of four, with (mu, mv) and (i kx, i ky) each stacked into one symbol
+(`velocity.velocity_symbols`, `_horizontal_gradient`), and theta' and w as
+one pair: 10 pocketfft calls per tendency, where one field at a time took 23.
 """
 
 from __future__ import annotations
@@ -136,18 +142,23 @@ class _Kept(NamedTuple):
     rows: tuple  # the two blocks of the rows |k_y| <= m_y on those planes
     columns: tuple  # the two blocks of the columns |k_x| <= m_x on those planes
     half: tuple  # the half box's shape (2 m_x + 1, m_y + 1, nz), smaller than a half spectrum
+    outside: np.ndarray  # the union of `boxes` as a read-only mask of the half spectrum
 
 
 @lru_cache(maxsize=32)
 def _kept(grid: Grid, mode_cap: int | None) -> _Kept:
     mx, my, mz = m = tuple(min(n // 3, mode_cap or n) for n in grid.shape)
     every, kz = slice(None), slice(mz + 1)
-    return _Kept(m, ((slice(mx + 1, grid.nx - mx),), (every, slice(my + 1, grid.ny - my)),
-                     (every, every, slice(mz + 1, None)), (0, 0)),
-                 (..., kz),
+    boxes = ((slice(mx + 1, grid.nx - mx),), (every, slice(my + 1, grid.ny - my)),
+             (every, every, slice(mz + 1, None)), (0, 0))
+    outside = np.zeros(grid.spectral_shape, dtype=bool)
+    for box in boxes:
+        outside[box] = True
+    outside.setflags(write=False)
+    return _Kept(m, boxes, (..., kz),
                  ((..., every, slice(my + 1), kz), (..., every, slice(grid.ny - my, None), kz)),
                  ((..., slice(mx + 1), every, kz), (..., slice(grid.nx - mx, None), every, kz)),
-                 (2 * mx + 1, my + 1, grid.nz))
+                 (2 * mx + 1, my + 1, grid.nz), outside)
 
 
 class _Frozen:
@@ -296,16 +307,16 @@ def pack_half_box(c: np.ndarray, kept: _Kept, out: np.ndarray) -> np.ndarray:
 
 
 def half_box_z_profiles(c: np.ndarray, kept: _Kept, mw_h: np.ndarray,
-                        theta_h: np.ndarray, w_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                        pair: np.ndarray) -> np.ndarray:
     """The horizontal modes of theta' = `c`, zero outside the box of `kept`,
-    and of w at each level z: `c` packed into `theta_h` (`pack_half_box`),
-    times `mw_h`, mw packed so, into `w_h`, and an inverse c2c pass over z of
-    each in place."""
+    and of w at each level z, as the pair (theta', w) in `pair`, of shape
+    (2, *kept.half), and returned: `c` packed into `pair[0]` (`pack_half_box`),
+    times `mw_h`, mw packed so, into `pair[1]`, and one inverse c2c pass over
+    z of the pair in place."""
+    theta_h, w_h = pair
     pack_half_box(c, kept, theta_h)
     np.multiply(mw_h, theta_h, out=w_h)
-    for a in (theta_h, w_h):
-        _pf.c2c(a, (-1,), False, 0, a, 1)
-    return theta_h, w_h
+    return _pf.c2c(pair, (-1,), False, 0, pair, 1)
 
 
 def horizontal_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -374,6 +385,15 @@ def derivative_symbol(grid: Grid, axis: int) -> np.ndarray:
     """Symbol of d/dx_axis with the Nyquist plane zeroed, broadcastable to the half lattice."""
     k = grid.wavenumbers()[axis]
     return np.where(np.abs(k) == grid.shape[axis] // 2, 0.0, 1j * k.astype(np.float64))
+
+
+@lru_cache(maxsize=32)
+def _horizontal_gradient(grid: Grid) -> np.ndarray:
+    """The symbols (i kx, i ky) of `derivative_symbol`, stacked to one read-only
+    (2, nx, ny, 1) array: their product with a half spectrum is d_x and d_y of it."""
+    symbols = np.stack(np.broadcast_arrays(derivative_symbol(grid, 0), derivative_symbol(grid, 1)))
+    symbols.setflags(write=False)
+    return symbols
 
 
 def horizontal_power_symbol(grid: Grid, s: float) -> np.ndarray:

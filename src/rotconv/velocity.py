@@ -58,13 +58,16 @@ def _diagnostic_symbol(grid: Grid, numerator: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def velocity_symbols(grid: Grid):
-    """Per-mode multipliers (mu, mv, mw) of the velocity on the grid lattice."""
+def velocity_symbols(grid: Grid) -> np.ndarray:
+    """Per-mode multipliers (mu, mv, mw) of the velocity on the grid lattice,
+    the rows of one read-only (3, *spectral_shape) array: `symbols[:2]`
+    multiplies a half spectrum into the pair (u, v) in one call."""
     lat = _lattice(grid)
     kxf, kyf, kzf = (k.astype(np.float64) for k in (lat.kx, lat.ky, lat.kz))
-    symbols = tuple(_diagnostic_symbol(grid, m) for m in (-kyf * kzf, kxf * kzf, lat.kh2**2))
-    for m in symbols:
-        m.setflags(write=False)
+    symbols = np.empty((3, *grid.spectral_shape))
+    for row, m in zip(symbols, (-kyf * kzf, kxf * kzf, lat.kh2**2)):
+        row[...] = _diagnostic_symbol(grid, m)
+    symbols.setflags(write=False)
     return symbols
 
 

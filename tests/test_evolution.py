@@ -169,8 +169,8 @@ def test_rk4_step_is_rk4_on_the_public_tendency(grid16):
 
 def test_ifrk4_step_is_its_formula_on_the_public_tendency(grid16):
     # the integrating-factor step is RK4 on `tendency` without diffusion, the
-    # diffusion taken exactly per mode, in its docstring's operation order,
-    # to the last bit
+    # diffusion taken exactly per mode, in its docstring's operation order
+    # (2 e_half n2 joins the sum before n3 arrives), to the last bit
     eps, dt = 0.2, 0.05
     config = SimConfig(grid=grid16, epsilon=eps, integrator="if-rk4")
     c = dealias(random_band_limited(grid16, 4)).coeffs
@@ -185,7 +185,8 @@ def test_ifrk4_step_is_its_formula_on_the_public_tendency(grid16):
     n2 = n(e_half * (c + (0.5 * dt) * n1))
     n3 = n(e_half * c + (0.5 * dt) * n2)
     n4 = n((dt * e_half) * n3 + e_full * c)
-    expected = e_full * c + (dt / 6.0) * ((e_full * n1 + (2.0 * e_half) * (n2 + n3)) + n4)
+    expected = e_full * c + (dt / 6.0) * (((e_full * n1 + (2.0 * e_half) * n2)
+                                           + (2.0 * e_half) * n3) + n4)
     expected[0, 0, :] = 0.0
     got = step(SimState(0.0, SpectralField(grid16, c)), dt, config).theta.coeffs
     assert np.array_equal(got, expected)
@@ -201,52 +202,56 @@ def test_tendency_is_the_tendency_of_the_kept_modes(grid16):
 
 @pytest.mark.parametrize("mode_cap, planes", [(None, 6), (3, 4)])
 def test_tendency_xy_passes_run_on_the_kept_planes(grid16, monkeypatch, mode_cap, planes):
-    # every complex pass of a tendency runs in place on the box of the kept
-    # modes |k_i| <= m = planes - 1 and no more: each of its four inverses
-    # runs its x pass on the two blocks of kept k_y rows of the kept kz
-    # planes, then its y pass on those planes; its one forward runs its x
-    # pass on the kept planes, then its y pass on the two blocks of kept k_x
-    # columns.  Every inverse z pass writes into the memory of the stepper
-    # buffer it reads, and the forward z pass into a stepper buffer.  Then
-    # three z-only passes run on the half box (2 m + 1, m + 1, 16): the
-    # inverses of theta' and w, and the forward of w dtheta_bar/dz with
-    # 1/nz, in place in the memory of `spec[3]` and `spec[4]`.  Every pass
-    # runs on one FFT thread
+    # a tendency makes 10 pocketfft calls, every complex pass in place on the
+    # box of the kept modes |k_i| <= m = planes - 1 and no more: one batched
+    # inverse of u, v, d_x theta' and d_y theta' in `spec[1:5]` runs its x pass
+    # on the two blocks of kept k_y rows of the kept kz planes, then its y
+    # pass on those planes, then one c2r into the memory it reads; one forward
+    # reads a stepper buffer, writes `out` and runs its x pass on the kept
+    # planes, then its y pass on the two blocks of kept k_x columns.  Then two
+    # z-only passes run on the half box (2 m + 1, m + 1, 16) in the memory of
+    # `spec[3:5]`: one inverse of the pair (theta', w), and the forward of
+    # w dtheta_bar/dz with 1/nz.  Every pass runs on one FFT thread
     stepper = rotconv.evolution._Stepper(grid16, mode_cap)
     c = dealias(random_band_limited(grid16, 4)).coeffs
     pf = rotconv.grid._pf
     xy, z, z_only = [], [], []
 
+    def in_spec(a):
+        return [np.shares_memory(a, buf) for buf in stepper.spec]
+
     def c2c(a, axes, forward, inorm, out, nthreads):
         assert out is a and nthreads == 1
         if axes == (-1,):
-            z_only.append((forward, inorm, a.shape, [np.shares_memory(a, buf)
-                                                     for buf in stepper.spec]))
+            z_only.append((forward, inorm, a.shape, in_spec(a)))
         else:
             xy.append((forward, axes, a.shape))
         return pf.c2c(a, axes, forward, inorm, out, nthreads)
 
     def c2r(a, axes, lastsize, forward, inorm, out, nthreads):
         assert nthreads == 1
-        z.append(any(a is buf for buf in stepper.spec) and np.shares_memory(out, a))
+        z.append((a.shape, in_spec(a), np.shares_memory(out, a)))
         return pf.c2r(a, axes, lastsize, forward, inorm, out, nthreads)
 
     def r2c(a, axes, forward, inorm, out, nthreads):
         assert nthreads == 1
-        z.append(any(out is buf for buf in stepper.spec))
+        z.append((a.shape, in_spec(a), out is target))
         return pf.r2c(a, axes, forward, inorm, out, nthreads)
 
     monkeypatch.setattr(rotconv.grid, "_pf", types.SimpleNamespace(c2c=c2c, c2r=c2r, r2c=r2c))
-    stepper.rhs(c, 0.2, stepper.spec[0])
+    target = stepper.spec[0]
+    stepper.rhs(c, 0.2, target)
+    assert len(xy + z + z_only) == 10
     m = planes - 1
-    inverse = [(False, (-3,), (16, m + 1, m + 1)), (False, (-3,), (16, m, m + 1)),
-               (False, (-2,), (16, 16, m + 1))]
+    inverse = [(False, (-3,), (4, 16, m + 1, m + 1)), (False, (-3,), (4, 16, m, m + 1)),
+               (False, (-2,), (4, 16, 16, m + 1))]
     forward = [(True, (-3,), (16, 16, m + 1)), (True, (-2,), (m + 1, 16, m + 1)),
                (True, (-2,), (m, 16, m + 1))]
-    assert xy == inverse * 4 + forward
-    assert z == [True] * 5
-    box, in_3, in_4 = (2 * m + 1, m + 1, 16), [False] * 3 + [True, False], [False] * 4 + [True]
-    assert z_only == [(False, 0, box, in_3), (False, 0, box, in_4), (True, 2, box, in_4)]
+    assert xy == inverse + forward
+    batch, slot_2 = [False] + [True] * 4, [False, False, True, False, False]
+    assert z == [((4, 16, 16, 9), batch, True), ((16, 16, 16), slot_2, True)]
+    box, pair = (2 * m + 1, m + 1, 16), [False] * 3 + [True, False]
+    assert z_only == [(False, 0, (2, *box), pair), (True, 2, box, pair)]
 
 
 @pytest.mark.parametrize("shape, mode_cap", [
@@ -265,10 +270,14 @@ def test_workspace_drops_the_modes_outside_the_rule(shape, mode_cap):
 
 @pytest.mark.parametrize("mode_cap", [None, 3])
 def test_stepper_reads_each_table_from_its_owner(grid16, mode_cap):
-    # one owner per table: the stepper holds the owners' cached arrays, not copies
+    # one owner per table: the stepper holds the owners' cached arrays, or
+    # views of them, not copies
     stepper = rotconv.evolution._Stepper(grid16, mode_cap)
-    mu, mv, _ = rotconv.velocity.velocity_symbols(grid16)
-    assert stepper.mu is mu and stepper.mv is mv
+    symbols = rotconv.velocity.velocity_symbols(grid16)
+    assert stepper.m_h.base is symbols and np.array_equal(stepper.m_h, symbols[:2])
+    assert stepper.grad_h is rotconv.grid._horizontal_gradient(grid16)
+    assert not (symbols.flags.writeable or stepper.grad_h.flags.writeable)
+    assert stepper.kh2 is rotconv.grid._lattice(grid16).kh2
     # the packed mw is cached per (grid, mode_cap): a stepper per public
     # `step` reads it, and builds it only once
     assert stepper.mw_h is rotconv.velocity.half_box_w_symbol(grid16, mode_cap)
@@ -724,6 +733,25 @@ def test_step_memory_budget(grid32, integrator):
     finally:
         tracemalloc.stop()
     assert peak <= 7 * state.theta.coeffs.nbytes
+
+
+@pytest.mark.parametrize("mode_cap", [None, 3])
+def test_a_second_stepper_allocates_only_its_buffers(grid32, mode_cap):
+    # criterion 3 builds a stepper per public `step`, so every table a stepper
+    # reads stays cached by its owner: the symbols per grid, the packed mw and
+    # the mask of the dropped modes per truncation.  A second stepper then
+    # allocates its 5 half-spectrum buffers and a few hundred bytes of views
+    # (about 0.8 kB here); a stacked (i kx, i ky) built per stepper would add
+    # 32 kB, the mask 17 kB and -kh2 8 kB
+    rotconv.evolution._Stepper(grid32, mode_cap)  # fills the caches
+    tracemalloc.start()
+    try:
+        stepper = rotconv.evolution._Stepper(grid32, mode_cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stepper.spec.shape == (5, *grid32.spectral_shape)
+    assert stepper.spec.nbytes <= peak <= stepper.spec.nbytes + 4096
 
 
 @pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="no per-thread rusage")

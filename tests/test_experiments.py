@@ -362,18 +362,20 @@ def test_concurrent_members_match_the_serial_path(grid16, monkeypatch, experimen
     assert results[2] == results[0]
 
 
-@pytest.mark.parametrize("experiment, keys, caps", [
-    (lambda cfg: sweep_epsilon(cfg, [0.5, 0.25, 0.125]), 1, 1),
+@pytest.mark.parametrize("experiment, keys, caps, squares", [
+    (lambda cfg: sweep_epsilon(cfg, [0.5, 0.25, 0.125]), 1, 1, 1),
     # the uncapped rule of the initial states and the sweep parts, then the four caps
-    (lambda cfg: sweep_resolution(cfg, [2, 3, 4, 5]), 5, 5),
-    (lambda cfg: twin_run(cfg, 1e-6), 1, 1),
+    (lambda cfg: sweep_resolution(cfg, [2, 3, 4, 5]), 5, 5, 1),
+    # the twin's `_separation` reads no H2h square, so none is built
+    (lambda cfg: twin_run(cfg, 1e-6), 1, 1, 0),
 ], ids=["sweep-epsilon", "sweep-resolution", "twin"])
-def test_stream_builds_each_workspace_once(grid16, monkeypatch, experiment, keys, caps):
+def test_stream_builds_each_workspace_once(grid16, monkeypatch, experiment, keys, caps, squares):
     # a slow build holds a cold cache miss open while every thread reaches
     # it; still each table a stepper or `_sweep_errors` reads is built once:
-    # the velocity symbols of the grid and their H2h squares, and the kept
-    # modes and the packed w symbol of each (grid, mode_cap) of the runs and
-    # of (grid, None), which `_sweep_errors` reads
+    # the velocity symbols and the stacked (i kx, i ky) of the grid, the H2h
+    # squares of the sweeps, and the kept modes and the packed w symbol of
+    # each (grid, mode_cap) of the runs and of (grid, None), which
+    # `_sweep_errors` reads
     def slow(build):
         def building(*args):
             time.sleep(0.05)
@@ -386,16 +388,19 @@ def test_stream_builds_each_workspace_once(grid16, monkeypatch, experiment, keys
     monkeypatch.setattr(rotconv.grid, "_Kept", slow(rotconv.grid._Kept))
     monkeypatch.setattr(rotconv.velocity, "pack_half_box", slow(rotconv.velocity.pack_half_box))
     monkeypatch.setattr(rotconv.experiments, "_lattice", slow(rotconv.experiments._lattice))
+    monkeypatch.setattr(rotconv.grid, "derivative_symbol", slow(rotconv.grid.derivative_symbol))
     monkeypatch.setattr(rotconv.experiments, "WORKERS", 4)
     rotconv.velocity.velocity_symbols.cache_clear()
     rotconv.grid._kept.cache_clear()
     rotconv.velocity.half_box_w_symbol.cache_clear()
     rotconv.experiments._h2h_squares.cache_clear()
+    rotconv.grid._horizontal_gradient.cache_clear()
     experiment(random_config(grid16))
     assert rotconv.velocity.velocity_symbols.cache_info().misses == 1
     assert rotconv.grid._kept.cache_info().misses == keys
     assert rotconv.velocity.half_box_w_symbol.cache_info().misses == caps
-    assert rotconv.experiments._h2h_squares.cache_info().misses == 1
+    assert rotconv.experiments._h2h_squares.cache_info().misses == squares
+    assert rotconv.grid._horizontal_gradient.cache_info().misses == 1
 
 
 def test_eps_scaled_perturbation_lies_inside_the_truncation(grid16, monkeypatch):

@@ -104,6 +104,11 @@ def _float_format(tokens):
     return sum(t.string.count(".17g") for t in tokens if t.type in kinds)
 
 
+def _pocketfft_binding(tokens):
+    # whether the code names `_pf`, the binding `grid` imports from `scipy.fft`
+    return any(t.type == tokenize.NAME and t.string == "_pf" for t in tokens)
+
+
 def _horizontal_reduction(tokens):
     # the calls that reduce a physical field over x and y, `axis=(0, 1)`: a roll is no reduction
     tree = ast.parse(tokenize.untokenize(tokens))
@@ -128,6 +133,8 @@ def _horizontal_reduction(tokens):
     # every transform, the z-profile's included, calls the binding that `grid` imports,
     # and the lattice's wavenumbers are integer arithmetic
     (_scipy_fft, {"grid": ["scipy.fft._pocketfft.pypocketfft"]}),
+    # and only `grid` calls it, through its private name for the binding
+    (_pocketfft_binding, {"grid": True}),
     # the real fields of an inverse transform live in its input's memory, and only
     # `grid` knows the layout (`to_physical`, and `horizontal_mean`'s products of the
     # real and imaginary parts): no other module reads complex memory as floats
@@ -137,7 +144,7 @@ def _horizontal_reduction(tokens):
     # the sweeps reduce on the half box (`grid.horizontal_mean`)
     (_horizontal_reduction, {"meanstate": ["np.mean"], "invariants": ["np.sum"]}),
 ], ids=["two-thirds-rule", "half-grid", "cpu-count", "i-and-pi", "float-format", "scipy-fft",
-        "float-view", "horizontal-reduction"])
+        "pocketfft-binding", "float-view", "horizontal-reduction"])
 def test_written_once(spelled, owners):
     found = {p.stem: spelled(_tokens(p)) for p in PACKAGE.glob("*.py")}
     assert {stem: n for stem, n in found.items() if n} == owners

@@ -52,7 +52,7 @@ def test_half_box_means_are_the_physical_ones(shape, mode_cap, box):
 
     def profiles():
         return half_box_z_profiles(theta.coeffs, _kept(grid, cap), mw_h,
-                                   np.empty_like(mw_h), np.empty_like(mw_h))
+                                   np.empty((2, *mw_h.shape), dtype=np.complex128))
 
     theta_p, w_p = inverse_transform(theta), inverse_transform(theta, velocity_symbols(grid)[2])
     theta_h, w_h = profiles()
