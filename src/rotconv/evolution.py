@@ -176,13 +176,13 @@ class SimConfig:
 
 class _Stepper:
     """The buffers of one trajectory's steps, one block `spec` of 5
-    half-spectrum fields and no real one, with the tables of its grid and
-    truncation read from their owners' caches, so that a stepper allocates
-    nothing but `spec`: the velocity symbols (`velocity_symbols`, whose rows
-    mu and mv it reads as one pair) and mw on the half box
-    (`half_box_w_symbol`), the stacked (i kx, i ky) (`grid._horizontal_gradient`),
-    the kept modes and the mask of the others (`grid._kept`) and kh2
-    (`grid._lattice`).
+    half-spectrum fields and no real one, with the read-only tables of its
+    grid and truncation read from their owners' caches (`grid._table`), so
+    that a stepper allocates nothing but `spec`: the velocity symbols
+    (`velocity_symbols`, whose rows mu and mv it reads as one pair) and mw on
+    the half box (`half_box_w_symbol`), the stacked (i kx, i ky)
+    (`grid._horizontal_gradient`), the kept modes and the mask of the others
+    (`grid._kept`) and kh2 (`grid._lattice`).
 
     A tendency makes 10 pocketfft calls: one batched inverse transform of
     u, v, d_x theta' and d_y theta' in `spec[1:5]` (3 pruned c2c passes and
@@ -408,11 +408,10 @@ def _check_kept(theta: SpectralField, mode_cap: int | None, what: str) -> None:
     and no content outside the modes kept under `mode_cap`, both to the
     tolerance of `has_zero_horizontal_mean`: the readers of the kept box (the
     inverse (x, y) passes of `step`, the half box) read the modes beyond it as zero."""
-    size = np.abs(theta.coeffs)
-    tol = 1e-12 * max(np.max(size), 1.0)
-    if np.max(size[0, 0, :]) > tol:
+    if not theta.has_zero_horizontal_mean():
         raise ValueError(f"{what} must have zero horizontal mean")
-    if max(np.max(size[box]) for box in _kept(theta.grid, mode_cap).boxes) > tol:
+    beyond = np.abs(theta.coeffs[_kept(theta.grid, mode_cap).outside])
+    if np.max(beyond) > 1e-12 * max(np.max(np.abs(theta.coeffs)), 1.0):
         cap = "" if mode_cap is None else f" and mode_cap = {mode_cap}"
         raise ValueError(f"{what} has modes outside those kept by the 2/3 rule"
                          f" |k_i| <= n_i/3{cap}")

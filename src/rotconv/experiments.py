@@ -9,7 +9,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -18,11 +17,11 @@ from .grid import (
     Grid,
     PhysicalField,
     SpectralField,
-    _horizontal_gradient,
     _is_number,
     _keep,
     _kept,
     _lattice,
+    _table,
     forward_transform,
     half_box_z_profiles,
     horizontal_mean,
@@ -50,15 +49,12 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
 
-@lru_cache(maxsize=32)
+@_table
 def _h2h_squares(grid: Grid) -> tuple[np.ndarray, ...]:
     """Squares of the |symbols| mapping the temperature difference to lap_h of
-    (u, v, w), (kh2 |m|)^2 per velocity symbol m, read-only."""
+    (u, v, w), (kh2 |m|)^2 per velocity symbol m."""
     kh2 = _lattice(grid).kh2
-    squares = tuple((kh2 * np.abs(m)) ** 2 for m in velocity_symbols(grid))
-    for m2 in squares:
-        m2.setflags(write=False)
-    return squares
+    return tuple((kh2 * np.abs(m)) ** 2 for m in velocity_symbols(grid))
 
 
 def h2h_bound_constant(grid: Grid) -> float:
@@ -175,13 +171,7 @@ def _stream(configs, theta0s, measure):
     2 WORKERS - 1 trajectories are in flight.  A member waits only for the
     reference sample it measures against, and stops if the reference closes
     without it.  Under `taskset -c 0`, `WORKERS` is 1: no helper is
-    submitted, so no thread starts, and the runs go in serial order.  The
-    tables the steppers and `_sweep_errors` read from a cache, the velocity
-    symbols and the stacked (i kx, i ky) of each grid and the kept modes and
-    packed w symbol of each (grid, mode_cap) and (grid, None), are built on
-    the calling thread before any helper starts, so no two threads build one;
-    the sweeps build the H2h squares, which only `_sweep_errors` reads, before
-    they call `_stream`.
+    submitted, so no thread starts, and the runs go in serial order.
     A failing run records its error and drains the iterator, so no member that
     has not started starts.  Once the executor's shutdown has joined the
     helpers, the error of the lowest run index is raised: every member below
@@ -198,10 +188,6 @@ def _stream(configs, theta0s, measure):
     cond = threading.Condition()
     closed = False  # the reference has published its last sample
     helpers = min(len(runs), WORKERS + len(runs) % WORKERS) - 1
-    for grid, cap in {(cfg.grid, c) for cfg in configs for c in (cfg.mode_cap, None)}:
-        # threads that miss a cache together each build
-        velocity_symbols(grid), _horizontal_gradient(grid), _kept(grid, cap)
-        half_box_w_symbol(grid, cap)
 
     def lead(_):
         nonlocal closed
@@ -308,7 +294,6 @@ def sweep_epsilon(
                        for eps in eps_list]
 
     configs = [replace(base, epsilon=eps) for eps in [0.0] + eps_list]
-    _h2h_squares(base.grid)  # on the calling thread, as `_stream` builds its tables
     return _compare(eps_list, base.grid, *_stream(configs, theta0s, _sweep_errors))
 
 
@@ -332,7 +317,6 @@ def sweep_resolution(base: SimConfig, mode_counts) -> SweepResult:
     # the finest truncation is the reference: it runs first, and its own
     # member row, the last one, is its zero error against itself
     configs = [replace(base, mode_cap=int(m)) for m in mode_counts[-1:] + mode_counts[:-1]]
-    _h2h_squares(base.grid)  # on the calling thread, as `_stream` builds its tables
     times, rows = _stream(configs, [initial_state(c) for c in configs], _sweep_errors)
     rows.append([(0.0, 0.0, 0.0, 0.0)] * len(times))
     counts = [float(m) for m in mode_counts]

@@ -44,8 +44,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -53,11 +54,35 @@ from scipy.fft._pocketfft import pypocketfft as _pf
 
 TWO_PI = 2.0 * np.pi
 DOMAIN_VOLUME = TWO_PI**3
+_BUILDING = threading.RLock()  # held by every call of a `_table` function
 
 
 def _is_number(x, kind=numbers.Real) -> bool:
     """x is an instance of `kind` and not a bool."""
     return isinstance(x, kind) and not isinstance(x, bool)
+
+
+def _read_only(x):
+    """`x`, with every ndarray in it, itself or an item of a tuple, made read-only."""
+    for a in x if isinstance(x, tuple) else (x,):
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return x
+
+
+def _table(build):
+    """`build` cached per key by `lru_cache(maxsize=32)` and `_read_only`, as each caller
+    gets the cache's own arrays; every call holds one re-entrant lock, so threads that
+    miss a key together build it once, and a build may read another table."""
+    cached = lru_cache(maxsize=32)(lambda *key: _read_only(build(*key)))
+
+    @wraps(build)
+    def table(*key):
+        with _BUILDING:
+            return cached(*key)
+
+    table.cache_info, table.cache_clear = cached.cache_info, cached.cache_clear
+    return table
 
 
 @dataclass(frozen=True)
@@ -100,9 +125,8 @@ class Grid:
         return np.meshgrid(x, y, z, indexing="ij")
 
     def wavenumbers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Integer wavenumbers of the half lattice, broadcastable to `spectral_shape`."""
-        lat = _lattice(self)
-        return lat.kx, lat.ky, lat.kz
+        """Integer wavenumbers of the half lattice, broadcastable to `spectral_shape`, read-only."""
+        return _lattice(self)[:3]
 
 
 class _Lattice(NamedTuple):
@@ -117,7 +141,7 @@ class _Lattice(NamedTuple):
     weight: np.ndarray  # Parseval weight
 
 
-@lru_cache(maxsize=32)
+@_table
 def _lattice(grid: Grid) -> _Lattice:
     nx, ny, nz = grid.shape
     kx = ((np.arange(nx) + nx // 2) % nx - nx // 2).reshape(nx, 1, 1)
@@ -142,10 +166,10 @@ class _Kept(NamedTuple):
     rows: tuple  # the two blocks of the rows |k_y| <= m_y on those planes
     columns: tuple  # the two blocks of the columns |k_x| <= m_x on those planes
     half: tuple  # the half box's shape (2 m_x + 1, m_y + 1, nz), smaller than a half spectrum
-    outside: np.ndarray  # the union of `boxes` as a read-only mask of the half spectrum
+    outside: np.ndarray  # the union of `boxes` as a mask of the half spectrum
 
 
-@lru_cache(maxsize=32)
+@_table
 def _kept(grid: Grid, mode_cap: int | None) -> _Kept:
     mx, my, mz = m = tuple(min(n // 3, mode_cap or n) for n in grid.shape)
     every, kz = slice(None), slice(mz + 1)
@@ -154,7 +178,6 @@ def _kept(grid: Grid, mode_cap: int | None) -> _Kept:
     outside = np.zeros(grid.spectral_shape, dtype=bool)
     for box in boxes:
         outside[box] = True
-    outside.setflags(write=False)
     return _Kept(m, boxes, (..., kz),
                  ((..., every, slice(my + 1), kz), (..., every, slice(grid.ny - my, None), kz)),
                  ((..., slice(mx + 1), every, kz), (..., slice(grid.nx - mx, None), every, kz)),
@@ -197,8 +220,7 @@ class PhysicalField(_Frozen):
             raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("physical field contains non-finite entries")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _read_only(v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,8 +244,7 @@ class SpectralField(_Frozen):
         if np.max(np.abs(defect)) > 1e-12 * max(np.max(np.abs(planes)), 1.0):
             raise ValueError("spectral coefficients break reality: the kz = 0 and kz = nz/2"
                              " planes need coeff(-kx, -ky) = conj(coeff(kx, ky))")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", _read_only(c))
 
     def has_zero_horizontal_mean(self, tol: float = 1e-12) -> bool:
         scale = max(np.max(np.abs(self.coeffs)), 1.0)
@@ -387,13 +408,11 @@ def derivative_symbol(grid: Grid, axis: int) -> np.ndarray:
     return np.where(np.abs(k) == grid.shape[axis] // 2, 0.0, 1j * k.astype(np.float64))
 
 
-@lru_cache(maxsize=32)
+@_table
 def _horizontal_gradient(grid: Grid) -> np.ndarray:
-    """The symbols (i kx, i ky) of `derivative_symbol`, stacked to one read-only
+    """The symbols (i kx, i ky) of `derivative_symbol`, stacked to one
     (2, nx, ny, 1) array: their product with a half spectrum is d_x and d_y of it."""
-    symbols = np.stack(np.broadcast_arrays(derivative_symbol(grid, 0), derivative_symbol(grid, 1)))
-    symbols.setflags(write=False)
-    return symbols
+    return np.stack(np.broadcast_arrays(derivative_symbol(grid, 0), derivative_symbol(grid, 1)))
 
 
 def horizontal_power_symbol(grid: Grid, s: float) -> np.ndarray:

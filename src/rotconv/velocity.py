@@ -15,7 +15,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .grid import (
     _keep,
     _kept,
     _lattice,
+    _table,
     derivative_symbol,
     forward_transform,
     inverse_transform,
@@ -57,29 +57,26 @@ def _diagnostic_symbol(grid: Grid, numerator: np.ndarray) -> np.ndarray:
     return np.where(lat.retained, numerator / np.maximum(denom, _TINY), 0.0)
 
 
-@lru_cache(maxsize=32)
+@_table
 def velocity_symbols(grid: Grid) -> np.ndarray:
     """Per-mode multipliers (mu, mv, mw) of the velocity on the grid lattice,
-    the rows of one read-only (3, *spectral_shape) array: `symbols[:2]`
+    the rows of one (3, *spectral_shape) array: `symbols[:2]`
     multiplies a half spectrum into the pair (u, v) in one call."""
     lat = _lattice(grid)
     kxf, kyf, kzf = (k.astype(np.float64) for k in (lat.kx, lat.ky, lat.kz))
     symbols = np.empty((3, *grid.spectral_shape))
     for row, m in zip(symbols, (-kyf * kzf, kxf * kzf, lat.kh2**2)):
         row[...] = _diagnostic_symbol(grid, m)
-    symbols.setflags(write=False)
     return symbols
 
 
-@lru_cache(maxsize=32)
+@_table
 def half_box_w_symbol(grid: Grid, mode_cap: int | None) -> np.ndarray:
     """mw on the half box of `_kept(grid, mode_cap)` (`grid.pack_half_box`), packed as
-    the tendency packs theta' (mw is real and even in k), read-only.  Complex128,
-    so its product with a half-box spectrum needs no cast."""
+    the tendency packs theta' (mw is real and even in k).  Complex128, so its
+    product with a half-box spectrum needs no cast."""
     kept = _kept(grid, mode_cap)
-    symbol = pack_half_box(velocity_symbols(grid)[2], kept, np.empty(kept.half, np.complex128))
-    symbol.setflags(write=False)
-    return symbol
+    return pack_half_box(velocity_symbols(grid)[2], kept, np.empty(kept.half, np.complex128))
 
 
 def solve_velocity(theta: SpectralField) -> VelocityDiagnostics:

@@ -2,6 +2,7 @@ import re
 import resource
 import sys
 import threading
+import time
 import tracemalloc
 import types
 from dataclasses import replace
@@ -924,3 +925,24 @@ def test_run_report_thread_start_failure_reaches_the_caller(grid16, monkeypatch)
         run(_run_config(grid16))
     assert len(started) == 1
     assert set(threading.enumerate()) == before
+
+
+def test_run_builds_each_table_once(grid16, monkeypatch):
+    # the report thread and the stepping thread both read the velocity symbols
+    # and the lattice, with no caller building them first; a slow build holds
+    # a cold cache miss open while both reach it, and still each table is
+    # built once (`grid._table`)
+    def slow(build):
+        def building(*args):
+            time.sleep(0.05)
+            return build(*args)
+        return building
+
+    monkeypatch.setattr(rotconv.grid, "_Lattice", slow(rotconv.grid._Lattice))
+    monkeypatch.setattr(rotconv.velocity, "_lattice", slow(rotconv.velocity._lattice))
+    tables = (rotconv.grid._lattice, rotconv.grid._kept, rotconv.grid._horizontal_gradient,
+              rotconv.velocity.velocity_symbols, rotconv.velocity.half_box_w_symbol)
+    for table in tables:
+        table.cache_clear()
+    run(_run_config(grid16))
+    assert [table.cache_info().misses for table in tables] == [1] * len(tables)

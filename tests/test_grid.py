@@ -3,6 +3,9 @@ import re
 import numpy as np
 import pytest
 
+import rotconv.experiments
+import rotconv.grid
+import rotconv.velocity
 from rotconv.grid import (
     DOMAIN_VOLUME,
     Grid,
@@ -227,3 +230,22 @@ def test_pad_to_grid_preserves_field(grid32):
     assert np.max(np.abs(fine_vals[::2, ::2, ::2] - coarse_vals)) < 1e-12
     with pytest.raises(ValueError):
         pad_to_grid(G, grid32)
+
+
+@pytest.mark.parametrize("table", [
+    lambda g: g.wavenumbers(),
+    lambda g: rotconv.grid._lattice(g),
+    lambda g: [rotconv.grid._kept(g, cap).outside for cap in (None, 2)],
+    lambda g: [rotconv.grid._horizontal_gradient(g)],
+    lambda g: [rotconv.velocity.velocity_symbols(g)],
+    lambda g: [rotconv.velocity.half_box_w_symbol(g, cap) for cap in (None, 2)],
+    lambda g: rotconv.experiments._h2h_squares(g),
+], ids=["wavenumbers", "lattice", "kept", "horizontal-gradient", "velocity-symbols",
+        "half-box-w-symbol", "h2h-squares"])
+def test_cached_tables_are_read_only(grid16, table):
+    # every caller gets the cache's own arrays, so a write to one would reach
+    # every later reader in the process: `grid._table` makes each read-only
+    for a in table(grid16):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a += a

@@ -117,6 +117,12 @@ def _horizontal_reduction(tokens):
                           for k in node.keywords) and ast.unparse(node.func) != "np.roll")
 
 
+def _table_cache(tokens):
+    # outside comments and strings, the names that cache a table or make an array read-only
+    return {t.string for t in tokens if t.type == tokenize.NAME
+            and t.string in ("lru_cache", "setflags")}
+
+
 @pytest.mark.parametrize("spelled, owners", [
     # the kept modes are defined once, in `grid._kept`
     (_two_thirds_rule, {"grid": 1}),
@@ -143,8 +149,10 @@ def _horizontal_reduction(tokens):
     # for the fields the report and the CLI profiles have there anyway; the tendency and
     # the sweeps reduce on the half box (`grid.horizontal_mean`)
     (_horizontal_reduction, {"meanstate": ["np.mean"], "invariants": ["np.sum"]}),
+    # a per-grid table is cached and made read-only by `grid._table`, a field by `grid._Frozen`
+    (_table_cache, {"grid": {"lru_cache", "setflags"}}),
 ], ids=["two-thirds-rule", "half-grid", "cpu-count", "i-and-pi", "float-format", "scipy-fft",
-        "pocketfft-binding", "float-view", "horizontal-reduction"])
+        "pocketfft-binding", "float-view", "horizontal-reduction", "table-cache"])
 def test_written_once(spelled, owners):
     found = {p.stem: spelled(_tokens(p)) for p in PACKAGE.glob("*.py")}
     assert {stem: n for stem, n in found.items() if n} == owners
